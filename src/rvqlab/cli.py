@@ -1,7 +1,8 @@
 """Command-line interface: validate, train, encode, decode, eval, mushra.
 
 Exit codes: 0 on success, 2 on any typed workbench error (bad inputs,
-corrupt files, schema violations).  Every subcommand honors --json for a
+corrupt files, schema violations) or operating-system error (missing,
+unreadable or directory paths).  Every subcommand honors --json for a
 machine-readable variant carrying the same numbers as the text output.
 """
 
@@ -35,9 +36,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="rvqlab",
         description="Residual-vector-quantization speech codec workbench",
     )
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="cap on internal parallelism (processing is sequential; "
-                             "results do not depend on N)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a dataset manifest")
@@ -269,6 +267,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: MissingFile: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

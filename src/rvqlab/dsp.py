@@ -2,12 +2,16 @@
 
 STFT analysis/synthesis with a periodic Hann window and reflect padding,
 mel filterbanks on the 2595*log10(1 + f/700) scale, log-mel analysis,
-Griffin-Lim phase reconstruction, and a windowed-sinc resampler.  All
-functions are pure: identical inputs (and seeds) give identical outputs.
+Griffin-Lim phase reconstruction, and a polyphase windowed-sinc resampler
+(bandlimited interpolation after J. O. Smith, "Digital Audio Resampling")
+whose kernel table holds one row per exact rational phase and whose
+working memory is linear in the output length.  All functions are pure:
+identical inputs (and seeds) give identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,7 +302,6 @@ def griffin_lim(
 
 _RESAMPLE_TAPS = 64  # windowed-sinc support, in source samples
 _RESAMPLE_BETA = 8.555  # Kaiser shape: ~85 dB stopband
-_RESAMPLE_CHUNK = 1 << 16
 
 
 def _kaiser_continuous(delta: np.ndarray, half_width: float) -> np.ndarray:
@@ -315,6 +318,13 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     Output length is round(len * target/source).  When target equals the
     source rate the samples are returned unchanged.
+
+    With g = gcd(source, target), up = target/g and down = source/g, output
+    n lies at source position n*down/up: integer base n*down // up plus the
+    exact phase ((n*down) % up) / up, which repeats with period up.  The
+    64-tap kernel is therefore evaluated once per distinct phase, into a
+    (min(up, n_out), 64) table, and the taps are accumulated one at a time
+    over a zero-padded copy of the source.  Working memory is O(n_out).
     """
     if target_rate <= 0:
         raise InvalidInput(f"target_rate must be positive, got {target_rate}")
@@ -325,20 +335,26 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     if len(src) == 0 or n_out == 0:
         return AudioBuffer(np.zeros(0), target_rate)
 
+    g = math.gcd(audio.sample_rate, target_rate)
+    up, down = target_rate // g, audio.sample_rate // g
     ratio = audio.sample_rate / target_rate  # source samples per output sample
     cutoff = min(1.0, 1.0 / ratio) * 0.945  # fraction of source Nyquist
     half = _RESAMPLE_TAPS // 2
     offsets = np.arange(-half + 1, half + 1)
-    out = np.empty(n_out)
-    for start in range(0, n_out, _RESAMPLE_CHUNK):
-        stop = min(start + _RESAMPLE_CHUNK, n_out)
-        t = np.arange(start, stop) * ratio  # positions in source coordinates
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-        idx = base[:, None] + offsets[None, :]
-        delta = offsets[None, :] - frac[:, None]
-        kernel = cutoff * np.sinc(cutoff * delta) * _kaiser_continuous(delta, half)
-        valid = (idx >= 0) & (idx < len(src))
-        gathered = np.where(valid, src[np.clip(idx, 0, len(src) - 1)], 0.0)
-        out[start:stop] = np.sum(gathered * kernel, axis=1)
+    n_rows = min(up, n_out)
+    phase = np.arange(n_rows) * down % up / up
+    delta = offsets[None, :] - phase[:, None]
+    kernel = cutoff * np.sinc(cutoff * delta) * _kaiser_continuous(delta, half)
+
+    # Output n uses kernel row n % up and reads padded[start[n] + j] for tap
+    # j, where padded[k] = src[k - half + 1]; the zeros stand in for taps
+    # that fall outside the source.
+    n = np.arange(n_out)
+    start = n * down // up
+    rows = n % up
+    tail = int(start[-1]) + _RESAMPLE_TAPS - (half - 1) - len(src)
+    padded = np.pad(src, (half - 1, max(tail, 0)))
+    out = np.zeros(n_out)
+    for j, weights in enumerate(kernel.T):
+        out += weights[rows] * padded[j:][start]
     return AudioBuffer(out, target_rate)

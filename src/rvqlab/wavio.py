@@ -29,6 +29,11 @@ def read_wav(path) -> AudioBuffer:
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_len,) = struct.unpack_from("<I", data, pos + 4)
+        if pos + 8 + chunk_len > len(data):
+            raise WavError(
+                f"{path}: {chunk_id!r} chunk declares {chunk_len} bytes, "
+                f"only {len(data) - pos - 8} remain"
+            )
         body = data[pos + 8 : pos + 8 + chunk_len]
         if chunk_id == b"fmt " and len(body) >= 16:
             fmt = struct.unpack_from("<HHIIHH", body, 0)
@@ -44,14 +49,20 @@ def read_wav(path) -> AudioBuffer:
             f"{path}: {channels}-channel audio is not supported, expected mono"
         )
     if audio_format == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 1.0 / 32768.0
     elif audio_format == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise WavError(
             f"{path}: unsupported format (code {audio_format}, {bits}-bit); "
             "only PCM16 and float32 are handled"
         )
+    if len(payload) % (bits // 8):
+        raise WavError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number "
+            f"of {bits}-bit samples"
+        )
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) * scale
     return AudioBuffer(samples, sample_rate)
 
 

@@ -144,6 +144,16 @@ class TestEncodeDecode:
         assert code == 2
         assert "CorruptTokens" in err
 
+    def test_directory_as_model_exit_2(self, one_second_wav, tmp_path, capsys):
+        code, _, err = _run(
+            capsys,
+            ["encode", "--model", str(tmp_path), str(one_second_wav), "-q", "1",
+             str(tmp_path / "x.rvqs")],
+        )
+        assert code == 2
+        assert err.startswith("error: IsADirectoryError")
+        assert "Traceback" not in err
+
     def test_cli_metrics_match_run_evaluation_exactly(self, toy_model, tmp_path, capsys):
         model_path, model, _ = toy_model
         wav_path = tmp_path / "probe.wav"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import i0
 
 from rvqlab.dsp import (
     AudioBuffer,
@@ -18,6 +21,45 @@ from rvqlab.dsp import (
 from rvqlab.errors import EmptyInput, InvalidConfig, InvalidInput
 
 from signals import speech_like
+
+
+def _per_tap_resample(audio, target_rate):
+    """Oracle: evaluate the 64-tap Kaiser-windowed sinc afresh for every output.
+
+    Output n sits at the float source position n * source/target; its
+    kernel is cutoff * sinc(cutoff * delta) * kaiser(delta) over the offsets
+    -31..32 around floor(position), and taps outside the source read zero.
+    """
+    src = audio.samples
+    n_out = int(round(len(src) * target_rate / audio.sample_rate))
+    if len(src) == 0 or n_out == 0:
+        return np.zeros(0)
+    ratio = audio.sample_rate / target_rate
+    cutoff = min(1.0, 1.0 / ratio) * 0.945
+    offsets = np.arange(-31, 33)
+    t = np.arange(n_out) * ratio
+    base = np.floor(t).astype(np.int64)
+    idx = base[:, None] + offsets[None, :]
+    delta = offsets[None, :] - (t - base)[:, None]
+    inside = np.abs(delta) <= 32
+    arg = np.where(inside, 1.0 - (delta / 32) ** 2, 0.0)
+    window = np.where(inside, i0(8.555 * np.sqrt(arg)) / i0(8.555), 0.0)
+    kernel = cutoff * np.sinc(cutoff * delta) * window
+    valid = (idx >= 0) & (idx < len(src))
+    gathered = np.where(valid, src[np.clip(idx, 0, len(src) - 1)], 0.0)
+    return np.sum(gathered * kernel, axis=1)
+
+
+# (source, target) pairs with 1 (48k->24k) to 160 (22.05k->24k) phases.
+_RATE_PAIRS = [
+    (16000, 24000),
+    (48000, 24000),
+    (24000, 10000),
+    (24000, 16000),
+    (44100, 24000),
+    (22050, 24000),
+    (8000, 24000),
+]
 
 
 def _sine(freq, duration, sr, amp=0.5):
@@ -255,6 +297,39 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(InvalidInput):
             resample(_sine(440.0, 0.1, 16000), 0)
+
+
+class TestResampleMatchesPerTapOracle:
+    @staticmethod
+    def _assert_matches(x, source, target):
+        out = resample(AudioBuffer(x, source), target).samples
+        expected = _per_tap_resample(AudioBuffer(x, source), target)
+        assert len(out) == len(expected)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("source,target", _RATE_PAIRS)
+    def test_speech_like(self, source, target):
+        self._assert_matches(speech_like(0.5, source, 41, level=0.9), source, target)
+
+    def test_coprime_pair(self):
+        # gcd(24001, 24000) = 1: 24000 phases, more than the 12000 outputs.
+        self._assert_matches(speech_like(0.5, 24001, 42, level=0.9), 24001, 24000)
+
+    @pytest.mark.parametrize("source,target,n", [(44100, 24000, 50), (22050, 24000, 100)])
+    def test_fewer_outputs_than_phases(self, source, target, n):
+        # 80 and 160 phases respectively; n_out is 27 and 109.
+        self._assert_matches(speech_like(n / source, source, 43, level=0.9), source, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=st.sampled_from(_RATE_PAIRS + [(24001, 24000)]),
+        n=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_property_random_lengths(self, pair, n, seed):
+        source, target = pair
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        self._assert_matches(x, source, target)
 
 
 class TestDeterminism:

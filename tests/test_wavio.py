@@ -29,16 +29,35 @@ def test_pcm16_roundtrip(tmp_path):
     assert np.max(np.abs(back.samples - x)) < 1.0 / 32767 + 1e-9
 
 
-def test_rejects_stereo(tmp_path):
-    # Hand-build a 2-channel PCM16 file.
-    payload = np.zeros(64, dtype="<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 2, 24000, 24000 * 4, 4, 16)
-    path = tmp_path / "stereo.wav"
+def _hand_built(path, payload, channels=1, data_len=None):
+    """Write a PCM16 WAV whose data chunk declares data_len (default: true) bytes."""
+    fmt = struct.pack("<HHIIHH", 1, channels, 24000, 24000 * 2 * channels, 2 * channels, 16)
+    declared = len(payload) if data_len is None else data_len
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload)) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
-        fh.write(b"data" + struct.pack("<I", len(payload)) + payload)
+        fh.write(b"data" + struct.pack("<I", declared) + payload)
+    return path
+
+
+def test_rejects_stereo(tmp_path):
+    payload = np.zeros(64, dtype="<i2").tobytes()
+    path = _hand_built(tmp_path / "stereo.wav", payload, channels=2)
     with pytest.raises(WavError, match="channel"):
+        read_wav(path)
+
+
+def test_rejects_partial_sample_data_chunk(tmp_path):
+    # 129 bytes of PCM16 is 64.5 samples; the 130th byte is the RIFF pad byte.
+    path = _hand_built(tmp_path / "odd.wav", bytes(130), data_len=129)
+    with pytest.raises(WavError, match="whole number"):
+        read_wav(path)
+
+
+def test_rejects_chunk_past_eof(tmp_path):
+    payload = np.zeros(64, dtype="<i2").tobytes()
+    path = _hand_built(tmp_path / "short.wav", payload, data_len=len(payload) + 100)
+    with pytest.raises(WavError, match="declares"):
         read_wav(path)
 
 
