@@ -13,10 +13,9 @@ import json
 import os
 import sys
 
-from . import bitstream, container
+from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
-from .dsp import resample
-from .errors import RvqLabError
+from .errors import InvalidInput, RvqLabError
 from .evalstats import (
     load_mushra_records,
     mushra_summary,
@@ -24,9 +23,8 @@ from .evalstats import (
     run_evaluation,
     wilcoxon_ranksum,
 )
-from .frontend import SAMPLE_RATE, decode_latent, encode_latent
-from .metrics import PESQ_TOOL_ENV, MultiScaleConfig
-from .rvq import bitrate, dequantize, quantize
+from .metrics import PESQ_TOOL_ENV
+from .rvq import bitrate
 from .training import train_codec
 from .wavio import read_wav, write_wav
 
@@ -136,12 +134,8 @@ def _cmd_train(args) -> None:
 
 def _cmd_encode(args) -> None:
     model = container.load(args.model)
-    audio = read_wav(args.wav_in)
-    if audio.sample_rate != SAMPLE_RATE:
-        audio = resample(audio, SAMPLE_RATE)
-    latents = encode_latent(model.frontend, audio)
-    tokens = quantize(model.rvq, latents, args.stages)
-    data = bitstream.pack(tokens, SAMPLE_RATE)
+    audio, _, tokens = codec.encode(model, read_wav(args.wav_in), args.stages)
+    data = bitstream.pack(tokens, audio.sample_rate)
     with open(args.out, "wb") as fh:
         fh.write(data)
     rate = bitrate(model.rvq.config, args.stages)
@@ -160,10 +154,9 @@ def _cmd_decode(args) -> None:
     model = container.load(args.model)
     with open(args.stream_in, "rb") as fh:
         data = fh.read()
-    header, tokens = bitstream.unpack(data)
+    header, tokens = codec.unpack_stream(model, data)
     stages = args.stages if args.stages is not None else header.n_stages
-    latents = dequantize(model.rvq, tokens, stages)
-    audio = decode_latent(model.frontend, latents, gl_iterations=args.gl_iterations)
+    _, audio = codec.decode(model, tokens, stages, args.gl_iterations)
     write_wav(args.wav_out, audio, encoding="float32")
     payload = {
         "out": args.wav_out,
@@ -183,12 +176,14 @@ def _cmd_eval(args) -> None:
             raise RvqLabError(f"--test expects NAME=MANIFEST, got {item!r}")
         name, path = item.split("=", 1)
         manifests[name] = load_manifest(path)
-    q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
+    try:
+        q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
+    except ValueError:
+        raise InvalidInput(f"--q-list expects comma-separated integers, got {args.q_list!r}") from None
     report = run_evaluation(
         model,
         manifests,
         q_list,
-        metric_config=MultiScaleConfig(),
         gl_iterations=args.gl_iterations,
         pesq_tool=os.environ.get(PESQ_TOOL_ENV),
     )

@@ -1,0 +1,45 @@
+"""The codec pipeline over a ModelContainer, audio -> tokens -> audio.
+
+CLI encode/decode and run_evaluation all run these functions, so the
+evaluation grid scores exactly what `rvqlab encode`/`decode` emit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .bitstream import unpack
+from .container import ModelContainer
+from .dsp import AudioBuffer, resample
+from .errors import SampleRateMismatch
+from .frontend import decode_latent, encode_latent
+from .rvq import TokenStream, dequantize, quantize
+
+
+def encode(model: ModelContainer, audio: AudioBuffer, n_stages: int):
+    """(model-rate audio, latents, tokens); resamples only when the rates differ."""
+    if audio.sample_rate != model.frontend.sample_rate:
+        audio = resample(audio, model.frontend.sample_rate)
+    latents = encode_latent(model.frontend, audio)
+    return audio, latents, quantize(model.rvq, latents, n_stages)
+
+
+def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterations: int):
+    """(latents, audio) from the first n_stages; the audio is rounded through
+    float32, so it holds exactly the samples of the float32 WAV the CLI writes."""
+    latents = dequantize(model.rvq, tokens, n_stages)
+    audio = decode_latent(model.frontend, latents, gl_iterations)
+    return latents, AudioBuffer(audio.samples.astype(np.float32).astype(np.float64), audio.sample_rate)
+
+
+def unpack_stream(model: ModelContainer, data: bytes):
+    """bitstream.unpack, raising SampleRateMismatch unless the header's rates are the model's."""
+    header, tokens = unpack(data)
+    stream = (header.sample_rate, header.frame_rate)
+    expected = (model.frontend.sample_rate, model.rvq.config.frame_rate)
+    if stream != expected:
+        raise SampleRateMismatch(
+            f"stream is {stream[0]} Hz at {stream[1]} frames/s, "
+            f"model expects {expected[0]} Hz at {expected[1]} frames/s"
+        )
+    return header, tokens

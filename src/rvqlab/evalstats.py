@@ -10,26 +10,25 @@ the exact null distribution for small groups.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 from scipy.stats import t as student_t
 
+from . import codec
 from .container import ModelContainer
-from .datapipe import ManifestEntry
-from .dsp import AudioBuffer, resample
+from .dsp import AudioBuffer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
-from .frontend import decode_latent, encode_latent
-from .metrics import MultiScaleConfig, mel_loss, pesq_adapter, snr, stft_loss, stoi
-from .rvq import dequantize, quantize
+from .metrics import MultiScaleConfig, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
-_METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse", "snr")
+_METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
 _ABSENT = "—"  # em dash renders unconfigured cells
+_SYSTEM = "rvq"  # the system column of every evaluation row
+_METRIC_CONFIG = MultiScaleConfig()
 
 
 @dataclass(frozen=True)
@@ -88,65 +87,45 @@ def run_evaluation(
     container: ModelContainer,
     test_manifests: dict,
     q_list,
-    metric_config: MultiScaleConfig | None = None,
     gl_iterations: int = 32,
     pesq_tool: str | None = None,
-    system: str = "rvq",
     max_failure_rate: float = 0.01,
-    include_snr: bool = False,
 ) -> MetricReport:
     """Score the codec on every test file at every stage count.
 
     test_manifests maps a test-set name to its ManifestEntry sequence.
-    Decoded audio is passed through float32 before scoring, matching the
-    float32 WAV files the CLI decode path emits, so CLI-side metrics
-    reproduce these numbers exactly.  Per-file failures are recorded and
-    skipped; the run fails only if more than max_failure_rate of files do.
+    Each file runs through codec.encode and codec.decode, the pipeline of
+    the CLI's encode and decode, so CLI-side metrics reproduce these
+    numbers exactly.  Per-file failures are recorded and skipped; the run
+    fails only if more than max_failure_rate of files do.
     """
-    metric_config = metric_config or MultiScaleConfig()
     q_list = sorted(set(int(q) for q in q_list), reverse=True)
     if not q_list:
         raise InvalidInput("q_list must be nonempty")
     if not test_manifests:
         raise InvalidInput("need at least one test manifest")
-    frontend = container.frontend
-    model = container.rvq
-    if q_list[0] > model.n_stages:
-        raise InvalidInput(
-            f"q={q_list[0]} exceeds the model's {model.n_stages} stages"
-        )
-
-    metric_names = ["mel", "stft", "stoi", "pesq", "latent_mse"]
-    if include_snr:
-        metric_names.append("snr")
+    if q_list[0] > container.rvq.n_stages:
+        raise InvalidInput(f"q={q_list[0]} exceeds the model's {container.rvq.n_stages} stages")
 
     rows = {}
     failures = []
     total_files = 0
     for set_name in sorted(test_manifests):
-        entries = list(test_manifests[set_name])
-        sums = {(m, q): 0.0 for m in metric_names for q in q_list}
-        counts = {(m, q): 0 for m in metric_names for q in q_list}
-        for entry in entries:
+        sums = {(m, q): 0.0 for m in _METRIC_ORDER for q in q_list}
+        counts = {(m, q): 0 for m in _METRIC_ORDER for q in q_list}
+        for entry in test_manifests[set_name]:
             total_files += 1
             try:
-                audio = _load_for_eval(entry)
-                latents = encode_latent(frontend, audio)
-                tokens = quantize(model, latents, q_list[0])
+                audio, latents, tokens = codec.encode(container, read_wav(entry.path), q_list[0])
                 for q in q_list:
-                    recon_latents = dequantize(model, tokens, q)
-                    decoded = decode_latent(frontend, recon_latents, gl_iterations)
-                    decoded = AudioBuffer(
-                        decoded.samples.astype(np.float32).astype(np.float64),
-                        decoded.sample_rate,
-                    )
+                    recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
                     n = min(len(audio), len(decoded))
                     ref = AudioBuffer(audio.samples[:n], audio.sample_rate)
                     test = AudioBuffer(decoded.samples[:n], decoded.sample_rate)
 
                     values = {
-                        "mel": mel_loss(ref, test, metric_config).value,
-                        "stft": stft_loss(ref, test, metric_config).value,
+                        "mel": mel_loss(ref, test, _METRIC_CONFIG).value,
+                        "stft": stft_loss(ref, test, _METRIC_CONFIG).value,
                         "stoi": stoi(ref, test).value,
                         "latent_mse": float(
                             np.mean((latents.frames - recon_latents.frames) ** 2)
@@ -154,16 +133,14 @@ def run_evaluation(
                     }
                     pesq = pesq_adapter(ref, test, tool_path=pesq_tool)
                     values["pesq"] = pesq.value if pesq is not None else None
-                    if include_snr:
-                        values["snr"] = snr(ref, test).value
                     for name, value in values.items():
                         if value is not None:
                             sums[(name, q)] += value
                             counts[(name, q)] += 1
             except RvqLabError as exc:
                 failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
-        for name in metric_names:
-            rows[(set_name, name, system)] = {
+        for name in _METRIC_ORDER:
+            rows[(set_name, name, _SYSTEM)] = {
                 q: (sums[(name, q)] / counts[(name, q)] if counts[(name, q)] else None)
                 for q in q_list
             }
@@ -176,20 +153,13 @@ def run_evaluation(
             + "; ".join(f[2] for f in failures[:3])
         )
     config = {
-        "system": system,
+        "system": _SYSTEM,
         "q_list": q_list,
         "gl_iterations": gl_iterations,
-        "metric": metric_config.snapshot(),
+        "metric": _METRIC_CONFIG.snapshot(),
         "pesq_tool": pesq_tool or "",
     }
     return MetricReport(rows=rows, q_list=tuple(q_list), config=config, failures=tuple(failures))
-
-
-def _load_for_eval(entry: ManifestEntry) -> AudioBuffer:
-    audio = read_wav(entry.path)
-    if audio.sample_rate != 24000:
-        audio = resample(audio, 24000)
-    return audio
 
 
 # --- MUSHRA ------------------------------------------------------------------
@@ -199,13 +169,16 @@ def load_mushra_records(path) -> list[MushraRecord]:
     """Read subject,stimulus,system,score records from delimited text."""
     records = []
     seen = set()
+    first = True  # the header may only be the first non-blank, non-comment line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts[:3] == ["subject", "stimulus", "system"]:
+            is_header = first and parts[:3] == ["subject", "stimulus", "system"]
+            first = False
+            if is_header:
                 continue
             if len(parts) != 4:
                 raise InvalidInput(f"line {lineno}: expected 4 comma-separated fields")
@@ -340,20 +313,9 @@ def _render_metric_report(report: MetricReport, fmt: str) -> str:
         + [_format_value(report.rows[(test_set, metric, system)][q]) for q in report.q_list]
         for test_set, metric, system in report.row_keys()
     ]
-    out = io.StringIO()
-    if fmt == "csv":
-        out.write(",".join(headers) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-        out.write("# config: " + json.dumps(report.config, sort_keys=True) + "\n")
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-        out.write("| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |\n")
-        out.write("|" + "|".join("-" * (w + 2) for w in widths) + "|\n")
-        for row in rows:
-            out.write("| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |\n")
-        out.write("\nconfig: " + json.dumps(report.config, sort_keys=True) + "\n")
-    return out.getvalue()
+    config = json.dumps(report.config, sort_keys=True)
+    footer = f"# config: {config}\n" if fmt == "csv" else f"\nconfig: {config}\n"
+    return _table(headers, rows, fmt) + footer
 
 
 def _render_mushra(payload, fmt: str) -> str:
@@ -375,15 +337,17 @@ def _render_mushra(payload, fmt: str) -> str:
                 result.method if result else _ABSENT,
             ]
         )
-    out = io.StringIO()
+    return _table(headers, rows, fmt)
+
+
+def _table(headers, rows, fmt: str) -> str:
+    """CSV lines, or a markdown table with every column padded to its widest cell."""
     if fmt == "csv":
-        out.write(",".join(headers) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-        out.write("| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |\n")
-        out.write("|" + "|".join("-" * (w + 2) for w in widths) + "|\n")
-        for row in rows:
-            out.write("| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |\n")
-    return out.getvalue()
+        return "".join(",".join(row) + "\n" for row in [headers, *rows])
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+
+    def line(cells):
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |\n"
+
+    rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|\n"
+    return line(headers) + rule + "".join(line(row) for row in rows)

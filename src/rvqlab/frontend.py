@@ -19,7 +19,6 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     griffin_lim,
-    log_mel,
     mel_filterbank,
     stft,
 )
@@ -108,6 +107,20 @@ def _analysis_log_mel(model_like, audio: AudioBuffer, fb: MelFilterbank) -> np.n
     return np.log(np.maximum(mags @ fb.weights.T, model_like.floor))
 
 
+def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (descending) of the symmetrized matrix and the top n
+    eigenvectors as rows, each signed so its largest-magnitude entry is
+    positive: refits are reproducible bit for bit."""
+    eigvals, eigvecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    order = np.argsort(eigvals)[::-1]
+    basis = eigvecs[:, order[:n]].T
+    for row in basis:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return eigvals[order], basis
+
+
 class _FrontendShape:
     """Just enough structure to run analysis before a model exists."""
 
@@ -152,21 +165,12 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
             f"need at least {10 * latent_dim} training frames for D={latent_dim}, got {count}"
         )
     mean = total / count
-    cov = outer / count - np.outer(mean, mean)
-    cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    components = eigvecs[:, order].T  # rows are principal directions
-    # Fix the sign convention so refits are reproducible bit for bit.
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    eigvals, basis = _principal_basis(outer / count - np.outer(mean, mean), latent_dim)
+    eigvals = np.maximum(eigvals, 0.0)
     explained = eigvals / eigvals.sum() if eigvals.sum() > 0 else eigvals
     return FrontendModel(
         mean=mean,
-        basis=components[:latent_dim].copy(),
+        basis=basis.copy(),
         explained_variance=explained,
         seed=seed,
     )

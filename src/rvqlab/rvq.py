@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
-from .frontend import FRAME_RATE, LatentSequence
+from .frontend import FRAME_RATE, LatentSequence, _principal_basis
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_REL_TOL = 1e-6
@@ -191,20 +191,6 @@ def kmeans_unit(
     return centers, assign, history
 
 
-def _fit_projection(residuals: np.ndarray, code_dim: int) -> np.ndarray:
-    """Top code_dim principal directions of the (uncentered) residual cloud."""
-    second_moment = residuals.T @ residuals / residuals.shape[0]
-    second_moment = (second_moment + second_moment.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(second_moment)
-    order = np.argsort(eigvals)[::-1][:code_dim]
-    basis = eigvecs[:, order].T
-    for row in basis:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    return basis
-
-
 def train_rvq(latents, config: RvqConfig) -> RvqModel:
     """Train the stage codebooks by residual k-means.
 
@@ -232,7 +218,8 @@ def train_rvq(latents, config: RvqConfig) -> RvqModel:
     stages = []
     stats = []
     for stage_idx in range(config.n_stages):
-        in_proj = _fit_projection(residual, config.code_dim)
+        # Top code_dim principal directions of the (uncentered) residual cloud.
+        _, in_proj = _principal_basis(residual.T @ residual / residual.shape[0], config.code_dim)
         projected = residual @ in_proj.T
         normalized = _normalize_rows(projected)
         entries, assign, _ = kmeans_unit(
@@ -250,6 +237,26 @@ def train_rvq(latents, config: RvqConfig) -> RvqModel:
     return RvqModel(config=config, stages=tuple(stages), training_stats=np.array(stats))
 
 
+def _greedy_stages(model: RvqModel, latents: LatentSequence, n_stages: int):
+    """Greedy stage loop of quantize and stage_distortions: yields (indices, residual).
+
+    The residual is one array updated in place: read it before the next
+    stage runs.
+    """
+    if latents.dim != model.config.latent_dim:
+        raise InvalidInput(
+            f"latents have dimension {latents.dim}, model expects {model.config.latent_dim}"
+        )
+    residual = latents.frames.copy()
+    for stage in model.stages[:n_stages]:
+        normalized = _normalize_rows(residual @ stage.in_proj.T)
+        # Unit vectors both sides: nearest by distance == max cosine, and
+        # argmax resolves ties toward the lowest index.
+        idx = np.argmax(normalized @ stage.entries.T, axis=1)
+        residual -= stage.entries[idx] @ stage.out_proj.T
+        yield idx, residual
+
+
 def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenStream:
     """Greedy per-stage quantization of a latent sequence.
 
@@ -261,20 +268,9 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
         raise InvalidInput(
             f"n_stages must be in [1, {model.n_stages}], got {n_stages}"
         )
-    if latents.dim != model.config.latent_dim:
-        raise InvalidInput(
-            f"latents have dimension {latents.dim}, model expects {model.config.latent_dim}"
-        )
-    residual = latents.frames.copy()
     tokens = np.empty((latents.n_frames, n_stages), dtype=np.uint16)
-    for i in range(n_stages):
-        stage = model.stages[i]
-        normalized = _normalize_rows(residual @ stage.in_proj.T)
-        # Unit vectors both sides: nearest by distance == max cosine, and
-        # argmax resolves ties toward the lowest index.
-        idx = np.argmax(normalized @ stage.entries.T, axis=1)
+    for i, (idx, _) in enumerate(_greedy_stages(model, latents, n_stages)):
         tokens[:, i] = idx
-        residual -= stage.entries[idx] @ stage.out_proj.T
     return TokenStream(tokens, model.config.codebook_size, model.config.frame_rate)
 
 
@@ -314,15 +310,6 @@ def bitrate(config: RvqConfig, n_stages: int) -> int:
 
 def stage_distortions(model: RvqModel, latents: LatentSequence) -> np.ndarray:
     """Mean squared residual after each stage, for all of the model's stages."""
-    if latents.dim != model.config.latent_dim:
-        raise InvalidInput(
-            f"latents have dimension {latents.dim}, model expects {model.config.latent_dim}"
-        )
-    residual = latents.frames.copy()
-    out = np.empty(model.n_stages)
-    for i, stage in enumerate(model.stages):
-        normalized = _normalize_rows(residual @ stage.in_proj.T)
-        idx = np.argmax(normalized @ stage.entries.T, axis=1)
-        residual -= stage.entries[idx] @ stage.out_proj.T
-        out[i] = float(np.mean(residual**2))
-    return out
+    return np.array(
+        [float(np.mean(residual**2)) for _, residual in _greedy_stages(model, latents, model.n_stages)]
+    )

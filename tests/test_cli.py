@@ -154,6 +154,36 @@ class TestEncodeDecode:
         assert err.startswith("error: IsADirectoryError")
         assert "Traceback" not in err
 
+    def test_non_integer_q_list_exit_2(self, toy_model, toy_corpus, capsys):
+        model_path, _, _ = toy_model
+        code, _, err = _run(
+            capsys,
+            ["eval", "--model", str(model_path), "--test", f"toy={toy_corpus}",
+             "--q-list", "4,x"],
+        )
+        assert code == 2
+        assert err.startswith("error: InvalidInput")
+        assert "--q-list" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sample_rate, frame_rate", [(16000, 50), (16000, 75), (24000, 50)])
+    def test_stream_rates_must_match_model(
+        self, toy_model, one_second_wav, tmp_path, capsys, sample_rate, frame_rate
+    ):
+        model_path, _, _ = toy_model
+        stream = tmp_path / "s.rvqs"
+        _run(capsys, ["encode", "--model", str(model_path), str(one_second_wav), "-q", "2", str(stream)])
+        _, tokens = bitstream.unpack(stream.read_bytes())
+        forged = TokenStream(tokens.frames, tokens.codebook_size, frame_rate=frame_rate)
+        stream.write_bytes(bitstream.pack(forged, sample_rate))
+        wav_out = tmp_path / "o.wav"
+        code, _, err = _run(
+            capsys, ["decode", "--model", str(model_path), str(stream), str(wav_out)]
+        )
+        assert code == 2
+        assert err.startswith("error: SampleRateMismatch")
+        assert not wav_out.exists()
+
     def test_cli_metrics_match_run_evaluation_exactly(self, toy_model, tmp_path, capsys):
         model_path, model, _ = toy_model
         wav_path = tmp_path / "probe.wav"

@@ -160,6 +160,24 @@ class TestMushraFile:
         with pytest.raises(InvalidInput, match="duplicate"):
             load_mushra_records(path)
 
+    def test_header_after_leading_comment(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "# listening test, session 1\n"
+            "\n"
+            "subject,stimulus,system,score\n"
+            "s1,st1,reference,100\n"
+            "s1,st1,codec,80\n"
+        )
+        records = load_mushra_records(path)
+        assert [r.system for r in records] == ["reference", "codec"]
+
+    def test_header_only_on_first_content_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("s1,st1,codec,80\nsubject,stimulus,system,score\n")
+        with pytest.raises(InvalidInput, match="line 2: bad score"):
+            load_mushra_records(path)
+
 
 class TestRenderReport:
     def _small_report(self):
