@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bitstream, codec, container
@@ -23,7 +22,6 @@ from .evalstats import (
     run_evaluation,
     wilcoxon_ranksum,
 )
-from .metrics import PESQ_TOOL_ENV
 from .rvq import bitrate
 from .training import train_codec
 from .wavio import read_wav, write_wav
@@ -180,13 +178,7 @@ def _cmd_eval(args) -> None:
         q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
     except ValueError:
         raise InvalidInput(f"--q-list expects comma-separated integers, got {args.q_list!r}") from None
-    report = run_evaluation(
-        model,
-        manifests,
-        q_list,
-        gl_iterations=args.gl_iterations,
-        pesq_tool=os.environ.get(PESQ_TOOL_ENV),
-    )
+    report = run_evaluation(model, manifests, q_list, gl_iterations=args.gl_iterations)
     text = render_report(report, fmt=args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

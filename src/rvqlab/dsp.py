@@ -139,32 +139,30 @@ def stft(audio: AudioBuffer, config: StftConfig) -> Spectrogram:
     x = np.pad(audio.samples, pad, mode="reflect") if len(audio) > 1 else np.pad(
         audio.samples, pad, mode="edge"
     )
+    return Spectrogram(_windowed_rfft(x, config), config, audio.sample_rate)
+
+
+def _windowed_rfft(x: np.ndarray, config: StftConfig) -> np.ndarray:
+    """rfft of each Hann-windowed frame of an already padded signal; (T, n_bins)."""
     frames = _frame_signal(x, config.fft_size, config.hop)
-    spec = np.fft.rfft(frames * config.window[None, :], axis=1)
-    return Spectrogram(spec, config, audio.sample_rate)
+    return np.fft.rfft(frames * config.window[None, :], axis=1)
 
 
-def _ola_synthesis(frames_td: np.ndarray, window: np.ndarray, hop: int):
-    """Overlap-add time-domain frames with a synthesis window.
-
-    Returns the weighted sum and the accumulated squared-window envelope.
-    """
-    n_frames, fft_size = frames_td.shape
-    out_len = (n_frames - 1) * hop + fft_size
-    acc = np.zeros(out_len)
-    env = np.zeros(out_len)
-    wsq = window * window
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum (T, N) frames placed hop samples apart: (T - 1) * hop + N samples."""
+    n_frames, size = frames.shape
+    out = np.zeros((n_frames - 1) * hop + size)
     for t in range(n_frames):
-        start = t * hop
-        acc[start : start + fft_size] += frames_td[t] * window
-        env[start : start + fft_size] += wsq
-    return acc, env
+        out[t * hop : t * hop + size] += frames[t]
+    return out
 
 
 def _istft_padded(frames: np.ndarray, config: StftConfig) -> np.ndarray:
     """Least-squares inverse STFT of the padded-domain frames (no trimming)."""
     frames_td = np.fft.irfft(frames, n=config.fft_size, axis=1)
-    acc, env = _ola_synthesis(frames_td, config.window, config.hop)
+    window = config.window
+    acc = _overlap_add(frames_td * window, config.hop)
+    env = _overlap_add(np.broadcast_to(window * window, frames_td.shape), config.hop)
     # The envelope must be bounded away from zero everywhere the original
     # padded signal is recoverable; only the fft_size/2 trim margins may dip.
     interior = env[config.fft_size // 2 : len(env) - config.fft_size // 2]
@@ -288,8 +286,7 @@ def griffin_lim(
 
     x = _istft_padded(estimate, config)
     for i in range(iterations):
-        frames = _frame_signal(x, config.fft_size, config.hop)
-        spec = np.fft.rfft(frames * config.window[None, :], axis=1)
+        spec = _windowed_rfft(x, config)
         if callback is not None:
             callback(i, _spectral_convergence(np.abs(spec), target))
         mag = np.abs(spec)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,8 @@ from scipy.stats import t as student_t
 
 from . import codec
 from .container import ModelContainer
-from .dsp import AudioBuffer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
-from .metrics import MultiScaleConfig, mel_loss, pesq_adapter, stft_loss, stoi
+from .metrics import PESQ_TOOL_ENV, MultiScaleConfig, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
 _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
@@ -97,7 +97,8 @@ def run_evaluation(
     Each file runs through codec.encode and codec.decode, the pipeline of
     the CLI's encode and decode, so CLI-side metrics reproduce these
     numbers exactly.  Per-file failures are recorded and skipped; the run
-    fails only if more than max_failure_rate of files do.
+    fails only if more than max_failure_rate of files do.  pesq_tool
+    defaults to $RVQLAB_PESQ_TOOL; the tool used is recorded in the config.
     """
     q_list = sorted(set(int(q) for q in q_list), reverse=True)
     if not q_list:
@@ -106,6 +107,11 @@ def run_evaluation(
         raise InvalidInput("need at least one test manifest")
     if q_list[0] > container.rvq.n_stages:
         raise InvalidInput(f"q={q_list[0]} exceeds the model's {container.rvq.n_stages} stages")
+    if q_list[-1] < 1:
+        raise InvalidInput(f"q must be >= 1, got {q_list[-1]}")
+    if gl_iterations < 1:
+        raise InvalidInput(f"gl_iterations must be >= 1, got {gl_iterations}")
+    pesq_tool = pesq_tool or os.environ.get(PESQ_TOOL_ENV)
 
     rows = {}
     failures = []
@@ -119,19 +125,15 @@ def run_evaluation(
                 audio, latents, tokens = codec.encode(container, read_wav(entry.path), q_list[0])
                 for q in q_list:
                     recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
-                    n = min(len(audio), len(decoded))
-                    ref = AudioBuffer(audio.samples[:n], audio.sample_rate)
-                    test = AudioBuffer(decoded.samples[:n], decoded.sample_rate)
-
                     values = {
-                        "mel": mel_loss(ref, test, _METRIC_CONFIG).value,
-                        "stft": stft_loss(ref, test, _METRIC_CONFIG).value,
-                        "stoi": stoi(ref, test).value,
+                        "mel": mel_loss(audio, decoded, _METRIC_CONFIG).value,
+                        "stft": stft_loss(audio, decoded, _METRIC_CONFIG).value,
+                        "stoi": stoi(audio, decoded).value,
                         "latent_mse": float(
                             np.mean((latents.frames - recon_latents.frames) ** 2)
                         ),
                     }
-                    pesq = pesq_adapter(ref, test, tool_path=pesq_tool)
+                    pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
                     values["pesq"] = pesq.value if pesq is not None else None
                     for name, value in values.items():
                         if value is not None:

@@ -19,6 +19,7 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     griffin_lim,
+    log_mel,
     mel_filterbank,
     stft,
 )
@@ -86,13 +87,14 @@ class FrontendModel:
         )
 
 
-def _analysis_log_mel(model_like, audio: AudioBuffer, fb: MelFilterbank) -> np.ndarray:
+def _analysis_log_mel(
+    audio: AudioBuffer, config: StftConfig, fb: MelFilterbank, floor: float
+) -> np.ndarray:
     """Log-mel frames with the codec framing: exactly ceil(len/hop) frames.
 
     The tail is reflect-padded to a whole number of hops; the trailing
     center-padded STFT frame is dropped so 1 s of audio gives 75 frames.
     """
-    config = model_like.stft_config
     hop = config.hop
     n = len(audio)
     if n == 0:
@@ -103,8 +105,8 @@ def _analysis_log_mel(model_like, audio: AudioBuffer, fb: MelFilterbank) -> np.n
         pad = hop - remainder
         samples = np.pad(samples, (0, pad), mode="reflect" if n > 1 else "edge")
     spec = stft(AudioBuffer(samples, audio.sample_rate), config)
-    mags = np.abs(spec.frames[:-1])  # drop the final frame: T = len/hop
-    return np.log(np.maximum(mags @ fb.weights.T, model_like.floor))
+    kept = Spectrogram(spec.frames[:-1], config, spec.sample_rate)  # T = len/hop
+    return log_mel(kept, fb, floor)
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +121,6 @@ def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
         if row[pivot] < 0:
             row *= -1.0
     return eigvals[order], basis
-
-
-class _FrontendShape:
-    """Just enough structure to run analysis before a model exists."""
-
-    stft_config = StftConfig(FFT_SIZE, HOP)
-    floor = LOG_FLOOR
 
 
 def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: int) -> FrontendModel:
@@ -145,7 +140,7 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
     if seed < 0:
         raise InvalidInput(f"seed must be nonnegative, got {seed}")
     fb = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, 0.0, SAMPLE_RATE / 2)
-    shape = _FrontendShape()
+    config = StftConfig(FFT_SIZE, HOP)
 
     count = 0
     total = np.zeros(N_MELS)
@@ -155,7 +150,7 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
             raise SampleRateMismatch(
                 f"training audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE}"
             )
-        frames = _analysis_log_mel(shape, audio, fb)
+        frames = _analysis_log_mel(audio, config, fb, LOG_FLOOR)
         count += frames.shape[0]
         total += frames.sum(axis=0)
         outer += frames.T @ frames
@@ -182,7 +177,7 @@ def encode_latent(model: FrontendModel, audio: AudioBuffer) -> LatentSequence:
         raise SampleRateMismatch(
             f"audio at {audio.sample_rate} Hz, model expects {model.sample_rate}; resample first"
         )
-    frames = _analysis_log_mel(model, audio, model.filterbank())
+    frames = _analysis_log_mel(audio, model.stft_config, model.filterbank(), model.floor)
     return LatentSequence((frames - model.mean) @ model.basis.T)
 
 

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavio
-from .dsp import AudioBuffer, StftConfig, mel_filterbank, resample, stft
+from .dsp import (
+    AudioBuffer,
+    Spectrogram,
+    StftConfig,
+    _frame_signal,
+    _overlap_add,
+    log_mel,
+    mel_filterbank,
+    resample,
+    stft,
+)
 from .errors import (
     ExternalToolError,
     InsufficientDuration,
@@ -81,10 +91,11 @@ def _aligned_pair(ref: AudioBuffer, test: AudioBuffer):
     )
 
 
-def _gain_normalized_magnitude(buf: AudioBuffer, config: StftConfig) -> np.ndarray:
+def _gain_normalized_magnitude(buf: AudioBuffer, config: StftConfig) -> Spectrogram:
     # Dividing by the window gain (fft/2 for Hann) keeps magnitudes, and so
     # the per-scale loss terms, on a common footing across resolutions.
-    return np.abs(stft(buf, config).frames) / (config.fft_size / 2)
+    mag = np.abs(stft(buf, config).frames) / (config.fft_size / 2)
+    return Spectrogram(mag, config, buf.sample_rate)
 
 
 def mel_loss(ref: AudioBuffer, test: AudioBuffer, cfg: MultiScaleConfig | None = None) -> MetricValue:
@@ -98,8 +109,8 @@ def mel_loss(ref: AudioBuffer, test: AudioBuffer, cfg: MultiScaleConfig | None =
         n_mels = min(n_mels, fft_size // 2)
         fb = mel_filterbank(ref.sample_rate, fft_size, n_mels, 0.0, ref.sample_rate / 2)
         config = StftConfig(fft_size, hop)
-        a = np.log(np.maximum(_gain_normalized_magnitude(ref, config) @ fb.weights.T, cfg.floor))
-        b = np.log(np.maximum(_gain_normalized_magnitude(test, config) @ fb.weights.T, cfg.floor))
+        a = log_mel(_gain_normalized_magnitude(ref, config), fb, cfg.floor)
+        b = log_mel(_gain_normalized_magnitude(test, config), fb, cfg.floor)
         total += float(np.mean(np.abs(a - b)))
     return MetricValue("mel", total, higher_is_better=False)
 
@@ -111,8 +122,8 @@ def stft_loss(ref: AudioBuffer, test: AudioBuffer, cfg: MultiScaleConfig | None 
     total = 0.0
     for fft_size, hop, _ in cfg.scales:
         config = StftConfig(fft_size, hop)
-        a = _gain_normalized_magnitude(ref, config)
-        b = _gain_normalized_magnitude(test, config)
+        a = _gain_normalized_magnitude(ref, config).frames
+        b = _gain_normalized_magnitude(test, config).frames
         total += float(np.mean(np.abs(a - b)))
     return MetricValue("stft", total, higher_is_better=False)
 
@@ -135,14 +146,6 @@ def _stoi_window() -> np.ndarray:
     # Endpoint-free Hann, matching the reference listening-metric convention.
     k = np.arange(1, _STOI_FRAME + 1)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (_STOI_FRAME + 1))
-
-
-def _stoi_frames(x: np.ndarray) -> np.ndarray:
-    n_frames = (len(x) - _STOI_FRAME) // _STOI_HOP + 1
-    if n_frames <= 0:
-        return np.zeros((0, _STOI_FRAME))
-    idx = np.arange(_STOI_FRAME)[None, :] + _STOI_HOP * np.arange(n_frames)[:, None]
-    return x[idx]
 
 
 def _third_octave_matrix() -> np.ndarray:
@@ -174,8 +177,8 @@ def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     y = resample(test, _STOI_FS).samples
 
     w = _stoi_window()
-    xf = _stoi_frames(x) * w
-    yf = _stoi_frames(y) * w
+    xf = _frame_signal(x, _STOI_FRAME, _STOI_HOP) * w
+    yf = _frame_signal(y, _STOI_FRAME, _STOI_HOP) * w
     if xf.shape[0] == 0:
         raise InsufficientDuration("signal shorter than one analysis frame")
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
@@ -183,15 +186,11 @@ def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     xf, yf = xf[keep], yf[keep]
     if xf.shape[0] == 0:
         raise InsufficientDuration("no speech-active frames above the energy gate")
-    n_active = (xf.shape[0] - 1) * _STOI_HOP + _STOI_FRAME
-    x_active = np.zeros(n_active)
-    y_active = np.zeros(n_active)
-    for i in range(xf.shape[0]):
-        x_active[i * _STOI_HOP : i * _STOI_HOP + _STOI_FRAME] += xf[i]
-        y_active[i * _STOI_HOP : i * _STOI_HOP + _STOI_FRAME] += yf[i]
+    x_active = _overlap_add(xf, _STOI_HOP)
+    y_active = _overlap_add(yf, _STOI_HOP)
 
-    spec_x = np.fft.rfft(_stoi_frames(x_active) * w, n=_STOI_NFFT, axis=1)
-    spec_y = np.fft.rfft(_stoi_frames(y_active) * w, n=_STOI_NFFT, axis=1)
+    spec_x = np.fft.rfft(_frame_signal(x_active, _STOI_FRAME, _STOI_HOP) * w, n=_STOI_NFFT, axis=1)
+    spec_y = np.fft.rfft(_frame_signal(y_active, _STOI_FRAME, _STOI_HOP) * w, n=_STOI_NFFT, axis=1)
     obm = _third_octave_matrix()
     env_x = np.sqrt(np.abs(spec_x) ** 2 @ obm.T).T  # (bands, frames)
     env_y = np.sqrt(np.abs(spec_y) ** 2 @ obm.T).T

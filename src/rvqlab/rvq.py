@@ -130,13 +130,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans_unit(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = _LLOYD_MAX_ITER,
-    rel_tol: float = _LLOYD_REL_TOL,
-):
+def kmeans_unit(points: np.ndarray, k: int, seed: int):
     """Spherical k-means on (mostly unit-norm) points.
 
     Centroids are re-normalized after every Lloyd update, which keeps the
@@ -156,7 +150,7 @@ def kmeans_unit(
     prev = None
     assign = np.empty(n, dtype=np.int64)
     best_sim = np.empty(n)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         centers_t = centers.T.copy()
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
@@ -167,7 +161,7 @@ def kmeans_unit(
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)
-        if prev is not None and abs(prev - distortion) <= rel_tol * max(prev, _NORM_EPS):
+        if prev is not None and abs(prev - distortion) <= _LLOYD_REL_TOL * max(prev, _NORM_EPS):
             break
         prev = distortion
 

@@ -9,6 +9,7 @@ from rvqlab.dsp import (
     MelFilterbank,
     Spectrogram,
     StftConfig,
+    _overlap_add,
     griffin_lim,
     hz_to_mel,
     istft,
@@ -60,6 +61,16 @@ _RATE_PAIRS = [
     (22050, 24000),
     (8000, 24000),
 ]
+
+
+def _per_frame_ola(frames, hop):
+    """Oracle: add each frame in turn at t * hop, as a per-frame loop."""
+    n_frames, size = frames.shape
+    out = np.zeros((n_frames - 1) * hop + size)
+    for t in range(n_frames):
+        start = t * hop
+        out[start : start + size] += frames[t]
+    return out
 
 
 def _sine(freq, duration, sr, amp=0.5):
@@ -152,6 +163,19 @@ class TestIstft:
         spec = stft(AudioBuffer(np.ones(4096) * 0.1, 24000), config)
         with pytest.raises(InvalidConfig):
             istft(spec)
+
+
+class TestOverlapAdd:
+    # (1024, 320) is the codec framing, where the hop does not divide N.
+    @pytest.mark.parametrize(
+        "size,hop,n_frames", [(1024, 320, 40), (1024, 256, 40), (256, 128, 40), (1024, 320, 1)]
+    )
+    def test_equals_per_frame_oracle(self, size, hop, n_frames):
+        frames = np.random.default_rng(size + hop + n_frames).standard_normal((n_frames, size))
+        out = _overlap_add(frames, hop)
+        expected = _per_frame_ola(frames, hop)
+        assert out.shape == expected.shape == ((n_frames - 1) * hop + size,)
+        assert np.array_equal(out, expected)
 
 
 class TestMelFilterbank:

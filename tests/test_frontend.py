@@ -35,7 +35,7 @@ class TestFitFrontend:
         latents = encode_latent(model80, audio)
         from rvqlab.frontend import _analysis_log_mel
 
-        frames = _analysis_log_mel(model80, audio, model80.filterbank())
+        frames = _analysis_log_mel(audio, model80.stft_config, model80.filterbank(), model80.floor)
         recon = latents.frames @ model80.basis + model80.mean
         assert np.max(np.abs(recon - frames)) < 1e-9
 
@@ -48,7 +48,7 @@ class TestFitFrontend:
         from rvqlab.frontend import _analysis_log_mel
 
         fb = model.filterbank()
-        frames = np.vstack([_analysis_log_mel(model, c, fb) for c in clips])
+        frames = np.vstack([_analysis_log_mel(c, model.stft_config, fb, model.floor) for c in clips])
         centered = frames - frames.mean(axis=0)
         cov = centered.T @ centered / frames.shape[0]
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
@@ -112,8 +112,9 @@ class TestEncodeLatent:
 
         x = speech_like(0.5, 24000, 58, level=0.5)
         fb = model64.filterbank()
-        a = _analysis_log_mel(model64, AudioBuffer(x, 24000), fb)
-        b = _analysis_log_mel(model64, AudioBuffer(0.5 * x, 24000), fb)
+        config, floor = model64.stft_config, model64.floor
+        a = _analysis_log_mel(AudioBuffer(x, 24000), config, fb, floor)
+        b = _analysis_log_mel(AudioBuffer(0.5 * x, 24000), config, fb, floor)
         unfloored = a > np.log(model64.floor) + np.log(2.0) + 1e-9
         np.testing.assert_allclose(
             (b - a)[unfloored], np.log(0.5), atol=1e-9

@@ -158,6 +158,12 @@ class TestStoi:
         with pytest.raises(InsufficientDuration):
             stoi(_buf(np.ones(2000) * 0.1), _buf(np.ones(2000) * 0.1))
 
+    def test_shorter_than_one_frame(self):
+        # 500 samples at 24 kHz resample to 208 at 10 kHz, under one 256-sample frame.
+        x = _buf(speech_like(500 / 24000, 24000, 9))
+        with pytest.raises(InsufficientDuration):
+            stoi(x, x)
+
 
 class TestPesqAdapter:
     def test_unconfigured_returns_none(self, monkeypatch):

@@ -1,3 +1,5 @@
+import stat
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ class TestRunEvaluation:
         _, model, _ = toy_model
         with pytest.raises(InvalidInput):
             run_evaluation(model, test_sets, q_list=[8])
+
+    def test_q_below_one_rejected_before_any_file(self, toy_model, test_sets):
+        _, model, _ = toy_model
+        with pytest.raises(InvalidInput):
+            run_evaluation(model, test_sets, q_list=[2, 0])
+
+    def test_gl_iterations_below_one_rejected_before_any_file(self, toy_model, test_sets):
+        _, model, _ = toy_model
+        with pytest.raises(InvalidInput):
+            run_evaluation(model, test_sets, q_list=[1], gl_iterations=0)
+
+    def test_pesq_tool_from_environment_recorded(self, toy_model, test_sets, tmp_path, monkeypatch):
+        _, model, _ = toy_model
+        tool = tmp_path / "fake_pesq.sh"
+        tool.write_text('#!/bin/sh\necho "MOS-LQO = 4.1"\n')
+        tool.chmod(tool.stat().st_mode | stat.S_IEXEC)
+        monkeypatch.setenv("RVQLAB_PESQ_TOOL", str(tool))
+        report = run_evaluation(model, test_sets, q_list=[1], gl_iterations=2)
+        assert report.cell("seta", "pesq", "rvq", 1) == pytest.approx(4.1)
+        assert report.config["pesq_tool"] == str(tool)
 
     def test_failures_recorded_and_tolerated(self, toy_model, test_sets, tmp_path):
         _, model, _ = toy_model
