@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
@@ -217,20 +218,8 @@ def _cmd_mushra(args) -> None:
     ]
     text = render_report((summaries, results), fmt=args.format)
     payload = {
-        "summaries": [
-            {"system": s.system, "mean": s.mean, "ci_low": s.ci_low, "ci_high": s.ci_high, "n": s.n}
-            for s in summaries
-        ],
-        "significance": [
-            {
-                "system": r.system,
-                "p_value": r.p_value,
-                "significant": r.significant,
-                "alpha": r.alpha,
-                "method": r.method,
-            }
-            for r in results
-        ],
+        "summaries": [asdict(s) for s in summaries],
+        "significance": [asdict(r) for r in results],
     }
     _emit(args, payload, text)
 

@@ -162,10 +162,10 @@ def sample_batch(
 ) -> list[Excerpt]:
     """Draw one exactly-balanced mini-batch of excerpts.
 
-    Every active category contributes batch_size / n_categories excerpts;
-    a category with no entries is an error, as is a batch size the category
-    count does not divide.  With load_audio=False the excerpts carry empty
-    buffers (provenance only), which is handy for balance audits.
+    Every category present in the manifest contributes batch_size /
+    n_categories excerpts; an empty manifest is an error, as is a batch size
+    the category count does not divide.  With load_audio=False the excerpts
+    carry empty buffers (provenance only), which is handy for balance audits.
     """
     by_category = {}
     for entry in manifest:
@@ -173,9 +173,6 @@ def sample_batch(
     active = sorted(by_category, key=lambda c: c.value)
     if not active:
         raise EmptyCategory("(manifest is empty)")
-    for category in QualityCategory:
-        if category in by_category and not by_category[category]:
-            raise EmptyCategory(category.value)
     if spec.batch_size % len(active):
         raise NotDivisible(
             f"batch_size {spec.batch_size} is not divisible by {len(active)} active categories"

@@ -102,9 +102,7 @@ class MelFilterbank:
     """Triangular mel filters: n_mels x (fft_size/2 + 1) nonnegative weights."""
 
     weights: np.ndarray
-    f_min: float
-    f_max: float
-    center_freqs: np.ndarray = field(repr=False, default=None)
+    center_freqs: np.ndarray = field(repr=False)
 
 
 def hz_to_mel(f):
@@ -222,7 +220,7 @@ def mel_filterbank(
             f"{n_mels} mel filters leave empty rows for fft_size {fft_size}; "
             "reduce n_mels or widen [f_min, f_max]"
         )
-    return MelFilterbank(weights, float(f_min), float(f_max), edges[1:-1].copy())
+    return MelFilterbank(weights, edges[1:-1].copy())
 
 
 def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:

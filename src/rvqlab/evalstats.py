@@ -22,13 +22,13 @@ from scipy.stats import t as student_t
 from . import codec
 from .container import ModelContainer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
-from .metrics import PESQ_TOOL_ENV, MultiScaleConfig, mel_loss, pesq_adapter, stft_loss, stoi
+from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
 _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
 _ABSENT = "—"  # em dash renders unconfigured cells
 _SYSTEM = "rvq"  # the system column of every evaluation row
-_METRIC_CONFIG = MultiScaleConfig()
+PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,12 @@ def run_evaluation(
             total_files += 1
             try:
                 audio, latents, tokens = codec.encode(container, read_wav(entry.path), q_list[0])
+                file_values = {}
                 for q in q_list:
                     recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
                     values = {
-                        "mel": mel_loss(audio, decoded, _METRIC_CONFIG).value,
-                        "stft": stft_loss(audio, decoded, _METRIC_CONFIG).value,
+                        "mel": mel_loss(audio, decoded).value,
+                        "stft": stft_loss(audio, decoded).value,
                         "stoi": stoi(audio, decoded).value,
                         "latent_mse": float(
                             np.mean((latents.frames - recon_latents.frames) ** 2)
@@ -135,12 +136,16 @@ def run_evaluation(
                     }
                     pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
                     values["pesq"] = pesq.value if pesq is not None else None
-                    for name, value in values.items():
-                        if value is not None:
-                            sums[(name, q)] += value
-                            counts[(name, q)] += 1
+                    file_values[q] = values
             except RvqLabError as exc:
                 failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
+                continue
+            # A file counts at no q unless it succeeded at every q.
+            for q, values in file_values.items():
+                for name, value in values.items():
+                    if value is not None:
+                        sums[(name, q)] += value
+                        counts[(name, q)] += 1
         for name in _METRIC_ORDER:
             rows[(set_name, name, _SYSTEM)] = {
                 q: (sums[(name, q)] / counts[(name, q)] if counts[(name, q)] else None)
@@ -158,7 +163,7 @@ def run_evaluation(
         "system": _SYSTEM,
         "q_list": q_list,
         "gl_iterations": gl_iterations,
-        "metric": _METRIC_CONFIG.snapshot(),
+        "metric": {"scales": [list(s) for s in LOSS_SCALES], "floor": LOSS_FLOOR},
         "pesq_tool": pesq_tool or "",
     }
     return MetricReport(rows=rows, q_list=tuple(q_list), config=config, failures=tuple(failures))

@@ -3,6 +3,12 @@
 Multi-scale log-mel and linear-magnitude L1 losses, short-time objective
 intelligibility (STOI), a signal-to-noise utility, and an adapter that
 shells out to an external wideband PESQ tool.
+
+The analysis is fixed, so scores compare across runs and models: both
+losses use the four (fft_size, hop, n_mels) scales of LOSS_SCALES,
+(256, 64, 40), (512, 128, 80), (1024, 256, 160) and (2048, 512, 320), with
+magnitudes divided by the Hann window gain, and the log-mel floor
+LOSS_FLOOR = 1e-5; STOI uses the _STOI_* constants.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .dsp import (
 from .errors import (
     ExternalToolError,
     InsufficientDuration,
-    InvalidConfig,
     InvalidInput,
     SampleRateMismatch,
 )
@@ -48,33 +53,9 @@ class MetricValue:
             raise InvalidInput(f"metric {self.name} is not finite: {self.value}")
 
 
-@dataclass(frozen=True)
-class MultiScaleConfig:
-    """Spectral analysis resolutions for the loss metrics.
-
-    scales: (fft_size, hop, n_mels) triples; n_mels may be None for scales
-    used only by the linear-magnitude loss.
-    """
-
-    scales: tuple = (
-        (256, 64, 40),
-        (512, 128, 80),
-        (1024, 256, 160),
-        (2048, 512, 320),
-    )
-    floor: float = 1e-5
-
-    def __post_init__(self):
-        if not self.scales:
-            raise InvalidConfig("need at least one scale")
-        for fft_size, hop, _ in self.scales:
-            if hop > fft_size:
-                raise InvalidConfig(f"hop {hop} exceeds fft_size {fft_size}")
-        if self.floor <= 0:
-            raise InvalidConfig("floor must be positive")
-
-    def snapshot(self) -> dict:
-        return {"scales": [list(s) for s in self.scales], "floor": self.floor}
+# (fft_size, hop, n_mels) of each loss scale, and the log-mel floor.
+LOSS_SCALES = ((256, 64, 40), (512, 128, 80), (1024, 256, 160), (2048, 512, 320))
+LOSS_FLOOR = 1e-5
 
 
 def _aligned_pair(ref: AudioBuffer, test: AudioBuffer):
@@ -98,33 +79,30 @@ def _gain_normalized_magnitude(buf: AudioBuffer, config: StftConfig) -> Spectrog
     return Spectrogram(mag, config, buf.sample_rate)
 
 
-def mel_loss(ref: AudioBuffer, test: AudioBuffer, cfg: MultiScaleConfig | None = None) -> MetricValue:
-    """Sum over scales of the mean L1 distance between log-mel spectrograms."""
-    cfg = cfg or MultiScaleConfig()
+def _scale_magnitudes(ref: AudioBuffer, test: AudioBuffer):
+    """Yield (n_mels, |ref|, |test|) gain-normalized magnitudes per loss scale."""
     ref, test = _aligned_pair(ref, test)
-    total = 0.0
-    for fft_size, hop, n_mels in cfg.scales:
-        if n_mels is None:
-            raise InvalidConfig("mel loss needs n_mels at every scale")
-        n_mels = min(n_mels, fft_size // 2)
-        fb = mel_filterbank(ref.sample_rate, fft_size, n_mels, 0.0, ref.sample_rate / 2)
+    for fft_size, hop, n_mels in LOSS_SCALES:
         config = StftConfig(fft_size, hop)
-        a = log_mel(_gain_normalized_magnitude(ref, config), fb, cfg.floor)
-        b = log_mel(_gain_normalized_magnitude(test, config), fb, cfg.floor)
-        total += float(np.mean(np.abs(a - b)))
+        a = _gain_normalized_magnitude(ref, config)
+        b = _gain_normalized_magnitude(test, config)
+        yield n_mels, a, b
+
+
+def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
+    """Sum over scales of the mean L1 distance between log-mel spectrograms."""
+    total = 0.0
+    for n_mels, a, b in _scale_magnitudes(ref, test):
+        fb = mel_filterbank(a.sample_rate, a.config.fft_size, n_mels, 0.0, a.sample_rate / 2)
+        total += float(np.mean(np.abs(log_mel(a, fb, LOSS_FLOOR) - log_mel(b, fb, LOSS_FLOOR))))
     return MetricValue("mel", total, higher_is_better=False)
 
 
-def stft_loss(ref: AudioBuffer, test: AudioBuffer, cfg: MultiScaleConfig | None = None) -> MetricValue:
+def stft_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     """Sum over scales of the mean L1 distance between linear magnitudes."""
-    cfg = cfg or MultiScaleConfig()
-    ref, test = _aligned_pair(ref, test)
     total = 0.0
-    for fft_size, hop, _ in cfg.scales:
-        config = StftConfig(fft_size, hop)
-        a = _gain_normalized_magnitude(ref, config).frames
-        b = _gain_normalized_magnitude(test, config).frames
-        total += float(np.mean(np.abs(a - b)))
+    for _, a, b in _scale_magnitudes(ref, test):
+        total += float(np.mean(np.abs(a.frames - b.frames)))
     return MetricValue("stft", total, higher_is_better=False)
 
 
@@ -218,22 +196,21 @@ def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
 
 # --- PESQ adapter and SNR ---------------------------------------------------
 
-PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
 _PESQ_RANGE = (-0.5, 4.64)
 
 
 def pesq_adapter(
     ref: AudioBuffer, test: AudioBuffer, tool_path: str | None = None
 ) -> MetricValue | None:
-    """Score a pair with an external wideband PESQ tool, if one is configured.
+    """Score a pair with an external wideband PESQ tool, if one is given.
 
-    The tool is invoked as `tool ref.wav test.wav` on 16 kHz mono PCM16
-    files and must print a conformant score (the last float on stdout is
-    taken).  Returns None when no tool is configured; that is an expected
-    state, not an error.
+    The caller resolves the tool (run_evaluation reads $RVQLAB_PESQ_TOOL);
+    this function never reads the environment.  The tool is invoked as
+    `tool_path ref.wav test.wav` on 16 kHz mono PCM16 files and must print
+    a conformant score (the last float on stdout is taken).  Returns None
+    when tool_path is None or empty; that is an expected state, not an error.
     """
-    tool = tool_path or os.environ.get(PESQ_TOOL_ENV)
-    if not tool:
+    if not tool_path:
         return None
     ref, test = _aligned_pair(ref, test)
     ref16 = resample(ref, 16000)
@@ -245,13 +222,13 @@ def pesq_adapter(
         wavio.write_wav(test_path, test16, encoding="pcm16")
         try:
             proc = subprocess.run(
-                [tool, ref_path, test_path],
+                [tool_path, ref_path, test_path],
                 capture_output=True,
                 text=True,
                 timeout=300,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            raise ExternalToolError(f"PESQ tool {tool!r} failed to run: {exc}") from exc
+            raise ExternalToolError(f"PESQ tool {tool_path!r} failed to run: {exc}") from exc
     if proc.returncode != 0:
         raise ExternalToolError(
             f"PESQ tool exited with {proc.returncode}: {proc.stderr.strip() or proc.stdout.strip()}"

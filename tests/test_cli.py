@@ -261,6 +261,12 @@ class TestMushra:
         assert sig["codec_lo"]["significant"] is True
         assert sig["codec_lo"]["p_value"] < 1e-5
         assert all(r["alpha"] == 0.05 for r in sig.values())
+        assert all(
+            set(s) == {"system", "mean", "ci_low", "ci_high", "n"} for s in payload["summaries"]
+        )
+        assert all(
+            set(r) == {"system", "p_value", "significant", "alpha", "method"} for r in sig.values()
+        )
 
     def test_missing_reference_label(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"

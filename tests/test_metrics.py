@@ -12,7 +12,8 @@ from rvqlab.errors import (
     SampleRateMismatch,
 )
 from rvqlab.metrics import (
-    MultiScaleConfig,
+    LOSS_FLOOR,
+    LOSS_SCALES,
     mel_loss,
     pesq_adapter,
     snr,
@@ -39,9 +40,8 @@ class TestMelLoss:
         # the loss is S * ln 2 for S scales.
         rng = np.random.default_rng(2)
         x = 0.4 * rng.standard_normal(24000)
-        cfg = MultiScaleConfig()
-        loss = mel_loss(_buf(x), _buf(2.0 * x), cfg).value
-        assert loss == pytest.approx(len(cfg.scales) * np.log(2.0), abs=1e-6)
+        loss = mel_loss(_buf(x), _buf(2.0 * x)).value
+        assert loss == pytest.approx(len(LOSS_SCALES) * np.log(2.0), abs=1e-6)
 
     def test_compositional_oracle(self):
         # Recompute from the dsp primitives, scale by scale, including the
@@ -51,16 +51,15 @@ class TestMelLoss:
         rng = np.random.default_rng(3)
         ref = _buf(0.3 * rng.standard_normal(12000))
         test = _buf(np.zeros(12000))
-        cfg = MultiScaleConfig()
         expected = 0.0
-        for fft_size, hop, n_mels in cfg.scales:
+        for fft_size, hop, n_mels in LOSS_SCALES:
             fb = mel_filterbank(24000, fft_size, min(n_mels, fft_size // 2), 0.0, 12000.0)
             a = np.abs(stft(ref, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
             b = np.abs(stft(test, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
-            la = np.log(np.maximum(a @ fb.weights.T, cfg.floor))
-            lb = np.log(np.maximum(b @ fb.weights.T, cfg.floor))
+            la = np.log(np.maximum(a @ fb.weights.T, LOSS_FLOOR))
+            lb = np.log(np.maximum(b @ fb.weights.T, LOSS_FLOOR))
             expected += np.mean(np.abs(la - lb))
-        got = mel_loss(ref, test, cfg).value
+        got = mel_loss(ref, test).value
         assert got == pytest.approx(expected, abs=1e-9)
         assert got > 1.0
 
@@ -99,7 +98,6 @@ class TestStftLoss:
         rng = np.random.default_rng(7)
         ref = _buf(0.2 * rng.standard_normal(9600))
         test = _buf(0.2 * rng.standard_normal(9600))
-        cfg = MultiScaleConfig()
         expected = sum(
             np.mean(
                 np.abs(
@@ -108,9 +106,9 @@ class TestStftLoss:
                 )
             )
             / (f / 2)
-            for f, h, _ in cfg.scales
+            for f, h, _ in LOSS_SCALES
         )
-        assert stft_loss(ref, test, cfg).value == pytest.approx(expected, abs=1e-9)
+        assert stft_loss(ref, test).value == pytest.approx(expected, abs=1e-9)
 
 
 class TestStoi:

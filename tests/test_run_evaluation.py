@@ -43,9 +43,14 @@ class TestRunEvaluation:
 
     def test_deterministic_report_bytes(self, toy_model, test_sets):
         _, model, _ = toy_model
-        a = render_report(run_evaluation(model, test_sets, q_list=[1, 4], gl_iterations=4), "csv")
+        report = run_evaluation(model, test_sets, q_list=[1, 4], gl_iterations=4)
+        a = render_report(report, "csv")
         b = render_report(run_evaluation(model, test_sets, q_list=[1, 4], gl_iterations=4), "csv")
         assert a == b
+        assert report.config["metric"] == {
+            "scales": [[256, 64, 40], [512, 128, 80], [1024, 256, 160], [2048, 512, 320]],
+            "floor": 1e-05,
+        }
 
     def test_q_exceeding_model_rejected(self, toy_model, test_sets):
         _, model, _ = toy_model
@@ -71,6 +76,33 @@ class TestRunEvaluation:
         report = run_evaluation(model, test_sets, q_list=[1], gl_iterations=2)
         assert report.cell("seta", "pesq", "rvq", 1) == pytest.approx(4.1)
         assert report.config["pesq_tool"] == str(tool)
+
+    def test_file_failing_at_later_q_counts_at_no_q(self, toy_model, test_sets, tmp_path):
+        _, model, _ = toy_model
+        # The fake tool prints its call count as the score and fails on its
+        # 2nd call: file 0 scores 1 at q=2, then fails at q=1; file 1 scores
+        # 3 at q=2 and 4 at q=1.  File 0 must be left out of both columns.
+        tool = tmp_path / "fake_pesq.sh"
+        tool.write_text(
+            "#!/bin/sh\n"
+            'n=$(( $(cat "$0.count" 2>/dev/null || echo 0) + 1 ))\n'
+            'echo "$n" > "$0.count"\n'
+            '[ "$n" -eq 2 ] && exit 1\n'
+            'echo "$n"\n'
+        )
+        tool.chmod(tool.stat().st_mode | stat.S_IEXEC)
+        files = test_sets["seta"][:2]
+        report = run_evaluation(
+            model, {"pair": files}, q_list=[2, 1], gl_iterations=2,
+            pesq_tool=str(tool), max_failure_rate=0.5,
+        )
+        assert [f[1] for f in report.failures] == [str(files[0].path)]
+        assert report.cell("pair", "pesq", "rvq", 2) == 3.0
+        assert report.cell("pair", "pesq", "rvq", 1) == 4.0
+        alone = run_evaluation(model, {"pair": files[1:]}, q_list=[2, 1], gl_iterations=2)
+        for metric in ("mel", "stft", "stoi", "latent_mse"):
+            for q in (2, 1):
+                assert report.cell("pair", metric, "rvq", q) == alone.cell("pair", metric, "rvq", q)
 
     def test_failures_recorded_and_tolerated(self, toy_model, test_sets, tmp_path):
         _, model, _ = toy_model
