@@ -13,6 +13,7 @@ duration.  Sampling is a pure function of (manifest, spec, batch_index).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -92,8 +93,10 @@ def load_manifest(path) -> list[ManifestEntry]:
                 category = record["category"]
                 duration = float(record["duration"])
                 sample_rate = int(record["sample_rate"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
+            if not isinstance(raw_path, str):
+                raise SchemaError(f"{path}:{lineno}: path must be a string, got {raw_path!r}")
             try:
                 cat = QualityCategory(category)
             except ValueError:
@@ -101,8 +104,12 @@ def load_manifest(path) -> list[ManifestEntry]:
                     f"{path}:{lineno}: unknown category {category!r}; "
                     f"expected one of {[c.value for c in QualityCategory]}"
                 ) from None
-            if duration <= 0:
-                raise SchemaError(f"{path}:{lineno}: duration must be positive")
+            if not (math.isfinite(duration) and duration > 0):
+                raise SchemaError(
+                    f"{path}:{lineno}: duration must be positive and finite, got {duration}"
+                )
+            if sample_rate <= 0:
+                raise SchemaError(f"{path}:{lineno}: sample_rate must be positive, got {sample_rate}")
             audio_path = Path(raw_path)
             if not audio_path.is_absolute():
                 audio_path = path.parent / audio_path

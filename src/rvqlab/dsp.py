@@ -11,6 +11,7 @@ identical inputs (and seeds) give identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -186,6 +187,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filterbank(
     sample_rate: int, fft_size: int, n_mels: int, f_min: float, f_max: float
 ) -> MelFilterbank:
@@ -196,6 +198,9 @@ def mel_filterbank(
         fft_size: FFT size of the magnitude spectrogram it applies to.
         n_mels: number of filters (>= 1).
         f_min, f_max: band limits, 0 <= f_min < f_max <= sample_rate/2.
+
+    Banks are cached on their arguments and shared by every caller, so their
+    weights and center_freqs are read-only.
 
     Raises:
         InvalidConfig: if the band edges are inconsistent or a filter would
@@ -220,7 +225,10 @@ def mel_filterbank(
             f"{n_mels} mel filters leave empty rows for fft_size {fft_size}; "
             "reduce n_mels or widen [f_min, f_max]"
         )
-    return MelFilterbank(weights, edges[1:-1].copy())
+    centers = edges[1:-1].copy()
+    weights.flags.writeable = False
+    centers.flags.writeable = False
+    return MelFilterbank(weights, centers)
 
 
 def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:

@@ -272,6 +272,8 @@ def wilcoxon_ranksum(
     enumerated exactly whenever min(len(a), len(b)) <= 10; larger groups
     use the tie-corrected normal approximation with continuity correction.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput(f"alpha must be in the open interval (0, 1), got {alpha}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 1 or b.size < 1:

@@ -112,21 +112,69 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, _NORM_EPS)
 
 
+def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum the m rows of an (m, N) array in numpy's pairwise summation order.
+
+    numpy sums a contiguous run of m values sequentially from 0 below 8,
+    with 8 interleaved accumulators up to 128, and by splitting at
+    half - half % 8 above that.  Adding whole rows in the same order gives,
+    column by column and bit for bit, np.sum(rows.T, axis=1).
+    """
+    m = rows.shape[0]
+    if m < 8:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+    if m <= 128:
+        blocks = m - m % 8
+        acc = rows[:8]
+        if blocks > 8:
+            acc = acc + rows[8:16]
+            for i in range(16, blocks, 8):
+                acc += rows[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in rows[blocks:]:
+            total += row
+        return total
+    half = m // 2
+    half -= half % 8
+    return _pairwise_row_sum(rows[:half]) + _pairwise_row_sum(rows[half:])
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted sampling of k centers from points."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+    """k-means++ seeding: D^2-weighted sampling of k centers from points.
+
+    Exactness contract: the squared distances d2 equal, to the bit,
+    np.sum((points - c) ** 2, axis=1), because the points are held as
+    (dim, N) columns whose squared differences are added in numpy's own
+    pairwise order; and each pick equals rng.choice(n, p=d2 / total), because
+    the cdf / searchsorted draw on one rng.random() is the one Generator.choice
+    performs.  The same seed therefore gives the same centers.
+    """
+    n, dim = points.shape
+    cols = np.ascontiguousarray(points.T)
+    diff = np.empty_like(cols)
+
+    def sq_dists(center):
+        np.subtract(cols, center[:, None], out=diff)
+        np.square(diff, out=diff)
+        return _pairwise_row_sum(diff)
+
+    centers = np.empty((k, dim))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = sq_dists(centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             pick = int(rng.integers(n))  # all points coincide with a center
         else:
-            pick = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centers[i] = points[pick]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+        np.minimum(d2, sq_dists(centers[i]), out=d2)
     return centers
 
 
@@ -145,7 +193,13 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     centers = _normalize_rows(_kmeans_pp_init(points, k, rng))
     sq_norms = np.sum(points**2, axis=1)
     n, dim = points.shape
-    chunk = max(1, (1 << 22) // max(k, 1))  # cap the sims buffer at ~32 MB
+    # Cap the sims block at ~32 MB with equal chunks.  A 4096 x 1024 float64
+    # block is exactly 32 MiB, which glibc always serves with a fresh mmap
+    # (and page faults) per chunk; equal chunks just below the cap are reused
+    # from the heap after the first free.  Row subsets of the product are
+    # bit-equal to the full product, so the chunking does not change results.
+    n_chunks = -(-(n * k) // (1 << 22))
+    chunk = -(-n // n_chunks)
     history = []
     prev = None
     assign = np.empty(n, dtype=np.int64)

@@ -45,6 +45,19 @@ class TestValidate:
         assert "12 files" in out_text
 
 
+    @pytest.mark.parametrize("field,value", [("path", 5), ("duration", "nan"), ("sample_rate", 0)])
+    def test_hostile_field_exit_2(self, tmp_path, capsys, field, value):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
+        record = {"path": "a.wav", "category": "HQ1", "duration": 1.0, "sample_rate": 24000}
+        record[field] = value
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(json.dumps(record))
+        code, out, err = _run(capsys, ["validate", str(path), "--json"])
+        assert code == 2
+        assert out == ""
+        assert "SchemaError" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_same_seed_byte_identical(self, toy_corpus, tmp_path, capsys):
         args = [
@@ -289,6 +302,16 @@ class TestMushra:
         (result,) = payload["significance"]
         assert result["p_value"] > 0.05
         assert result["significant"] is False
+
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan"])
+    def test_alpha_outside_open_unit_interval_exit_2(self, tmp_path, capsys, alpha):
+        path = tmp_path / "scores.csv"
+        path.write_text("s1,st,reference,90\ns2,st,reference,95\ns1,st,codec,80\ns2,st,codec,60\n")
+        code, out, err = _run(capsys, ["mushra", str(path), "--alpha", alpha])
+        assert code == 2
+        assert out == ""
+        assert "alpha" in err
 
 
 def test_module_entrypoint_smoke(toy_corpus):

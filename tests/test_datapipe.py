@@ -79,6 +79,22 @@ class TestLoadManifest:
         with pytest.raises(MissingFile, match="ghost"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("path", 5, "path must be a string"),
+         ("duration", "nan", "duration"),
+         ("duration", "inf", "duration"),
+         ("sample_rate", 0, "sample_rate")],
+    )
+    def test_hostile_field_schema_error(self, tmp_path, field, value, match):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
+        record = {"path": "a.wav", "category": "HQ1", "duration": 1.0, "sample_rate": 24000}
+        record[field] = value
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(json.dumps(record))
+        with pytest.raises(SchemaError, match=match):
+            load_manifest(path)
+
     def test_six_category_summary(self, tmp_path):
         manifest = load_manifest(_write_manifest(tmp_path))
         summary = summarize_manifest(manifest)

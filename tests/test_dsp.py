@@ -200,6 +200,14 @@ class TestMelFilterbank:
         assert 100.0 < fb.center_freqs[0] < 4000.0
         assert fb.weights[0].max() > 0
 
+    def test_cached_bank_is_shared_and_read_only(self):
+        fb = mel_filterbank(24000, 1024, 80, 0.0, 12000.0)
+        assert mel_filterbank(24000, 1024, 80, 0.0, 12000.0) is fb
+        with pytest.raises(ValueError):
+            fb.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fb.center_freqs[0] = 1.0
+
     def test_too_many_mels_rejected(self):
         with pytest.raises(InvalidConfig):
             mel_filterbank(24000, 64, 60, 0.0, 12000.0)

@@ -91,6 +91,16 @@ class TestWilcoxon:
         assert wilcoxon_ranksum(big_a, big_b).p_value < 1e-5
         assert wilcoxon_ranksum(big_a, big_b).significant
 
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, float("nan")])
+    def test_alpha_outside_open_unit_interval(self, alpha):
+        with pytest.raises(InvalidInput, match="alpha"):
+            wilcoxon_ranksum([1, 2, 3], [4, 5, 6], alpha=alpha)
+
+    def test_alpha_inside_open_unit_interval(self):
+        result = wilcoxon_ranksum([1, 2, 3], [4, 5, 6], alpha=0.05)
+        assert result.alpha == 0.05
+        assert not result.significant
+
     def test_exact_matches_brute_force_enumeration(self):
         # Independent oracle: enumerate every subset with itertools.
         rng = np.random.default_rng(1)

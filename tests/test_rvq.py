@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqlab.errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.frontend import LatentSequence
 from rvqlab.rvq import (
+    _LLOYD_MAX_ITER,
+    _LLOYD_REL_TOL,
+    _NORM_EPS,
     RvqConfig,
     TokenStream,
+    _normalize_rows,
+    _pairwise_row_sum,
     bitrate,
     dequantize,
     kmeans_unit,
@@ -18,6 +25,70 @@ from rvqlab.rvq import (
 def _gaussian_latents(n, dim, seed, scale=4.0):
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((n, dim))
+
+
+def _reference_kmeans_pp_init(points, k, rng):
+    """Oracle: textbook k-means++ with np.sum distances and rng.choice draws."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centers[i] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def _reference_kmeans_unit(points, k, seed):
+    """Oracle: spherical Lloyd over sims blocks of 2^22 // k rows plus a remainder."""
+    rng = np.random.default_rng(seed)
+    centers = _normalize_rows(_reference_kmeans_pp_init(points, k, rng))
+    sq_norms = np.sum(points**2, axis=1)
+    n, dim = points.shape
+    chunk = max(1, (1 << 22) // max(k, 1))
+    history = []
+    prev = None
+    assign = np.empty(n, dtype=np.int64)
+    best_sim = np.empty(n)
+    for _ in range(_LLOYD_MAX_ITER):
+        centers_t = centers.T.copy()
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            sims = points[start:stop] @ centers_t
+            local = np.argmax(sims, axis=1)
+            assign[start:stop] = local
+            best_sim[start:stop] = sims[np.arange(stop - start), local]
+        dists = sq_norms + 1.0 - 2.0 * best_sim
+        distortion = float(np.mean(dists))
+        history.append(distortion)
+        if prev is not None and abs(prev - distortion) <= _LLOYD_REL_TOL * max(prev, _NORM_EPS):
+            break
+        prev = distortion
+        counts = np.bincount(assign, minlength=k)
+        sums = np.column_stack(
+            [np.bincount(assign, weights=points[:, j], minlength=k) for j in range(dim)]
+        )
+        nonempty = counts > 0
+        means = sums[nonempty] / counts[nonempty, None]
+        degenerate = np.linalg.norm(means, axis=1) < _NORM_EPS
+        means[degenerate] = centers[nonempty][degenerate]
+        centers[nonempty] = _normalize_rows(means)
+        empty = np.flatnonzero(~nonempty)
+        if empty.size:
+            worst = np.argsort(dists)[::-1]
+            for slot, point_idx in zip(empty, worst[: empty.size]):
+                centers[slot] = _normalize_rows(points[point_idx : point_idx + 1])[0]
+    return centers, assign, history
+
+
+def _unit_points(n, dim, seed):
+    return _normalize_rows(np.random.default_rng(seed).standard_normal((n, dim)))
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +164,48 @@ class TestTrainRvq:
             RvqConfig(n_stages=4, codebook_size=1000)
         with pytest.raises(InvalidConfig):
             RvqConfig(n_stages=4, code_dim=80, latent_dim=64)
+
+
+class TestKmeansMatchesReference:
+    """kmeans_unit returns the reference's centroids, assignments and history to the bit."""
+
+    @staticmethod
+    def _assert_same(points, k, seed):
+        want = _reference_kmeans_unit(points, k, seed)
+        got = kmeans_unit(points, k, seed)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 13])
+    def test_dims(self, dim):
+        self._assert_same(_unit_points(900, dim, seed=dim), 32, seed=dim + 1)
+
+    def test_multi_chunk(self):
+        # N * K > 2^22: the reference splits 4096 + 904 rows, kmeans_unit 2500 + 2500.
+        self._assert_same(_unit_points(5000, 8, seed=21), 1024, seed=4)
+
+    def test_duplicate_points(self):
+        points = _unit_points(600, 8, seed=22)
+        points[::3] = points[0]
+        points[1::7] = points[5]
+        self._assert_same(points, 64, seed=6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=200),
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_pairwise_row_sum_equals_np_sum(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes over 16 decades make the sum depend on the addition order.
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim))
+        x[rng.random(n) < 0.2] = 0.0
+        near = rng.random(n) < 0.2
+        x[near] = x[0] * (1.0 + 1e-15 * rng.standard_normal(dim))
+        got = _pairwise_row_sum(np.ascontiguousarray(x.T))
+        assert np.array_equal(got, np.sum(x, axis=1))
 
 
 class TestQuantize:
