@@ -78,46 +78,49 @@ def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     if not path.exists():
         raise MissingFile(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read manifest: {exc}") from exc
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                raw_path = record["path"]
-                category = record["category"]
-                duration = float(record["duration"])
-                sample_rate = int(record["sample_rate"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
-            if not isinstance(raw_path, str):
-                raise SchemaError(f"{path}:{lineno}: path must be a string, got {raw_path!r}")
-            try:
-                cat = QualityCategory(category)
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{lineno}: unknown category {category!r}; "
-                    f"expected one of {[c.value for c in QualityCategory]}"
-                ) from None
-            if not (math.isfinite(duration) and duration > 0):
-                raise SchemaError(
-                    f"{path}:{lineno}: duration must be positive and finite, got {duration}"
-                )
-            if sample_rate <= 0:
-                raise SchemaError(f"{path}:{lineno}: sample_rate must be positive, got {sample_rate}")
-            audio_path = Path(raw_path)
-            if not audio_path.is_absolute():
-                audio_path = path.parent / audio_path
-            if not audio_path.exists():
-                raise MissingFile(audio_path)
-            entries.append(
-                ManifestEntry(audio_path, cat, duration, sample_rate)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            raw_path = record["path"]
+            category = record["category"]
+            duration = float(record["duration"])
+            sample_rate = int(record["sample_rate"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
+        if not isinstance(raw_path, str):
+            raise SchemaError(f"{path}:{lineno}: path must be a string, got {raw_path!r}")
+        try:
+            cat = QualityCategory(category)
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{lineno}: unknown category {category!r}; "
+                f"expected one of {[c.value for c in QualityCategory]}"
+            ) from None
+        if not (math.isfinite(duration) and duration > 0):
+            raise SchemaError(
+                f"{path}:{lineno}: duration must be positive and finite, got {duration}"
             )
+        if sample_rate <= 0:
+            raise SchemaError(f"{path}:{lineno}: sample_rate must be positive, got {sample_rate}")
+        audio_path = Path(raw_path)
+        if not audio_path.is_absolute():
+            audio_path = path.parent / audio_path
+        if not audio_path.exists():
+            raise MissingFile(audio_path)
+        if audio_path.is_dir():
+            raise SchemaError(f"{path}:{lineno}: path names a directory: {audio_path}")
+        entries.append(ManifestEntry(audio_path, cat, duration, sample_rate))
     return entries
 
 

@@ -6,7 +6,11 @@ Griffin-Lim phase reconstruction, and a polyphase windowed-sinc resampler
 (bandlimited interpolation after J. O. Smith, "Digital Audio Resampling")
 whose kernel table holds one row per exact rational phase and whose
 working memory is linear in the output length.  All functions are pure:
-identical inputs (and seeds) give identical outputs.
+identical inputs give identical outputs.
+
+The vectorized framing, overlap-add and Griffin-Lim phase projection are
+exact: each returns, bit for bit, what the plain loop or expression named
+in its docstring returns, so a faster kernel never moves a decoded sample.
 """
 
 from __future__ import annotations
@@ -115,10 +119,15 @@ def mel_to_hz(m):
 
 
 def _frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    """Slice x into (T, fft_size) frames at the given hop; no padding."""
-    n_frames = (len(x) - fft_size) // hop + 1
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    """Slice x into (T, fft_size) frames at the given hop; no padding.
+
+    The frames are a read-only strided view of x holding exactly the values
+    of the gather x[np.arange(fft_size) + hop * np.arange(T)[:, None]];
+    below one frame the result has shape (0, fft_size).
+    """
+    if len(x) < fft_size:
+        return np.empty((0, fft_size), dtype=x.dtype)
+    return np.lib.stride_tricks.sliding_window_view(x, fft_size)[::hop]
 
 
 def stft(audio: AudioBuffer, config: StftConfig) -> Spectrogram:
@@ -148,30 +157,49 @@ def _windowed_rfft(x: np.ndarray, config: StftConfig) -> np.ndarray:
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum (T, N) frames placed hop samples apart: (T - 1) * hop + N samples."""
+    """Sum (T, N) frames placed hop samples apart: (T - 1) * hop + N samples.
+
+    The frames are cut into ceil(N / hop) hop-wide column blocks; block b of
+    frame t lands on row t + b of a (T - 1 + n_blocks, hop) accumulator.
+    Adding the blocks highest first makes every output sample sum its frames
+    in ascending t, starting from zero, exactly as a per-frame loop does, so
+    the result equals that loop to the bit.
+    """
     n_frames, size = frames.shape
-    out = np.zeros((n_frames - 1) * hop + size)
-    for t in range(n_frames):
-        out[t * hop : t * hop + size] += frames[t]
-    return out
+    n_blocks = -(-size // hop)
+    out = np.zeros((n_frames - 1 + n_blocks, hop))
+    for b in reversed(range(n_blocks)):
+        block = frames[:, b * hop : (b + 1) * hop]
+        out[b : b + n_frames, : block.shape[1]] += block
+    return out.reshape(-1)[: (n_frames - 1) * hop + size]
 
 
-def _istft_padded(frames: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Least-squares inverse STFT of the padded-domain frames (no trimming)."""
-    frames_td = np.fft.irfft(frames, n=config.fft_size, axis=1)
+def _synthesis_divisor(config: StftConfig, n_frames: int) -> np.ndarray:
+    """Squared-window overlap-add envelope of n_frames frames, made safe to divide by.
+
+    Raises:
+        InvalidConfig: if the envelope comes near zero inside the fft_size/2
+            trim margins, where the padded signal must be recoverable.
+    """
     window = config.window
-    acc = _overlap_add(frames_td * window, config.hop)
-    env = _overlap_add(np.broadcast_to(window * window, frames_td.shape), config.hop)
-    # The envelope must be bounded away from zero everywhere the original
-    # padded signal is recoverable; only the fft_size/2 trim margins may dip.
+    env = _overlap_add(np.broadcast_to(window * window, (n_frames, config.fft_size)), config.hop)
     interior = env[config.fft_size // 2 : len(env) - config.fft_size // 2]
     if interior.size and interior.min() < 1e-8:
         raise InvalidConfig(
             f"window/hop combination (fft={config.fft_size}, hop={config.hop}) "
             "does not satisfy the overlap-add condition"
         )
-    safe = np.where(env > 1e-12, env, 1.0)
-    return acc / safe
+    return np.where(env > 1e-12, env, 1.0)
+
+
+def _istft_padded(frames: np.ndarray, config: StftConfig, divisor: np.ndarray) -> np.ndarray:
+    """Least-squares inverse STFT of the padded-domain frames (no trimming),
+    given the frames' :func:`_synthesis_divisor`."""
+    frames_td = np.fft.irfft(frames, n=config.fft_size, axis=1)
+    frames_td *= config.window
+    out = _overlap_add(frames_td, config.hop)
+    out /= divisor
+    return out
 
 
 def istft(spec: Spectrogram) -> AudioBuffer:
@@ -182,7 +210,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     """
     config = spec.config
     frames = np.asarray(spec.frames, dtype=np.complex128)
-    y = _istft_padded(frames, config)
+    y = _istft_padded(frames, config, _synthesis_divisor(config, len(frames)))
     pad = config.fft_size // 2
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
@@ -252,30 +280,44 @@ def _spectral_convergence(estimate_mag: np.ndarray, target_mag: np.ndarray) -> f
     return float(np.linalg.norm(estimate_mag - target_mag) / denom)
 
 
-def griffin_lim(
-    magnitude: Spectrogram,
-    iterations: int,
-    seed: int | None = None,
-    callback=None,
-) -> AudioBuffer:
+def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Give spec the target magnitude and keep its phase, in place: target *
+    spec / |spec|, with phase 0 where |spec| == 0.  mag holds |spec| and is
+    overwritten.
+
+    The in-place steps are the same complex division and real-by-complex
+    product as target * np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0),
+    1.0), so the result equals that expression to the bit, signed zeros
+    included.  (Multiplying by 1 / mag instead rounds the same way but can
+    flip the sign of a zero part.)
+    """
+    zero = mag == 0
+    mag[zero] = 1.0
+    spec /= mag
+    spec[zero] = 1.0
+    spec *= target
+    return spec
+
+
+def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None) -> AudioBuffer:
     """Reconstruct a waveform from an STFT magnitude by Griffin-Lim iteration.
 
-    Starts from zero phase (or random phase when a seed is given) and
-    alternates least-squares synthesis with magnitude replacement, entirely
-    in the padded analysis domain so the per-iteration spectral-convergence
-    error is nonincreasing.
+    Starts from zero phase and alternates least-squares synthesis with
+    magnitude replacement, entirely in the padded analysis domain so the
+    per-iteration spectral-convergence error is nonincreasing.
+
+    The synthesis divisor is built once per call, and each iteration
+    reuses the analysis magnitudes for the spectral convergence and the
+    phase projection.
 
     Args:
         magnitude: magnitude spectrogram (nonnegative, real).
         iterations: number of projection cycles, >= 1.
-        seed: optional seed selecting random-phase initialization.
         callback: optional callable(iteration, sc_error) invoked once per
             cycle with the current spectral-convergence error.
     """
     if iterations < 1:
         raise InvalidInput(f"iterations must be >= 1, got {iterations}")
-    if seed is not None and seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     config = magnitude.config
     target = np.asarray(magnitude.frames, dtype=np.float64)
     if np.iscomplexobj(magnitude.frames):
@@ -283,21 +325,14 @@ def griffin_lim(
     if np.any(target < 0):
         raise InvalidInput("magnitude spectrogram must be nonnegative")
 
-    if seed is None:
-        phase = np.zeros_like(target)
-    else:
-        rng = np.random.default_rng(seed)
-        phase = rng.uniform(-np.pi, np.pi, size=target.shape)
-    estimate = target * np.exp(1j * phase)
-
-    x = _istft_padded(estimate, config)
+    divisor = _synthesis_divisor(config, len(target))
+    x = _istft_padded(target + 0j, config, divisor)
     for i in range(iterations):
         spec = _windowed_rfft(x, config)
-        if callback is not None:
-            callback(i, _spectral_convergence(np.abs(spec), target))
         mag = np.abs(spec)
-        unit = np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 1.0)
-        x = _istft_padded(target * unit, config)
+        if callback is not None:
+            callback(i, _spectral_convergence(mag, target))
+        x = _istft_padded(_project_magnitude(spec, mag, target), config, divisor)
 
     pad = config.fft_size // 2
     return AudioBuffer(x[pad : len(x) - pad], magnitude.sample_rate)

@@ -123,34 +123,27 @@ def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return eigvals[order], basis
 
 
-def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: int) -> FrontendModel:
-    """Fit the PCA projection of the log-mel front-end.
+def _training_log_mel(audio: AudioBuffer) -> np.ndarray:
+    """Codec log-mel frames of one 24 kHz training buffer."""
+    if audio.sample_rate != SAMPLE_RATE:
+        raise SampleRateMismatch(
+            f"training audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE}"
+        )
+    fb = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, 0.0, SAMPLE_RATE / 2)
+    return _analysis_log_mel(audio, StftConfig(FFT_SIZE, HOP), fb, LOG_FLOOR)
 
-    Args:
-        training_audio: iterable of 24 kHz AudioBuffers.
-        latent_dim: D, number of retained principal components (<= 80).
-        seed: recorded for provenance; the fit itself is deterministic.
 
-    Raises:
-        InsufficientData: fewer than 10 * D training frames.
-        SampleRateMismatch: any buffer not at 24 kHz.
-    """
+def _fit_log_mel(frame_sets: Iterable[np.ndarray], latent_dim: int, seed: int) -> FrontendModel:
+    """Fit the PCA projection to the log-mel frames of each training buffer."""
     if not 1 <= latent_dim <= N_MELS:
         raise InvalidInput(f"latent_dim must be in [1, {N_MELS}], got {latent_dim}")
     if seed < 0:
         raise InvalidInput(f"seed must be nonnegative, got {seed}")
-    fb = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, 0.0, SAMPLE_RATE / 2)
-    config = StftConfig(FFT_SIZE, HOP)
 
     count = 0
     total = np.zeros(N_MELS)
     outer = np.zeros((N_MELS, N_MELS))
-    for audio in training_audio:
-        if audio.sample_rate != SAMPLE_RATE:
-            raise SampleRateMismatch(
-                f"training audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE}"
-            )
-        frames = _analysis_log_mel(audio, config, fb, LOG_FLOOR)
+    for frames in frame_sets:
         count += frames.shape[0]
         total += frames.sum(axis=0)
         outer += frames.T @ frames
@@ -171,14 +164,35 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
     )
 
 
+def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: int) -> FrontendModel:
+    """Fit the PCA projection of the log-mel front-end.
+
+    Args:
+        training_audio: iterable of 24 kHz AudioBuffers.
+        latent_dim: D, number of retained principal components (<= 80).
+        seed: recorded for provenance; the fit itself is deterministic.
+
+    Raises:
+        InsufficientData: fewer than 10 * D training frames.
+        SampleRateMismatch: any buffer not at 24 kHz.
+    """
+    return _fit_log_mel(map(_training_log_mel, training_audio), latent_dim, seed)
+
+
+def _project(model: FrontendModel, frames: np.ndarray) -> LatentSequence:
+    """Latents of log-mel frames analysed with the model's settings."""
+    return LatentSequence((frames - model.mean) @ model.basis.T)
+
+
 def encode_latent(model: FrontendModel, audio: AudioBuffer) -> LatentSequence:
     """Project audio onto the latent space; 1 s of 24 kHz audio -> 75 frames."""
     if audio.sample_rate != model.sample_rate:
         raise SampleRateMismatch(
             f"audio at {audio.sample_rate} Hz, model expects {model.sample_rate}; resample first"
         )
-    frames = _analysis_log_mel(audio, model.stft_config, model.filterbank(), model.floor)
-    return LatentSequence((frames - model.mean) @ model.basis.T)
+    return _project(
+        model, _analysis_log_mel(audio, model.stft_config, model.filterbank(), model.floor)
+    )
 
 
 _MEL_INVERSION_STEPS = 10

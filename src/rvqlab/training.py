@@ -9,7 +9,7 @@ import numpy as np
 
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
-from .frontend import encode_latent, fit_frontend
+from .frontend import _fit_log_mel, _project, _training_log_mel
 from .rvq import RvqConfig, train_rvq
 
 
@@ -27,6 +27,14 @@ def _corpus_hash(manifest, spec: BatchSpec, n_batches: int) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _fit_and_encode(excerpts, latent_dim: int, seed: int):
+    """Fit the frontend on the excerpts and return it with their stacked
+    latents, analysing each excerpt once."""
+    frame_sets = [_training_log_mel(e.audio) for e in excerpts]
+    frontend = _fit_log_mel(frame_sets, latent_dim, seed)
+    return frontend, np.vstack([_project(frontend, f).frames for f in frame_sets])
 
 
 def train_codec(
@@ -57,8 +65,7 @@ def train_codec(
     for excerpt in excerpts:
         balance[excerpt.entry.category.value] = balance.get(excerpt.entry.category.value, 0) + 1
 
-    frontend = fit_frontend((e.audio for e in excerpts), latent_dim, seed)
-    latents = np.vstack([encode_latent(frontend, e.audio).frames for e in excerpts])
+    frontend, latents = _fit_and_encode(excerpts, latent_dim, seed)
 
     if latents.shape[0] > max_rvq_frames:
         rng = np.random.default_rng(seed)

@@ -36,6 +36,13 @@ class TestValidate:
         assert code == 2
         assert "/no/such/manifest.jsonl" in err
 
+    def test_non_utf8_manifest_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe\x00not text\n")
+        code, _, err = _run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert err.startswith("error: SchemaError")
+
     def test_json_matches_text_numbers(self, toy_corpus, capsys):
         _, out_text, _ = _run(capsys, ["validate", str(toy_corpus)])
         code, out_json, _ = _run(capsys, ["validate", str(toy_corpus), "--json"])

@@ -95,6 +95,33 @@ class TestLoadManifest:
         with pytest.raises(SchemaError, match=match):
             load_manifest(path)
 
+    def test_directory_entry_path_schema_error(self, tmp_path):
+        (tmp_path / "clips").mkdir()
+        path = tmp_path / "dir_entry.jsonl"
+        path.write_text(
+            json.dumps({"path": "clips", "category": "HQ1", "duration": 1.0, "sample_rate": 24000})
+        )
+        with pytest.raises(SchemaError, match="directory"):
+            load_manifest(path)
+
+    def test_directory_manifest_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot read manifest"):
+            load_manifest(tmp_path)
+
+    def test_non_utf8_manifest_schema_error(self, tmp_path):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe\x00not text\n")
+        with pytest.raises(SchemaError, match="cannot read manifest"):
+            load_manifest(path)
+
+    def test_crlf_lines_and_numbers(self, tmp_path):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
+        record = json.dumps({"path": "a.wav", "category": "HQ9", "duration": 1.0, "sample_rate": 24000})
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b"# comment\r\n\r\n" + record.encode() + b"\r\n")
+        with pytest.raises(SchemaError, match=r"crlf\.jsonl:3: unknown category"):
+            load_manifest(path)
+
     def test_six_category_summary(self, tmp_path):
         manifest = load_manifest(_write_manifest(tmp_path))
         summary = summarize_manifest(manifest)

@@ -9,7 +9,9 @@ from rvqlab.dsp import (
     MelFilterbank,
     Spectrogram,
     StftConfig,
+    _frame_signal,
     _overlap_add,
+    _project_magnitude,
     griffin_lim,
     hz_to_mel,
     istft,
@@ -71,6 +73,54 @@ def _per_frame_ola(frames, hop):
         start = t * hop
         out[start : start + size] += frames[t]
     return out
+
+
+def _reference_griffin_lim(magnitude, iterations, callback=None):
+    """Oracle: the straightforward Griffin-Lim loop.
+
+    Frames are gathered by fancy indexing, overlap-add runs frame by frame,
+    every synthesis rebuilds the squared-window envelope, and the phase is
+    projected by complex division.  Returns the trimmed samples.
+    """
+    config = magnitude.config
+    size, hop = config.fft_size, config.hop
+    window = config.window
+    target = np.asarray(magnitude.frames, dtype=np.float64)
+    denom = np.linalg.norm(target)
+
+    def synthesize(spec):
+        frames = np.fft.irfft(spec, n=size, axis=1)
+        acc = _per_frame_ola(frames * window, hop)
+        env = _per_frame_ola(np.broadcast_to(window * window, frames.shape), hop)
+        return acc / np.where(env > 1e-12, env, 1.0)
+
+    def analyse(x):
+        n_frames = (len(x) - size) // hop + 1
+        idx = np.arange(size)[None, :] + hop * np.arange(n_frames)[:, None]
+        return np.fft.rfft(x[idx] * window[None, :], axis=1)
+
+    x = synthesize(target * np.exp(1j * np.zeros_like(target)))
+    for i in range(iterations):
+        spec = analyse(x)
+        mag = np.abs(spec)
+        if callback is not None:
+            callback(i, 0.0 if denom == 0.0 else float(np.linalg.norm(mag - target) / denom))
+        unit = np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 1.0)
+        x = synthesize(target * unit)
+    return x[size // 2 : len(x) - size // 2]
+
+
+def _speech_magnitude(size, hop, n_frames, seed):
+    x = speech_like(1.0, 24000, seed)
+    return np.abs(stft(AudioBuffer(x, 24000), StftConfig(size, hop)).frames[:n_frames])
+
+
+def _clamped_pinv_magnitude(n_frames, seed):
+    """Mel amplitudes mapped back through the clamped filterbank pseudo-inverse,
+    as decoding does: many bins come out exactly zero."""
+    weights = mel_filterbank(24000, 1024, 80, 0.0, 12000.0).weights
+    mel_amp = np.random.default_rng(seed).uniform(0.05, 1.0, (n_frames, 80))
+    return np.maximum(mel_amp @ np.linalg.pinv(weights).T, 0.0)
 
 
 def _sine(freq, duration, sr, amp=0.5):
@@ -176,6 +226,18 @@ class TestOverlapAdd:
         expected = _per_frame_ola(frames, hop)
         assert out.shape == expected.shape == ((n_frames - 1) * hop + size,)
         assert np.array_equal(out, expected)
+
+
+class TestFrameSignal:
+    def test_equals_gather(self):
+        x = np.random.default_rng(4).standard_normal(5000)
+        n_frames = (5000 - 1024) // 320 + 1
+        idx = np.arange(1024)[None, :] + 320 * np.arange(n_frames)[:, None]
+        assert np.array_equal(_frame_signal(x, 1024, 320), x[idx])
+
+    @pytest.mark.parametrize("length", [0, 1, 1023])
+    def test_shorter_than_one_frame(self, length):
+        assert _frame_signal(np.zeros(length), 1024, 320).shape == (0, 1024)
 
 
 class TestMelFilterbank:
@@ -289,17 +351,56 @@ class TestGriffinLim:
         diffs = np.diff(errors)
         assert np.all(diffs <= 1e-7)
 
-    def test_deterministic_given_seed(self):
-        x = speech_like(0.3, 24000, 2)
-        mag = stft(AudioBuffer(x, 24000), StftConfig(1024, 256)).magnitude()
-        a = griffin_lim(mag, iterations=8, seed=5).samples
-        b = griffin_lim(mag, iterations=8, seed=5).samples
-        assert np.array_equal(a, b)
-
     def test_bad_iterations(self):
         mag = Spectrogram(np.zeros((4, 513)), StftConfig(1024, 256), 24000)
         with pytest.raises(InvalidInput):
             griffin_lim(mag, iterations=0)
+
+
+class TestGriffinLimMatchesReference:
+    """Griffin-Lim equals the straightforward loop to the bit: samples and
+    the spectral-convergence trace."""
+
+    @pytest.mark.parametrize(
+        "size,hop,magnitude",
+        [
+            (1024, 320, _speech_magnitude(1024, 320, 1, 51)),
+            (1024, 320, _speech_magnitude(1024, 320, 2, 52)),
+            (1024, 320, _speech_magnitude(1024, 320, 40, 53)),
+            (1024, 256, _speech_magnitude(1024, 256, 40, 54)),
+            (1024, 320, _clamped_pinv_magnitude(40, 55)),
+            (1024, 320, np.zeros((40, 513))),
+        ],
+        ids=["T1", "T2", "T40", "hop256", "clamped_zeros", "all_zero"],
+    )
+    def test_bit_exact(self, size, hop, magnitude):
+        spec = Spectrogram(magnitude, StftConfig(size, hop), 24000)
+        errors, expected_errors = [], []
+        out = griffin_lim(spec, iterations=8, callback=lambda i, sc: errors.append(sc))
+        expected = _reference_griffin_lim(
+            spec, 8, callback=lambda i, sc: expected_errors.append(sc)
+        )
+        assert out.samples.dtype == expected.dtype
+        assert out.samples.tobytes() == expected.tobytes()
+        assert errors == expected_errors
+
+    def test_projection_equals_complex_division(self):
+        rng = np.random.default_rng(56)
+        spec = rng.standard_normal((40, 513)) + 1j * rng.standard_normal((40, 513))
+        spec[3] = 0.0                                 # zero bins: phase 0
+        spec.real[4, :100] = -0.0                     # signed-zero parts
+        spec.imag[5, :100] = -0.0
+        spec[6, :100] *= 1e-160                       # tiny magnitudes
+        target = rng.uniform(0.0, 2.0, spec.shape)
+        target[7] = 0.0
+        mag = np.abs(spec)
+        expected = target * np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 1.0)
+        out = _project_magnitude(spec.copy(), mag.copy(), target)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_clamped_case_has_exact_zeros(self):
+        magnitude = _clamped_pinv_magnitude(40, 55)
+        assert 0 < np.count_nonzero(magnitude == 0.0) < magnitude.size
 
 
 class TestResample:
