@@ -156,14 +156,6 @@ def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
     return AudioBuffer(padded, audio.sample_rate), 0
 
 
-def extract_excerpt(audio: AudioBuffer, length: int, seed: int) -> AudioBuffer:
-    """Uniform random excerpt of `length` samples; reflect-padded if short."""
-    if seed < 0:
-        raise InvalidConfig(f"seed must be nonnegative, got {seed}")
-    excerpt, _ = _excerpt_from(audio, length, np.random.default_rng(seed))
-    return excerpt
-
-
 def sample_batch(
     manifest,
     spec: BatchSpec,

@@ -178,26 +178,30 @@ def load_mushra_records(path) -> list[MushraRecord]:
     seen = set()
     first = True  # the header may only be the first non-blank, non-comment line
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            is_header = first and parts[:3] == ["subject", "stimulus", "system"]
-            first = False
-            if is_header:
-                continue
-            if len(parts) != 4:
-                raise InvalidInput(f"line {lineno}: expected 4 comma-separated fields")
-            try:
-                score = float(parts[3])
-            except ValueError as exc:
-                raise InvalidInput(f"line {lineno}: bad score {parts[3]!r}") from exc
-            key = (parts[0], parts[1], parts[2])
-            if key in seen:
-                raise InvalidInput(f"line {lineno}: duplicate (subject, stimulus, system) {key}")
-            seen.add(key)
-            records.append(MushraRecord(parts[0], parts[1], parts[2], score))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: score file is not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        is_header = first and parts[:3] == ["subject", "stimulus", "system"]
+        first = False
+        if is_header:
+            continue
+        if len(parts) != 4:
+            raise InvalidInput(f"line {lineno}: expected 4 comma-separated fields")
+        try:
+            score = float(parts[3])
+        except ValueError as exc:
+            raise InvalidInput(f"line {lineno}: bad score {parts[3]!r}") from exc
+        key = (parts[0], parts[1], parts[2])
+        if key in seen:
+            raise InvalidInput(f"line {lineno}: duplicate (subject, stimulus, system) {key}")
+        seen.add(key)
+        records.append(MushraRecord(parts[0], parts[1], parts[2], score))
     return records
 
 

@@ -1,8 +1,8 @@
 """Objective reconstruction metrics.
 
 Multi-scale log-mel and linear-magnitude L1 losses, short-time objective
-intelligibility (STOI), a signal-to-noise utility, and an adapter that
-shells out to an external wideband PESQ tool.
+intelligibility (STOI), and an adapter that shells out to an external
+wideband PESQ tool.
 
 The analysis is fixed, so scores compare across runs and models: both
 losses use the four (fft_size, hop, n_mels) scales of LOSS_SCALES,
@@ -194,7 +194,7 @@ def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     return MetricValue("stoi", float(corr.mean()), higher_is_better=True)
 
 
-# --- PESQ adapter and SNR ---------------------------------------------------
+# --- PESQ adapter ----------------------------------------------------------
 
 _PESQ_RANGE = (-0.5, 4.64)
 
@@ -240,18 +240,3 @@ def pesq_adapter(
     if not _PESQ_RANGE[0] <= score <= _PESQ_RANGE[1]:
         raise ExternalToolError(f"PESQ score {score} outside {_PESQ_RANGE}")
     return MetricValue("pesq", score, higher_is_better=True)
-
-
-def snr(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
-    """10*log10(ref power / error power), capped at 120 dB on identity."""
-    if len(ref) != len(test):
-        raise InvalidInput(f"length mismatch: {len(ref)} vs {len(test)}")
-    ref_power = float(np.sum(ref.samples**2))
-    if ref_power == 0.0:
-        raise InvalidInput("reference signal is identically zero")
-    err_power = float(np.sum((ref.samples - test.samples) ** 2))
-    if err_power == 0.0:
-        value = 120.0
-    else:
-        value = min(120.0, 10.0 * math.log10(ref_power / err_power))
-    return MetricValue("snr", value, higher_is_better=True)

@@ -40,22 +40,18 @@ def make_corpus(root, per_category=2, duration=2.0, base_seed=0, name="manifest.
     return manifest
 
 
-@pytest.fixture(scope="session")
-def toy_corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("toy_corpus")
+def make_toy_corpus(root):
+    """The toy corpus: twelve 2 s speech-like 24 kHz files, two per category."""
     return make_corpus(root, per_category=2, duration=2.0, base_seed=11)
 
 
-@pytest.fixture(scope="session")
-def toy_model(tmp_path_factory, toy_corpus):
-    """A small trained container on disk, shared by CLI and eval tests."""
-    from rvqlab import container
+def train_toy_model(manifest_path):
+    """(model, summary) of the toy model: Q=4, K=16, D=16, seed 5."""
     from rvqlab.datapipe import load_manifest
     from rvqlab.training import train_codec
 
-    manifest = load_manifest(toy_corpus)
-    model, summary = train_codec(
-        manifest,
+    return train_codec(
+        load_manifest(manifest_path),
         n_stages=4,
         codebook_size=16,
         latent_dim=16,
@@ -64,6 +60,19 @@ def toy_model(tmp_path_factory, toy_corpus):
         n_batches=6,
         batch_size=12,
     )
+
+
+@pytest.fixture(scope="session")
+def toy_corpus(tmp_path_factory):
+    return make_toy_corpus(tmp_path_factory.mktemp("toy_corpus"))
+
+
+@pytest.fixture(scope="session")
+def toy_model(tmp_path_factory, toy_corpus):
+    """A small trained container on disk, shared by CLI and eval tests."""
+    from rvqlab import container
+
+    model, summary = train_toy_model(toy_corpus)
     path = tmp_path_factory.mktemp("toy_model") / "model.rvqm"
     container.save(model, path)
     return path, model, summary

@@ -1,0 +1,154 @@
+"""Golden SHA-256 digests of the toy model and of what the CLI makes with it.
+
+    python tests/golden.py --write    rebuild the toy model and rewrite golden.json
+    python tests/golden.py            rebuild it and name the digests that moved
+
+tests/test_golden.py checks the same digests against the session toy model.
+They pin the toy model's container (less its path-dependent corpus_hash),
+the .rvqs of one speech-like clip at 24, 16 and 48 kHz input (so the
+resampler is pinned too), the float32 WAVs decoded from the 24 kHz stream at
+full and prefix q, and the eval report as csv, markdown and --json.  A
+change that moves a digest names it and its reason in CHANGES.md and
+rewrites the file.
+
+The digests are strict only on the fingerprint they were written on (numpy
+version, BLAS name and version, machine): another BLAS kernel may legally
+move low bits, so elsewhere the test skips and names the fields that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from rvqlab import container  # noqa: E402
+from rvqlab.cli import main as cli_main  # noqa: E402
+from rvqlab.dsp import AudioBuffer  # noqa: E402
+from rvqlab.evalstats import PESQ_TOOL_ENV  # noqa: E402
+from rvqlab.wavio import write_wav  # noqa: E402
+
+from signals import speech_like  # noqa: E402
+
+CLIP_SECONDS, CLIP_SEED = 1.5, 31
+INPUT_RATES = (24000, 16000, 48000)
+FULL_Q, PREFIX_Q = 4, 2
+EVAL_ARGS = ["--q-list", "4,1", "--gl-iterations", "8"]
+
+
+def fingerprint() -> dict:
+    """The platform facts that may legally move low bits of the digests."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "machine": platform.machine(),
+    }
+
+
+def differing(stored: dict, current: dict) -> list[str]:
+    """Sorted keys whose values differ between two flat dicts (or are in one only)."""
+    return sorted(k for k in stored.keys() | current.keys() if stored.get(k) != current.get(k))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(argv) -> str:
+    """stdout of one in-process rvqlab call; any nonzero exit is an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"rvqlab {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def _location_free_bytes(model_path) -> bytes:
+    """The container's bytes with its corpus_hash blanked: that hash covers the
+    corpus files' absolute paths, which differ between checkouts and runs."""
+    model = container.load(model_path)
+    return container.to_bytes(replace(model, metadata={**model.metadata, "corpus_hash": ""}))
+
+
+def compute_digests(model_path, corpus_manifest, workdir) -> dict:
+    """Digest name -> SHA-256 of the toy model and its CLI outputs in workdir.
+
+    $RVQLAB_PESQ_TOOL must be unset: the tool is recorded in the eval config.
+    """
+    if os.environ.get(PESQ_TOOL_ENV):
+        raise RuntimeError(f"unset {PESQ_TOOL_ENV}: eval records the PESQ tool it used")
+    workdir = Path(workdir)
+    model = ["--model", str(model_path)]
+    digests = {"toy_model": _sha256(_location_free_bytes(model_path))}
+
+    for rate in INPUT_RATES:
+        wav = workdir / f"clip_{rate}.wav"
+        write_wav(wav, AudioBuffer(speech_like(CLIP_SECONDS, rate, CLIP_SEED), rate))
+        stream = workdir / f"clip_{rate}.rvqs"
+        _cli(["encode", *model, str(wav), "-q", str(FULL_Q), str(stream)])
+        digests[f"rvqs_{rate // 1000}k"] = _sha256(stream.read_bytes())
+
+    for q in (FULL_Q, PREFIX_Q):
+        wav = workdir / f"decoded_q{q}.wav"
+        _cli(["decode", *model, str(workdir / "clip_24000.rvqs"), "-q", str(q), str(wav)])
+        digests[f"wav_q{q}"] = _sha256(wav.read_bytes())
+
+    test = ["--test", f"toy={corpus_manifest}", *EVAL_ARGS]
+    csv = workdir / "report.csv"
+    # With --out the report goes to the file and --json is stdout's last line.
+    stdout = _cli(["eval", *model, *test, "--format", "csv", "--out", str(csv), "--json"])
+    digests["eval_csv"] = _sha256(csv.read_bytes())
+    digests["eval_json"] = _sha256(stdout.splitlines()[-1].encode())
+    digests["eval_markdown"] = _sha256(_cli(["eval", *model, *test, "--format", "markdown"]).encode())
+    return digests
+
+
+def _toy_digests() -> dict:
+    from conftest import make_toy_corpus, train_toy_model
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        manifest = make_toy_corpus(tmp / "corpus")
+        model, _ = train_toy_model(manifest)
+        model_path = tmp / "model.rvqm"
+        container.save(model, model_path)
+        return compute_digests(model_path, manifest, tmp)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN.name}")
+    args = parser.parse_args(argv)
+    digests = _toy_digests()
+    if args.write:
+        payload = {"fingerprint": fingerprint(), "digests": digests}
+        GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN} ({len(digests)} digests)")
+        return 0
+    stored = json.loads(GOLDEN.read_text())
+    moved = differing(stored["digests"], digests)
+    print("moved: " + ", ".join(moved) if moved else "all digests match")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -310,6 +310,13 @@ class TestMushra:
         assert result["p_value"] > 0.05
         assert result["significant"] is False
 
+    def test_non_utf8_scores_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = _run(capsys, ["mushra", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidInput:")
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan"])
     def test_alpha_outside_open_unit_interval_exit_2(self, tmp_path, capsys, alpha):

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 from rvqlab.datapipe import (
     BatchSpec,
     QualityCategory,
-    extract_excerpt,
+    _excerpt_from,
     load_manifest,
     sample_batch,
     summarize_manifest,
@@ -219,12 +219,17 @@ class TestSampleBatch:
             assert len(excerpt.audio) == 9280
 
 
+def _seeded_excerpt(audio, length, seed):
+    excerpt, _ = _excerpt_from(audio, length, np.random.default_rng(seed))
+    return excerpt
+
+
 class TestExtractExcerpt:
     def test_exact_length_identity(self):
         x = AudioBuffer(speech_like(9280 / 24000, 24000, 3), 24000)
         assert len(x) == 9280
         for seed in (0, 1, 99):
-            out = extract_excerpt(x, 9280, seed)
+            out = _seeded_excerpt(x, 9280, seed)
             assert np.array_equal(out.samples, x.samples)
 
     def test_uniform_start_offsets(self):
@@ -234,7 +239,7 @@ class TestExtractExcerpt:
         bin_width = (24000 - 9280 + 1) / n_bins
         counts = np.zeros(n_bins, dtype=int)
         for seed in range(1000):
-            out = extract_excerpt(x, 9280, seed)
+            out = _seeded_excerpt(x, 9280, seed)
             offset = _find_offset(x.samples, out.samples)
             assert 0 <= offset <= 14720
             counts[min(int(offset // bin_width), n_bins - 1)] += 1
@@ -243,7 +248,7 @@ class TestExtractExcerpt:
     def test_reflect_padding_short_source(self):
         x = AudioBuffer(speech_like(4000 / 24000, 24000, 5), 24000)
         assert len(x) == 4000
-        out = extract_excerpt(x, 9280, 0)
+        out = _seeded_excerpt(x, 9280, 0)
         assert len(out) == 9280
         np.testing.assert_array_equal(out.samples[:4000], x.samples)
         # Reflection oracle: sample n past the end mirrors index -(n+2).

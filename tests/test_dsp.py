@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import i0
 
 from rvqlab.dsp import (
+    _STRIDED_MIN_OUTPUTS_PER_PHASE,
     AudioBuffer,
     MelFilterbank,
     Spectrogram,
@@ -51,6 +54,39 @@ def _per_tap_resample(audio, target_rate):
     valid = (idx >= 0) & (idx < len(src))
     gathered = np.where(valid, src[np.clip(idx, 0, len(src) - 1)], 0.0)
     return np.sum(gathered * kernel, axis=1)
+
+
+def _reference_polyphase_resample(audio, target_rate):
+    """Oracle: the gather loop over one kernel row per exact rational phase.
+
+    Output n reads kernel row n % up against padded[n*down // up + j] for
+    taps j = 0..63 and adds the 64 products to a zero start in ascending j,
+    all outputs at once per tap.  The kernel is the Kaiser-windowed sinc of
+    _per_tap_resample, evaluated at the phases (n*down % up) / up.
+    """
+    src = audio.samples
+    n_out = int(round(len(src) * target_rate / audio.sample_rate))
+    if len(src) == 0 or n_out == 0:
+        return np.zeros(0)
+    g = math.gcd(audio.sample_rate, target_rate)
+    up, down = target_rate // g, audio.sample_rate // g
+    cutoff = min(1.0, 1.0 / (audio.sample_rate / target_rate)) * 0.945
+    offsets = np.arange(-31, 33)
+    phase = np.arange(min(up, n_out)) * down % up / up
+    delta = offsets[None, :] - phase[:, None]
+    inside = np.abs(delta) <= 32
+    arg = np.where(inside, 1.0 - (delta / 32) ** 2, 0.0)
+    window = np.where(inside, i0(8.555 * np.sqrt(arg)) / i0(8.555), 0.0)
+    kernel = cutoff * np.sinc(cutoff * delta) * window
+    n = np.arange(n_out)
+    start = n * down // up
+    rows = n % up
+    tail = int(start[-1]) + 64 - 31 - len(src)
+    padded = np.pad(src, (31, max(tail, 0)))
+    out = np.zeros(n_out)
+    for j, weights in enumerate(kernel.T):
+        out += weights[rows] * padded[j:][start]
+    return out
 
 
 # (source, target) pairs with 1 (48k->24k) to 160 (22.05k->24k) phases.
@@ -432,13 +468,42 @@ class TestResample:
             resample(_sine(440.0, 0.1, 16000), 0)
 
 
+def _strided_side(n, source, target):
+    """True when resample takes the per-phase strided path for n samples."""
+    n_out = int(round(n * target / source))
+    phases = min(target // math.gcd(source, target), n_out)
+    return n_out >= _STRIDED_MIN_OUTPUTS_PER_PHASE * phases
+
+
+def _straddling_lengths(source, target):
+    """The last source length on the gathered side and the first on the strided side."""
+    up = target // math.gcd(source, target)
+    n = int(_STRIDED_MIN_OUTPUTS_PER_PHASE * up * source / target) + 2
+    while _strided_side(n - 1, source, target):
+        n -= 1
+    while not _strided_side(n, source, target):
+        n += 1
+    return n - 1, n
+
+
+def _assert_same_bytes(x, source, target):
+    out = resample(AudioBuffer(x, source), target).samples
+    expected = _reference_polyphase_resample(AudioBuffer(x, source), target)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
 class TestResampleMatchesPerTapOracle:
+    """Within 1e-10 of the per-tap oracle, and bit-equal to the polyphase
+    reference on both sides of the strided/gathered path selection."""
+
     @staticmethod
     def _assert_matches(x, source, target):
         out = resample(AudioBuffer(x, source), target).samples
         expected = _per_tap_resample(AudioBuffer(x, source), target)
         assert len(out) == len(expected)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+        _assert_same_bytes(x, source, target)
 
     @pytest.mark.parametrize("source,target", _RATE_PAIRS)
     def test_speech_like(self, source, target):
@@ -448,10 +513,21 @@ class TestResampleMatchesPerTapOracle:
         # gcd(24001, 24000) = 1: 24000 phases, more than the 12000 outputs.
         self._assert_matches(speech_like(0.5, 24001, 42, level=0.9), 24001, 24000)
 
-    @pytest.mark.parametrize("source,target,n", [(44100, 24000, 50), (22050, 24000, 100)])
+    @pytest.mark.parametrize(
+        "source,target,n", [(44100, 24000, 50), (22050, 24000, 100), (24001, 24000, 7)]
+    )
     def test_fewer_outputs_than_phases(self, source, target, n):
-        # 80 and 160 phases respectively; n_out is 27 and 109.
+        # 80, 160 and 24000 phases respectively; n_out is 27, 109 and 7.
         self._assert_matches(speech_like(n / source, source, 43, level=0.9), source, target)
+
+    @pytest.mark.parametrize("source,target", _RATE_PAIRS)
+    def test_both_sides_of_path_selection(self, source, target):
+        # Up to 330k outputs: against the reference only, as the per-tap
+        # oracle would hold several (n_out, 64) arrays.
+        below, above = _straddling_lengths(source, target)
+        assert not _strided_side(below, source, target) and _strided_side(above, source, target)
+        for n in (below, above, 2 * above):
+            _assert_same_bytes(speech_like(n / source, source, 44, level=0.9), source, target)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -188,6 +188,12 @@ class TestMushraFile:
         with pytest.raises(InvalidInput, match="line 2: bad score"):
             load_mushra_records(path)
 
+    def test_non_utf8_file_is_invalid_input(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(InvalidInput, match="not UTF-8"):
+            load_mushra_records(path)
+
 
 class TestRenderReport:
     def _small_report(self):

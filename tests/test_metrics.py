@@ -16,7 +16,6 @@ from rvqlab.metrics import (
     LOSS_SCALES,
     mel_loss,
     pesq_adapter,
-    snr,
     stft_loss,
     stoi,
 )
@@ -200,28 +199,3 @@ class TestPesqAdapter:
         with pytest.raises(ExternalToolError):
             pesq_adapter(x, x, tool_path=tool)
 
-
-class TestSnr:
-    def test_identity_capped(self):
-        x = _buf(speech_like(0.3, 24000, 8))
-        assert snr(x, x).value == 120.0
-
-    def test_zero_test_is_zero_db(self):
-        # Error equals the reference, so the ratio is exactly 1.
-        x = _buf(speech_like(0.3, 24000, 9))
-        assert snr(x, _buf(np.zeros(len(x)))).value == pytest.approx(0.0, abs=1e-12)
-
-    def test_formula_oracle(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal(5000) * 0.2
-        b = a + 0.05 * rng.standard_normal(5000)
-        expected = 10 * np.log10(np.sum(a**2) / np.sum((a - b) ** 2))
-        assert snr(_buf(a), _buf(b)).value == pytest.approx(expected, abs=1e-9)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(InvalidInput):
-            snr(_buf(np.zeros(100)), _buf(np.ones(100)))
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            snr(_buf(np.zeros(10)), _buf(np.zeros(11)))
