@@ -153,7 +153,7 @@ def _cmd_decode(args) -> None:
     model = container.load(args.model)
     with open(args.stream_in, "rb") as fh:
         data = fh.read()
-    header, tokens = codec.unpack_stream(model, data)
+    header, tokens = codec.unpack_stream(data)
     stages = args.stages if args.stages is not None else header.n_stages
     _, audio = codec.decode(model, tokens, stages, args.gl_iterations)
     write_wav(args.wav_out, audio, encoding="float32")

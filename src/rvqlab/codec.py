@@ -12,14 +12,14 @@ from .bitstream import unpack
 from .container import ModelContainer
 from .dsp import AudioBuffer, resample
 from .errors import SampleRateMismatch
-from .frontend import decode_latent, encode_latent
+from .frontend import FRAME_RATE, SAMPLE_RATE, decode_latent, encode_latent
 from .rvq import TokenStream, dequantize, quantize
 
 
 def encode(model: ModelContainer, audio: AudioBuffer, n_stages: int):
-    """(model-rate audio, latents, tokens); resamples only when the rates differ."""
-    if audio.sample_rate != model.frontend.sample_rate:
-        audio = resample(audio, model.frontend.sample_rate)
+    """(24 kHz audio, latents, tokens); resamples only when the audio is at another rate."""
+    if audio.sample_rate != SAMPLE_RATE:
+        audio = resample(audio, SAMPLE_RATE)
     latents = encode_latent(model.frontend, audio)
     return audio, latents, quantize(model.rvq, latents, n_stages)
 
@@ -32,14 +32,12 @@ def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterati
     return latents, AudioBuffer(audio.samples.astype(np.float32).astype(np.float64), audio.sample_rate)
 
 
-def unpack_stream(model: ModelContainer, data: bytes):
-    """bitstream.unpack, raising SampleRateMismatch unless the header's rates are the model's."""
+def unpack_stream(data: bytes):
+    """bitstream.unpack, raising SampleRateMismatch unless the header's rates are the codec's."""
     header, tokens = unpack(data)
-    stream = (header.sample_rate, header.frame_rate)
-    expected = (model.frontend.sample_rate, model.rvq.config.frame_rate)
-    if stream != expected:
+    if (header.sample_rate, header.frame_rate) != (SAMPLE_RATE, FRAME_RATE):
         raise SampleRateMismatch(
-            f"stream is {stream[0]} Hz at {stream[1]} frames/s, "
-            f"model expects {expected[0]} Hz at {expected[1]} frames/s"
+            f"stream is {header.sample_rate} Hz at {header.frame_rate} frames/s, "
+            f"the codec expects {SAMPLE_RATE} Hz at {FRAME_RATE} frames/s"
         )
     return header, tokens

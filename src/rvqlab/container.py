@@ -14,6 +14,11 @@ Layout (all integers little-endian, weights IEEE-754 float64):
                            f64 entries[K*code_dim]
       metadata: u32 count, then per item u32 key_len, key bytes,
                 u32 value_len, value bytes (UTF-8)
+
+The analysis fields hold the codec's one fixed geometry: 24 kHz, fft 1024,
+hop 320, 80 mels over 0-12 kHz, log floor 1e-5, and 75 frames/s in the rvq
+section.  A container storing any other value, or whose frontend D differs
+from the rvq latent_dim, is rejected as CorruptModel.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import StftConfig
 from .errors import CorruptModel
+from .frontend import F_MAX, F_MIN, FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, SAMPLE_RATE
 from .frontend import FrontendModel
 from .rvq import Codebook, RvqConfig, RvqModel
 
 MAGIC = b"RVQM"
 VERSION = 1
+# (fft_size, hop, sample_rate, n_mels, f_min, f_max, floor): the frontend
+# header around D, as every container stores it.
+_SETTINGS = (FFT_SIZE, HOP, SAMPLE_RATE, N_MELS, F_MIN, F_MAX, LOG_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -64,18 +72,7 @@ class _Reader:
 
 def _pack_frontend(model: FrontendModel) -> bytes:
     parts = [
-        struct.pack(
-            "<IIIHHdddq",
-            model.stft_config.fft_size,
-            model.stft_config.hop,
-            model.sample_rate,
-            model.n_mels,
-            model.latent_dim,
-            model.f_min,
-            model.f_max,
-            model.floor,
-            model.seed,
-        ),
+        struct.pack("<IIIHHdddq", *_SETTINGS[:4], model.latent_dim, *_SETTINGS[4:], model.seed),
         model.mean.astype("<f8").tobytes(),
         model.basis.astype("<f8").tobytes(),
         model.explained_variance.astype("<f8").tobytes(),
@@ -86,23 +83,15 @@ def _pack_frontend(model: FrontendModel) -> bytes:
 def _unpack_frontend(data: bytes) -> FrontendModel:
     r = _Reader(data, "frontend section")
     fft_size, hop, sample_rate, n_mels, dim, f_min, f_max, floor, seed = r.unpack("IIIHHdddq")
-    mean = r.floats(n_mels)
-    basis = r.floats(dim * n_mels).reshape(dim, n_mels)
-    explained = r.floats(n_mels)
+    settings = (fft_size, hop, sample_rate, n_mels, f_min, f_max, floor)
+    if settings != _SETTINGS:
+        raise CorruptModel(f"frontend settings {settings} differ from the codec's {_SETTINGS}")
+    mean = r.floats(N_MELS)
+    basis = r.floats(dim * N_MELS).reshape(dim, N_MELS)
+    explained = r.floats(N_MELS)
     if r.pos != len(data):
         raise CorruptModel(f"frontend section has {len(data) - r.pos} trailing bytes")
-    return FrontendModel(
-        mean=mean,
-        basis=basis,
-        explained_variance=explained,
-        seed=int(seed),
-        stft_config=StftConfig(fft_size, hop),
-        sample_rate=sample_rate,
-        n_mels=n_mels,
-        f_min=f_min,
-        f_max=f_max,
-        floor=floor,
-    )
+    return FrontendModel(mean=mean, basis=basis, explained_variance=explained, seed=int(seed))
 
 
 def _pack_rvq(model: RvqModel) -> bytes:
@@ -114,7 +103,7 @@ def _pack_rvq(model: RvqModel) -> bytes:
             cfg.codebook_size,
             cfg.code_dim,
             cfg.latent_dim,
-            cfg.frame_rate,
+            FRAME_RATE,
             cfg.seed,
         ),
         model.training_stats.astype("<f8").tobytes(),
@@ -129,12 +118,13 @@ def _pack_rvq(model: RvqModel) -> bytes:
 def _unpack_rvq(data: bytes) -> RvqModel:
     r = _Reader(data, "rvq section")
     n_stages, codebook_size, code_dim, latent_dim, frame_rate, seed = r.unpack("HIHHHq")
+    if frame_rate != FRAME_RATE:
+        raise CorruptModel(f"rvq frame rate is {frame_rate}, the codec's is {FRAME_RATE}")
     config = RvqConfig(
         n_stages=n_stages,
         codebook_size=codebook_size,
         code_dim=code_dim,
         latent_dim=latent_dim,
-        frame_rate=frame_rate,
         seed=int(seed),
     )
     stats = r.floats(n_stages)
@@ -206,6 +196,9 @@ def from_bytes(data: bytes) -> ModelContainer:
         raise
     except Exception as exc:  # malformed field values surface as CorruptModel
         raise CorruptModel(f"invalid model payload: {exc}") from exc
+    dims = (frontend.latent_dim, rvq_model.config.latent_dim)
+    if dims[0] != dims[1]:
+        raise CorruptModel(f"frontend latent_dim {dims[0]} != rvq latent_dim {dims[1]}")
     return ModelContainer(frontend=frontend, rvq=rvq_model, metadata=metadata)
 
 

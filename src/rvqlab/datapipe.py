@@ -94,8 +94,12 @@ def load_manifest(path) -> list[ManifestEntry]:
         try:
             raw_path = record["path"]
             category = record["category"]
-            duration = float(record["duration"])
-            sample_rate = int(record["sample_rate"])
+            duration, rate = record["duration"], record["sample_rate"]
+            if isinstance(duration, bool) or isinstance(rate, bool):
+                raise TypeError("duration and sample_rate must be numbers, not booleans")
+            if isinstance(rate, float) and rate % 1:
+                raise ValueError(f"sample_rate must be a whole number, got {rate}")
+            duration, sample_rate = float(duration), int(rate)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
         if not isinstance(raw_path, str):

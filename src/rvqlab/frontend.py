@@ -1,21 +1,22 @@
 """Deterministic analysis/synthesis front-end at exactly 75 frames per second.
 
-Analysis: 24 kHz audio -> log-mel (fft 1024, hop 320, 80 mels) -> mean
-removal -> orthonormal projection onto the top-D principal components.
-Synthesis: inverse projection -> mel-to-linear magnitudes via the
-filterbank pseudo-inverse (clamped at zero) -> Griffin-Lim.
+Analysis: 24 kHz audio -> log-mel (fft 1024, hop 320, 80 mels over
+0-12 kHz, floor 1e-5) -> mean removal -> orthonormal projection onto the
+top-D principal components.  Synthesis: inverse projection ->
+mel-to-linear magnitudes via the filterbank pseudo-inverse (clamped at
+zero) -> Griffin-Lim.  This geometry is fixed: the constants below are the
+only copy, and a fitted model holds only its statistics and projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .dsp import (
     AudioBuffer,
-    MelFilterbank,
     Spectrogram,
     StftConfig,
     griffin_lim,
@@ -35,7 +36,9 @@ FRAME_RATE = 75
 FFT_SIZE = 1024
 HOP = SAMPLE_RATE // FRAME_RATE  # 320 samples: hop * 75 == sample_rate exactly
 N_MELS = 80
+F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
+STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class LatentSequence:
     """T x D matrix of latent frames at 75 Hz."""
 
     frames: np.ndarray
-    frame_rate: int = FRAME_RATE
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -70,43 +72,34 @@ class FrontendModel:
     basis: np.ndarray                     # (D, n_mels), orthonormal rows
     explained_variance: np.ndarray        # all n_mels eigenvalue fractions
     seed: int
-    stft_config: StftConfig = field(default_factory=lambda: StftConfig(FFT_SIZE, HOP))
-    sample_rate: int = SAMPLE_RATE
-    n_mels: int = N_MELS
-    f_min: float = 0.0
-    f_max: float = SAMPLE_RATE / 2
-    floor: float = LOG_FLOOR
 
     @property
     def latent_dim(self) -> int:
         return self.basis.shape[0]
 
-    def filterbank(self) -> MelFilterbank:
-        return mel_filterbank(
-            self.sample_rate, self.stft_config.fft_size, self.n_mels, self.f_min, self.f_max
-        )
 
-
-def _analysis_log_mel(
-    audio: AudioBuffer, config: StftConfig, fb: MelFilterbank, floor: float
-) -> np.ndarray:
+def _analysis_log_mel(audio: AudioBuffer) -> np.ndarray:
     """Log-mel frames with the codec framing: exactly ceil(len/hop) frames.
 
     The tail is reflect-padded to a whole number of hops; the trailing
     center-padded STFT frame is dropped so 1 s of audio gives 75 frames.
+
+    Raises:
+        SampleRateMismatch: audio not at 24 kHz.
     """
-    hop = config.hop
+    if audio.sample_rate != SAMPLE_RATE:
+        raise SampleRateMismatch(f"audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE}")
     n = len(audio)
     if n == 0:
         raise EmptyInput("cannot encode empty audio")
-    remainder = n % hop
+    remainder = n % HOP
     samples = audio.samples
     if remainder:
-        pad = hop - remainder
+        pad = HOP - remainder
         samples = np.pad(samples, (0, pad), mode="reflect" if n > 1 else "edge")
-    spec = stft(AudioBuffer(samples, audio.sample_rate), config)
-    kept = Spectrogram(spec.frames[:-1], config, spec.sample_rate)  # T = len/hop
-    return log_mel(kept, fb, floor)
+    spec = stft(AudioBuffer(samples, SAMPLE_RATE), STFT_CONFIG)
+    kept = Spectrogram(spec.frames[:-1], STFT_CONFIG, SAMPLE_RATE)  # T = len/hop
+    return log_mel(kept, mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, F_MIN, F_MAX), LOG_FLOOR)
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +114,6 @@ def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
         if row[pivot] < 0:
             row *= -1.0
     return eigvals[order], basis
-
-
-def _training_log_mel(audio: AudioBuffer) -> np.ndarray:
-    """Codec log-mel frames of one 24 kHz training buffer."""
-    if audio.sample_rate != SAMPLE_RATE:
-        raise SampleRateMismatch(
-            f"training audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE}"
-        )
-    fb = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, 0.0, SAMPLE_RATE / 2)
-    return _analysis_log_mel(audio, StftConfig(FFT_SIZE, HOP), fb, LOG_FLOOR)
 
 
 def _fit_log_mel(frame_sets: Iterable[np.ndarray], latent_dim: int, seed: int) -> FrontendModel:
@@ -176,23 +159,17 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
         InsufficientData: fewer than 10 * D training frames.
         SampleRateMismatch: any buffer not at 24 kHz.
     """
-    return _fit_log_mel(map(_training_log_mel, training_audio), latent_dim, seed)
+    return _fit_log_mel(map(_analysis_log_mel, training_audio), latent_dim, seed)
 
 
 def _project(model: FrontendModel, frames: np.ndarray) -> LatentSequence:
-    """Latents of log-mel frames analysed with the model's settings."""
+    """Latents of codec log-mel frames."""
     return LatentSequence((frames - model.mean) @ model.basis.T)
 
 
 def encode_latent(model: FrontendModel, audio: AudioBuffer) -> LatentSequence:
     """Project audio onto the latent space; 1 s of 24 kHz audio -> 75 frames."""
-    if audio.sample_rate != model.sample_rate:
-        raise SampleRateMismatch(
-            f"audio at {audio.sample_rate} Hz, model expects {model.sample_rate}; resample first"
-        )
-    return _project(
-        model, _analysis_log_mel(audio, model.stft_config, model.filterbank(), model.floor)
-    )
+    return _project(model, _analysis_log_mel(audio))
 
 
 _MEL_INVERSION_STEPS = 10
@@ -211,7 +188,7 @@ def decode_latent(model: FrontendModel, latents: LatentSequence, gl_iterations: 
         )
     logmel = latents.frames @ model.basis + model.mean
     mel_amp = np.exp(logmel)
-    weights = model.filterbank().weights
+    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, F_MIN, F_MAX).weights
     pinv = np.linalg.pinv(weights)  # (n_bins, n_mels)
     mags = np.maximum(mel_amp @ pinv.T, 0.0)
     col_sum = np.maximum(weights.sum(axis=0), 1e-12)
@@ -221,5 +198,5 @@ def decode_latent(model: FrontendModel, latents: LatentSequence, gl_iterations: 
     # The codec framing dropped the trailing analysis frame; synthesize it by
     # repeating the last magnitude frame so reconstruction spans T * hop.
     mags = np.vstack([mags, mags[-1:]])
-    spec = Spectrogram(mags, model.stft_config, model.sample_rate)
+    spec = Spectrogram(mags, STFT_CONFIG, SAMPLE_RATE)
     return griffin_lim(spec, iterations=gl_iterations)

@@ -30,7 +30,6 @@ class RvqConfig:
     codebook_size: int = 1024        # K = 2**bits
     code_dim: int = 8
     latent_dim: int = 64
-    frame_rate: int = FRAME_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class RvqConfig:
             raise InvalidConfig(
                 f"code_dim must be in [1, latent_dim={self.latent_dim}], got {self.code_dim}"
             )
-        if self.frame_rate <= 0:
-            raise InvalidConfig(f"frame_rate must be positive, got {self.frame_rate}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
@@ -319,7 +316,7 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
     tokens = np.empty((latents.n_frames, n_stages), dtype=np.uint16)
     for i, (idx, _) in enumerate(_greedy_stages(model, latents, n_stages)):
         tokens[:, i] = idx
-    return TokenStream(tokens, model.config.codebook_size, model.config.frame_rate)
+    return TokenStream(tokens, model.config.codebook_size)
 
 
 def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int | None = None) -> LatentSequence:
@@ -344,16 +341,16 @@ def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int | None = None
     for i in range(n_stages):
         stage = model.stages[i]
         out += stage.entries[tokens.frames[:, i]] @ stage.out_proj.T
-    return LatentSequence(out, tokens.frame_rate)
+    return LatentSequence(out)
 
 
 def bitrate(config: RvqConfig, n_stages: int) -> int:
-    """Bits per second for an n_stages stream: q * log2(K) * frame_rate."""
+    """Bits per second for an n_stages stream: q * log2(K) * FRAME_RATE."""
     if not 1 <= n_stages <= config.n_stages:
         raise InvalidInput(
             f"n_stages must be in [1, {config.n_stages}], got {n_stages}"
         )
-    return n_stages * config.bits_per_code * config.frame_rate
+    return n_stages * config.bits_per_code * FRAME_RATE
 
 
 def stage_distortions(model: RvqModel, latents: LatentSequence) -> np.ndarray:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
-from .frontend import _fit_log_mel, _project, _training_log_mel
+from .errors import InvalidInput
+from .frontend import _analysis_log_mel, _fit_log_mel, _project
 from .rvq import RvqConfig, train_rvq
 
 
@@ -32,7 +33,7 @@ def _corpus_hash(manifest, spec: BatchSpec, n_batches: int) -> str:
 def _fit_and_encode(excerpts, latent_dim: int, seed: int):
     """Fit the frontend on the excerpts and return it with their stacked
     latents, analysing each excerpt once."""
-    frame_sets = [_training_log_mel(e.audio) for e in excerpts]
+    frame_sets = [_analysis_log_mel(e.audio) for e in excerpts]
     frontend = _fit_log_mel(frame_sets, latent_dim, seed)
     return frontend, np.vstack([_project(frontend, f).frames for f in frame_sets])
 
@@ -56,6 +57,8 @@ def train_codec(
     Deterministic given the seed; the container metadata deliberately skips
     wall-clock fields so identical seeds produce identical bytes.
     """
+    if max_rvq_frames < 1:
+        raise InvalidInput(f"max_rvq_frames must be >= 1, got {max_rvq_frames}")
     spec = BatchSpec(batch_size=batch_size, excerpt_samples=excerpt_samples, seed=seed)
     excerpts = []
     for batch_index in range(n_batches):

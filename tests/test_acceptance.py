@@ -6,7 +6,7 @@ full 32-stage, 1024-entry model on a 33-minute synthetic corpus and takes
 several minutes.
 """
 
-import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,17 +14,16 @@ import pytest
 from scipy.stats import spearmanr
 
 from rvqlab import bitstream, container
-from rvqlab.datapipe import BatchSpec, QualityCategory, load_manifest, sample_batch
+from rvqlab.datapipe import BatchSpec, load_manifest, sample_batch
 from rvqlab.dsp import AudioBuffer, StftConfig, griffin_lim, istft, stft
 from rvqlab.errors import RvqLabError
-from rvqlab.evalstats import run_evaluation, wilcoxon_ranksum
-from rvqlab.frontend import LatentSequence, encode_latent
+from rvqlab.evalstats import PESQ_TOOL_ENV, run_evaluation, wilcoxon_ranksum
+from rvqlab.frontend import FRAME_RATE, LatentSequence, encode_latent
 from rvqlab.metrics import LOSS_SCALES, mel_loss, stft_loss, stoi
 from rvqlab.rvq import RvqConfig, bitrate, dequantize, kmeans_unit, quantize, train_rvq
-from rvqlab.training import train_codec
-from rvqlab.wavio import write_wav
 
-from conftest import make_corpus
+import golden
+from conftest import evaluate_desk_model, make_corpus, make_desk_corpus, make_desk_held, train_desk_model
 from signals import degraded_pair, speech_like
 from stoi_reference import reference_stoi
 
@@ -45,53 +44,13 @@ def criterion(number, title):
 @pytest.fixture(scope="session")
 def desk_run(tmp_path_factory):
     """Train on a 33-minute corpus and evaluate held-out files at the q grid."""
-    root = tmp_path_factory.mktemp("desk_corpus")
-    lines = []
-    seed = 0
-    for category in QualityCategory:
-        for j in range(11):  # 66 files x 30 s = 33 minutes
-            fname = f"{category.value.lower()}_{j}.wav"
-            x = speech_like(30.0, 24000, 9000 + seed)
-            write_wav(root / fname, AudioBuffer(x, 24000))
-            lines.append(
-                json.dumps(
-                    {"path": fname, "category": category.value, "duration": 30.0, "sample_rate": 24000}
-                )
-            )
-            seed += 13
-    (root / "train.jsonl").write_text("\n".join(lines))
-    manifest = load_manifest(root / "train.jsonl")
+    manifest_path = make_desk_corpus(tmp_path_factory.mktemp("desk_corpus"))
+    manifest = load_manifest(manifest_path)
     total_minutes = sum(e.duration for e in manifest) / 60.0
     assert total_minutes >= 30.0
 
-    model, summary = train_codec(
-        manifest,
-        n_stages=32,
-        codebook_size=1024,
-        latent_dim=64,
-        code_dim=8,
-        seed=0,
-        n_batches=30,
-        batch_size=72,
-        max_rvq_frames=30000,
-    )
-
-    held_root = tmp_path_factory.mktemp("desk_held")
-    hlines = []
-    for i, category in enumerate(QualityCategory):
-        for j in range(2):
-            fname = f"h_{category.value.lower()}_{j}.wav"
-            x = speech_like(2.0, 24000, 77000 + i * 31 + j)
-            write_wav(held_root / fname, AudioBuffer(x, 24000))
-            hlines.append(
-                json.dumps(
-                    {"path": fname, "category": category.value, "duration": 2.0, "sample_rate": 24000}
-                )
-            )
-    (held_root / "held.jsonl").write_text("\n".join(hlines))
-    held = load_manifest(held_root / "held.jsonl")
-
-    report = run_evaluation(model, {"held": held}, q_list=[1, 2, 4, 8, 16, 32], gl_iterations=32)
+    model, summary = train_desk_model(manifest_path)
+    report = evaluate_desk_model(model, make_desk_held(tmp_path_factory.mktemp("desk_held")))
     return model, summary, report, manifest
 
 
@@ -106,7 +65,7 @@ def test_criterion_1_rate_arithmetic():
         assert bitrate(config, 2) == 1500
         assert bitrate(config, 4) == 3000
         assert bitrate(config, 32) == 24000
-        assert 2 * config.frame_rate == 150 and 4 * config.frame_rate == 300
+        assert 2 * FRAME_RATE == 150 and 4 * FRAME_RATE == 300
 
 
 def test_criterion_2_bitstream_roundtrip_and_fuzz():
@@ -194,6 +153,19 @@ def test_desk_train_held_self_consistency(desk_run):
     mel_train = train_report.cell("train", "mel", "rvq", 32)
     mel_held = report.cell("held", "mel", "rvq", 32)
     assert abs(mel_train - mel_held) <= 0.10 * mel_held
+
+
+def test_desk_model_and_report_match_golden_digests(desk_run):
+    # Pins K=1024 training at N=30000 and the held-out eval of its model,
+    # bit for bit, at no cost beyond the shared fixture.
+    reason = golden.platform_mismatch()
+    if reason:
+        pytest.skip(reason)
+    if os.environ.get(PESQ_TOOL_ENV):
+        pytest.skip(f"{PESQ_TOOL_ENV} is set: the desk eval report records the PESQ tool it used")
+    model, _, report, _ = desk_run
+    moved = golden.moved(golden.desk_digests(model, report))
+    assert not moved, f"golden digests moved: {', '.join(moved)}; {golden.REWRITE_HINT}"
 
 
 def test_criterion_5_metric_identities():

@@ -87,6 +87,16 @@ class TestTrain:
         assert code == 2
         assert "/no/file.jsonl" in err
 
+    def test_negative_max_rvq_frames_exit_2(self, toy_corpus, tmp_path, capsys):
+        out = tmp_path / "m.rvqm"
+        code, stdout, err = _run(
+            capsys,
+            ["train", "--manifest", str(toy_corpus), "--out", str(out), "--max-rvq-frames", "-1"],
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: InvalidInput:") and "max_rvq_frames" in err
+
 
 @pytest.fixture(scope="module")
 def one_second_wav(tmp_path_factory):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,71 @@ class TestCorruption:
     def test_trailing_garbage(self, container):
         with pytest.raises(CorruptModel):
             from_bytes(to_bytes(container) + b"extra")
+
+
+# The codec's stored frontend settings, in header order around D.
+_CODEC_SETTINGS = {
+    "fft_size": 1024, "hop": 320, "sample_rate": 24000, "n_mels": 80,
+    "f_min": 0.0, "f_max": 12000.0, "floor": 1e-5,
+}
+
+
+def _sections(data):
+    """The three length-prefixed sections of a container's bytes."""
+    pos, out = 6, []
+    for _ in range(3):
+        (length,) = struct.unpack_from("<I", data, pos)
+        out.append(data[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+    return out
+
+
+def _join(sections):
+    return b"RVQM" + struct.pack("<H", 1) + b"".join(struct.pack("<I", len(s)) + s for s in sections)
+
+
+def _frontend_section(dim, **settings):
+    """A well-formed frontend section whose header stores the given settings."""
+    s = {**_CODEC_SETTINGS, **settings}
+    n_mels = s["n_mels"]
+    head = struct.pack(
+        "<IIIHHdddq", s["fft_size"], s["hop"], s["sample_rate"], n_mels, dim,
+        s["f_min"], s["f_max"], s["floor"], 4,
+    )
+    basis = np.eye(dim, n_mels)
+    return head + np.zeros(n_mels).tobytes() + basis.tobytes() + np.full(n_mels, 1.0 / n_mels).tobytes()
+
+
+class TestCodecGeometry:
+    def test_forged_section_with_codec_settings_loads(self, container):
+        _, rvq_section, metadata = _sections(to_bytes(container))
+        back = from_bytes(_join([_frontend_section(16), rvq_section, metadata]))
+        assert back.frontend.latent_dim == 16
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"fft_size": 512, "n_mels": 40}, {"hop": 256}, {"sample_rate": 16000},
+         {"f_min": 50.0}, {"f_max": 8000.0}, {"floor": 1e-6}],
+    )
+    def test_other_frontend_settings_are_corrupt(self, container, settings):
+        _, rvq_section, metadata = _sections(to_bytes(container))
+        with pytest.raises(CorruptModel, match="frontend settings"):
+            from_bytes(_join([_frontend_section(16, **settings), rvq_section, metadata]))
+
+    def test_other_rvq_frame_rate_is_corrupt(self, container):
+        frontend, rvq_section, metadata = _sections(to_bytes(container))
+        forged = rvq_section[:10] + struct.pack("<H", 50) + rvq_section[12:]  # u16 frame_rate
+        with pytest.raises(CorruptModel, match="frame rate is 50"):
+            from_bytes(_join([frontend, forged, metadata]))
+
+    def test_frontend_and_rvq_latent_dims_must_agree(self, container):
+        # A frontend of D=16 next to an RVQ trained on D=32 latents once
+        # loaded and only failed at encode, as an InvalidInput.
+        rng = np.random.default_rng(0)
+        config = RvqConfig(n_stages=1, codebook_size=2, code_dim=8, latent_dim=32, seed=0)
+        rvq32 = train_rvq(rng.standard_normal((40, 32)), config)
+        frontend = container.frontend
+        assert frontend.latent_dim == 16
+        data = to_bytes(ModelContainer(frontend=frontend, rvq=rvq32))
+        with pytest.raises(CorruptModel, match="latent_dim 16 != rvq latent_dim 32"):
+            from_bytes(data)

@@ -84,7 +84,11 @@ class TestLoadManifest:
         [("path", 5, "path must be a string"),
          ("duration", "nan", "duration"),
          ("duration", "inf", "duration"),
-         ("sample_rate", 0, "sample_rate")],
+         ("sample_rate", 0, "sample_rate"),
+         # int() and float() read these three as 1
+         ("sample_rate", 1.5, "whole number, got 1.5"),
+         ("sample_rate", True, "not booleans"),
+         ("duration", True, "not booleans")],
     )
     def test_hostile_field_schema_error(self, tmp_path, field, value, match):
         write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
@@ -94,6 +98,18 @@ class TestLoadManifest:
         path.write_text(json.dumps(record))
         with pytest.raises(SchemaError, match=match):
             load_manifest(path)
+
+    def test_numeric_strings_and_whole_float_rates_accepted(self, tmp_path):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
+        path = tmp_path / "numeric.jsonl"
+        records = [
+            {"path": "a.wav", "category": "HQ1", "duration": "1.5", "sample_rate": "24000"},
+            {"path": "a.wav", "category": "HQ1", "duration": 1, "sample_rate": 24000.0},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in records))
+        entries = load_manifest(path)
+        assert [(e.duration, e.sample_rate) for e in entries] == [(1.5, 24000), (1.0, 24000)]
+        assert all(type(e.sample_rate) is int for e in entries)
 
     def test_directory_entry_path_schema_error(self, tmp_path):
         (tmp_path / "clips").mkdir()

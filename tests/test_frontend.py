@@ -4,6 +4,7 @@ import pytest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InsufficientData, InvalidInput, SampleRateMismatch
 from rvqlab.frontend import (
+    LOG_FLOOR,
     FrontendModel,
     LatentSequence,
     decode_latent,
@@ -35,7 +36,7 @@ class TestFitFrontend:
         latents = encode_latent(model80, audio)
         from rvqlab.frontend import _analysis_log_mel
 
-        frames = _analysis_log_mel(audio, model80.stft_config, model80.filterbank(), model80.floor)
+        frames = _analysis_log_mel(audio)
         recon = latents.frames @ model80.basis + model80.mean
         assert np.max(np.abs(recon - frames)) < 1e-9
 
@@ -47,8 +48,7 @@ class TestFitFrontend:
 
         from rvqlab.frontend import _analysis_log_mel
 
-        fb = model.filterbank()
-        frames = np.vstack([_analysis_log_mel(c, model.stft_config, fb, model.floor) for c in clips])
+        frames = np.vstack([_analysis_log_mel(c) for c in clips])
         centered = frames - frames.mean(axis=0)
         cov = centered.T @ centered / frames.shape[0]
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
@@ -111,11 +111,9 @@ class TestEncodeLatent:
         from rvqlab.frontend import _analysis_log_mel
 
         x = speech_like(0.5, 24000, 58, level=0.5)
-        fb = model64.filterbank()
-        config, floor = model64.stft_config, model64.floor
-        a = _analysis_log_mel(AudioBuffer(x, 24000), config, fb, floor)
-        b = _analysis_log_mel(AudioBuffer(0.5 * x, 24000), config, fb, floor)
-        unfloored = a > np.log(model64.floor) + np.log(2.0) + 1e-9
+        a = _analysis_log_mel(AudioBuffer(x, 24000))
+        b = _analysis_log_mel(AudioBuffer(0.5 * x, 24000))
+        unfloored = a > np.log(LOG_FLOOR) + np.log(2.0) + 1e-9
         np.testing.assert_allclose(
             (b - a)[unfloored], np.log(0.5), atol=1e-9
         )
@@ -152,7 +150,7 @@ class TestDecodeLatent:
         assert np.mean(scores) > 0.85
 
     def test_floor_latents_near_silence(self, model64):
-        floor_frame = (np.full(80, np.log(model64.floor)) - model64.mean) @ model64.basis.T
+        floor_frame = (np.full(80, np.log(LOG_FLOOR)) - model64.mean) @ model64.basis.T
         latents = LatentSequence(np.tile(floor_frame, (30, 1)))
         out = decode_latent(model64, latents, gl_iterations=8)
         assert np.sqrt(np.mean(out.samples**2)) < 1e-3

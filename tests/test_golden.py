@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 import golden
@@ -7,17 +5,10 @@ from rvqlab.evalstats import PESQ_TOOL_ENV
 
 
 def test_toy_model_outputs_match_golden_digests(toy_model, toy_corpus, tmp_path, monkeypatch):
-    stored = json.loads(golden.GOLDEN.read_text())
-    here = golden.fingerprint()
-    fields = golden.differing(stored["fingerprint"], here)
-    if fields:
-        pytest.skip(
-            "golden digests were written on another platform; differing fingerprint fields: "
-            + ", ".join(f"{k} ({stored['fingerprint'].get(k)} vs {here.get(k)})" for k in fields)
-        )
+    reason = golden.platform_mismatch()
+    if reason:
+        pytest.skip(reason)
     monkeypatch.delenv(PESQ_TOOL_ENV, raising=False)
-    moved = golden.differing(stored["digests"], golden.compute_digests(toy_model[0], toy_corpus, tmp_path))
-    assert not moved, (
-        f"golden digests moved: {', '.join(moved)}; if intended, run "
-        "`python tests/golden.py --write` and name the digests and the reason in CHANGES.md"
-    )
+    model_path, _, summary = toy_model
+    moved = golden.moved(golden.compute_digests(model_path, summary, toy_corpus, tmp_path))
+    assert not moved, f"golden digests moved: {', '.join(moved)}; {golden.REWRITE_HINT}"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqlab.errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
-from rvqlab.frontend import LatentSequence
+from rvqlab.frontend import FRAME_RATE, LatentSequence
 from rvqlab.rvq import (
     _LLOYD_MAX_ITER,
     _LLOYD_REL_TOL,
@@ -241,7 +241,7 @@ class TestQuantize:
     def test_rate_example(self):
         # q=4 at 75 Hz, 10-bit codebooks: 300 tokens/s, 3000 bps.
         config = RvqConfig(n_stages=4, codebook_size=1024, code_dim=8, latent_dim=64)
-        assert 4 * config.frame_rate == 300
+        assert 4 * FRAME_RATE == 300
         assert bitrate(config, 4) == 3000
 
     def test_q_out_of_range(self, small_model):
