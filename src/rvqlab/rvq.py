@@ -175,6 +175,26 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _best_columns(block: np.ndarray, centers_t: np.ndarray):
+    """(argmax, max) of each row of block @ centers_t, ties to the lowest column.
+
+    The sims block lives only inside this call, so at most one is alive.
+    """
+    sims = block @ centers_t
+    local = np.argmax(sims, axis=1)
+    return local, sims[np.arange(local.size), local]
+
+
+def _two_or_more(idx: np.ndarray, total: int) -> np.ndarray:
+    """idx, with a lone index repeated when it is a proper subset of range(total).
+
+    numpy sends a 1-row or 1-column product to gemv, whose rounding may
+    differ from the gemm blocks of the full product; two equal rows or
+    columns keep the subset on gemm and change no argmax or max.
+    """
+    return np.repeat(idx, 2) if idx.size == 1 < total else idx
+
+
 def kmeans_unit(points: np.ndarray, k: int, seed: int):
     """Spherical k-means on (mostly unit-norm) points.
 
@@ -183,9 +203,35 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     data.  Empty clusters are re-seeded with the point currently farthest
     from its centroid, worst first.
 
+    Exactness contract: assignments, best similarities, centroids and history
+    equal, to the bit, those of recomputing the full points @ centroids.T
+    product in every iteration.  A product entry depends only on its row and
+    column, so row and column subsets of the product are bit-equal to it.
+    After the first iteration only centroids whose bytes changed in the
+    update ("moved", -0/+0 flips included) are looked at again: a point whose
+    own centroid moved gets its full row recomputed; any other point keeps its
+    stored best similarity, which is the exact maximum over the unmoved
+    columns, and compares it with its row of the moved columns only.  A moved
+    column j replaces the stored best when its value is larger, or equal with
+    j below the stored index, which is argmax's lowest-index tie rule.  A lone
+    row or column of a subset is repeated (_two_or_more), so no subset
+    product goes to gemv.
+
+    Raises:
+        InvalidConfig: k is not a positive integer or seed not a nonnegative one.
+        InvalidInput: points is not a nonempty N x d array of finite values.
+
     Returns:
         (centroids, assignments, distortion_history)
     """
+    for name, value, low in (("k", k, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    points = np.asarray(points)
+    if points.ndim != 2 or points.size == 0:
+        raise InvalidInput(f"points must be a nonempty N x d array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInput("points contain non-finite values")
     rng = np.random.default_rng(seed)
     centers = _normalize_rows(_kmeans_pp_init(points, k, rng))
     sq_norms = np.sum(points**2, axis=1)
@@ -193,22 +239,33 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     # Cap the sims block at ~32 MB with equal chunks.  A 4096 x 1024 float64
     # block is exactly 32 MiB, which glibc always serves with a fresh mmap
     # (and page faults) per chunk; equal chunks just below the cap are reused
-    # from the heap after the first free.  Row subsets of the product are
-    # bit-equal to the full product, so the chunking does not change results.
+    # from the heap after the first free.
     n_chunks = -(-(n * k) // (1 << 22))
     chunk = -(-n // n_chunks)
     history = []
     prev = None
-    assign = np.empty(n, dtype=np.int64)
+    assign = np.zeros(n, dtype=np.int64)
     best_sim = np.empty(n)
+    moved = np.ones(k, dtype=bool)
     for _ in range(_LLOYD_MAX_ITER):
         centers_t = centers.T.copy()
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            sims = points[start:stop] @ centers_t
-            local = np.argmax(sims, axis=1)
-            assign[start:stop] = local
-            best_sim[start:stop] = sims[np.arange(stop - start), local]
+        own_moved = moved[assign]
+        full = np.flatnonzero(own_moved)
+        for start in range(0, full.size, chunk):
+            rows = _two_or_more(full[start : start + chunk], n)
+            assign[rows], best_sim[rows] = _best_columns(points[rows], centers_t)
+        cols = _two_or_more(np.flatnonzero(moved), k)
+        # With no moved column every stored best stands (and full is empty).
+        rest = np.flatnonzero(~own_moved) if cols.size else full
+        moved_t = centers_t[:, cols]
+        for start in range(0, rest.size, chunk):
+            rows = _two_or_more(rest[start : start + chunk], n)
+            local, sim = _best_columns(points[rows], moved_t)
+            cand = cols[local]
+            best = best_sim[rows]
+            take = (sim > best) | ((sim == best) & (cand < assign[rows]))
+            assign[rows[take]] = cand[take]
+            best_sim[rows[take]] = sim[take]
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)
@@ -216,6 +273,7 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
             break
         prev = distortion
 
+        before = centers.copy()
         counts = np.bincount(assign, minlength=k)
         sums = np.column_stack(
             [np.bincount(assign, weights=points[:, j], minlength=k) for j in range(dim)]
@@ -233,6 +291,7 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
             worst = np.argsort(dists)[::-1]
             for slot, point_idx in zip(empty, worst[: empty.size]):
                 centers[slot] = _normalize_rows(points[point_idx : point_idx + 1])[0]
+        moved = np.any(centers.view(np.uint64) != before.view(np.uint64), axis=1)
     return centers, assign, history
 
 

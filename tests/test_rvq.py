@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvqlab import rvq
 from rvqlab.errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.frontend import FRAME_RATE, LatentSequence
 from rvqlab.rvq import (
@@ -91,6 +92,17 @@ def _unit_points(n, dim, seed):
     return _normalize_rows(np.random.default_rng(seed).standard_normal((n, dim)))
 
 
+def _lattice_points(n, seed, high=3):
+    """n 2-D points with small nonnegative integer coordinates, none zero.
+
+    Their directions repeat, so centroids coincide to the bit and a moved
+    centroid often ties exactly with an unmoved one.
+    """
+    points = np.random.default_rng(seed).integers(0, high + 1, (n, 2)).astype(float)
+    points[np.all(points == 0, axis=1), 0] = 1.0
+    return points
+
+
 @pytest.fixture(scope="module")
 def small_model():
     data = _gaussian_latents(2000, 16, seed=1)
@@ -166,6 +178,29 @@ class TestTrainRvq:
             RvqConfig(n_stages=4, code_dim=80, latent_dim=64)
 
 
+class TestKmeansRejects:
+    """kmeans_unit raises typed errors before seeding, never numpy's."""
+
+    @pytest.mark.parametrize(
+        "points, k, seed, error",
+        [
+            (_unit_points(50, 4, seed=0), 0, 0, InvalidConfig),
+            (_unit_points(50, 4, seed=0), -1, 0, InvalidConfig),
+            (_unit_points(50, 4, seed=0), 2.5, 0, InvalidConfig),
+            (_unit_points(50, 4, seed=0), 4, -1, InvalidConfig),
+            (np.empty((0, 4)), 4, 0, InvalidInput),
+            (np.ones(8), 2, 0, InvalidInput),
+            (np.where(np.arange(50)[:, None] == 7, np.nan, _unit_points(50, 4, seed=0)), 4, 0,
+             InvalidInput),
+        ],
+        ids=["k-zero", "k-negative", "k-fractional", "seed-negative", "no-points", "one-d",
+             "nan-row"],
+    )
+    def test_typed_errors(self, points, k, seed, error):
+        with pytest.raises(error):
+            kmeans_unit(points, k, seed)
+
+
 class TestKmeansMatchesReference:
     """kmeans_unit returns the reference's centroids, assignments and history to the bit."""
 
@@ -173,8 +208,8 @@ class TestKmeansMatchesReference:
     def _assert_same(points, k, seed):
         want = _reference_kmeans_unit(points, k, seed)
         got = kmeans_unit(points, k, seed)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for g, w in zip(got[:2], want[:2]):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
         assert got[2] == want[2]
 
     @pytest.mark.parametrize("dim", [1, 3, 8, 13])
@@ -190,6 +225,59 @@ class TestKmeansMatchesReference:
         points[::3] = points[0]
         points[1::7] = points[5]
         self._assert_same(points, 64, seed=6)
+
+    def test_ties_between_moved_and_unmoved_centroids(self):
+        # Several of these seeds need the lowest-index tie rule between a
+        # moved column and a point's stored best to match.
+        for seed in range(20):
+            self._assert_same(_lattice_points(30, seed), 8, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_empty_cluster_reseeds(self, seed):
+        # 6 distinct points for 40 centroids: empty clusters every iteration.
+        points = np.repeat(_unit_points(6, 8, seed=seed), 10, axis=0)
+        self._assert_same(points, 40, seed)
+
+    @pytest.mark.parametrize("seed", [11, 14, 27, 30])
+    def test_antipodal_degenerate_cluster(self, seed):
+        # A zero centroid (from the zero row) ties with e1 on the pair +-e2,
+        # so its members cancel and it keeps its previous centroid.
+        points = np.array([[0, 0], [1, 0], [1, 0], [1, 0], [0, 1], [0, -1]], dtype=float)
+        self._assert_same(points, 2, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_rows(self, seed):
+        points = _unit_points(60, 4, seed=seed)
+        points[::4] = 0.0
+        self._assert_same(points, 16, seed)
+
+    @pytest.mark.parametrize(
+        "points, k, seed",
+        [
+            (_lattice_points(30, 8), 8, 8),  # an iteration where one centroid moved
+            (_unit_points(30, 2, seed=9), 5, 9),  # an iteration with one candidate row
+        ],
+        ids=["one-moved-centroid", "one-candidate-row"],
+    )
+    def test_subset_products_never_use_gemv(self, monkeypatch, points, k, seed):
+        # numpy sends a 1-row or 1-column product to gemv, whose rounding may
+        # differ from gemm's: every product must have two rows and two columns.
+        calls = []
+        best_columns = rvq._best_columns
+
+        def spy(block, centers_t):
+            calls.append((block, centers_t))
+            return best_columns(block, centers_t)
+
+        monkeypatch.setattr(rvq, "_best_columns", spy)
+        self._assert_same(points, k, seed)
+        assert all(block.shape[0] >= 2 and cols.shape[1] >= 2 for block, cols in calls)
+        # The case really has a lone row or a lone moved column, repeated.
+        assert any(
+            (block.shape[0] == 2 and np.array_equal(block[0], block[1]))
+            or (cols.shape[1] == 2 and np.array_equal(cols[:, 0], cols[:, 1]))
+            for block, cols in calls
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(
