@@ -5,6 +5,10 @@ Header (little-endian, 19 bytes):
     magic[4] = "RVQS", version u16, sample_rate u32, frame_rate u16,
     K u16, q u8, T u32
 
+The codec runs at one geometry, so sample_rate and frame_rate are always
+24000 and 75: :func:`pack` writes them and :func:`unpack` rejects any other
+pair as SampleRateMismatch.
+
 Payload: one code per (frame, stage), frame-major then stage-major, each
 log2(K) bits wide, LSB-first within the bit buffer, zero-padded to a byte
 boundary.  A q' <= q prefix of every stream is itself a valid stream.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +25,10 @@ from .errors import (
     CorruptPadding,
     InvalidInput,
     NotABitstream,
+    SampleRateMismatch,
     Truncated,
 )
+from .frontend import FRAME_RATE, SAMPLE_RATE
 from .rvq import TokenStream
 
 MAGIC = b"RVQS"
@@ -32,34 +37,13 @@ _HEADER_FMT = "<4sHIHHBI"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 19 bytes
 
 
-@dataclass(frozen=True)
-class StreamHeader:
-    sample_rate: int
-    frame_rate: int
-    codebook_size: int
-    n_stages: int
-    n_frames: int
-    version: int = VERSION
-
-    def __post_init__(self):
-        if self.codebook_size < 2 or self.codebook_size & (self.codebook_size - 1):
-            raise NotABitstream(f"header K={self.codebook_size} is not a power of two")
-        if self.n_stages < 1:
-            raise NotABitstream(f"header q={self.n_stages} must be >= 1")
-        if self.sample_rate <= 0 or self.frame_rate <= 0:
-            raise NotABitstream("header rates must be positive")
-
-    @property
-    def bits_per_code(self) -> int:
-        return int(math.log2(self.codebook_size))
-
-    @property
-    def payload_bits(self) -> int:
-        return self.n_frames * self.n_stages * self.bits_per_code
-
-    @property
-    def payload_bytes(self) -> int:
-        return (self.payload_bits + 7) // 8
+def _bits_per_code(k: int, q: int) -> int:
+    """log2(K) of a stream with K entries per codebook and q stages."""
+    if k < 2 or k & (k - 1):
+        raise NotABitstream(f"header K={k} is not a power of two")
+    if q < 1:
+        raise NotABitstream(f"header q={q} must be >= 1")
+    return int(math.log2(k))
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> bytes:
@@ -79,35 +63,27 @@ def _unpack_codes(payload: bytes, bits: int, count: int) -> np.ndarray:
     return (code_bits << np.arange(bits, dtype=np.uint32)).sum(axis=1)
 
 
-def pack(tokens: TokenStream, sample_rate: int) -> bytes:
+def pack(tokens: TokenStream) -> bytes:
     """Serialize a token stream; size = 19 + ceil(T*q*log2(K)/8) bytes."""
-    if sample_rate <= 0:
-        raise InvalidInput(f"sample_rate must be positive, got {sample_rate}")
     k = tokens.codebook_size
     if tokens.frames.size and int(tokens.frames.max()) >= k:
         raise InvalidInput(f"token index {int(tokens.frames.max())} overflows K={k}")
-    header = StreamHeader(
-        sample_rate=sample_rate,
-        frame_rate=tokens.frame_rate,
-        codebook_size=k,
-        n_stages=tokens.n_stages,
-        n_frames=tokens.n_frames,
-    )
+    bits = _bits_per_code(k, tokens.n_stages)
     head = struct.pack(
-        _HEADER_FMT,
-        MAGIC,
-        VERSION,
-        header.sample_rate,
-        header.frame_rate,
-        header.codebook_size,
-        header.n_stages,
-        header.n_frames,
+        _HEADER_FMT, MAGIC, VERSION, SAMPLE_RATE, FRAME_RATE, k, tokens.n_stages, tokens.n_frames
     )
-    return head + _pack_codes(tokens.frames.ravel(), header.bits_per_code)
+    return head + _pack_codes(tokens.frames.ravel(), bits)
 
 
-def unpack(data: bytes) -> tuple[StreamHeader, TokenStream]:
-    """Parse a stream; inverse of :func:`pack` on every field."""
+def unpack(data: bytes) -> TokenStream:
+    """Parse a stream; inverse of :func:`pack`.
+
+    Raises:
+        NotABitstream: bad magic, version, K or q.
+        SampleRateMismatch: rates other than 24000 Hz and 75 frames/s.
+        Truncated: a length other than the header implies.
+        CorruptPadding: nonzero padding bits.
+    """
     if len(data) < HEADER_SIZE:
         if len(data) < 4 or data[:4] != MAGIC:
             raise NotABitstream("too short to hold a stream header")
@@ -117,33 +93,24 @@ def unpack(data: bytes) -> tuple[StreamHeader, TokenStream]:
         raise NotABitstream(f"bad magic {magic!r}")
     if version != VERSION:
         raise NotABitstream(f"unsupported stream version {version}")
-    header = StreamHeader(
-        sample_rate=sample_rate,
-        frame_rate=frame_rate,
-        codebook_size=k,
-        n_stages=q,
-        n_frames=t,
-    )
-    payload = data[HEADER_SIZE:]
-    if len(payload) != header.payload_bytes:
-        raise Truncated(HEADER_SIZE + header.payload_bytes, len(data))
-    codes = _unpack_codes(payload, header.bits_per_code, t * q)
-    tokens = TokenStream(
-        codes.reshape(t, q), codebook_size=k, frame_rate=frame_rate
-    )
-    return header, tokens
+    bits = _bits_per_code(k, q)
+    if (sample_rate, frame_rate) != (SAMPLE_RATE, FRAME_RATE):
+        raise SampleRateMismatch(
+            f"stream is {sample_rate} Hz at {frame_rate} frames/s, "
+            f"the codec expects {SAMPLE_RATE} Hz at {FRAME_RATE} frames/s"
+        )
+    size = HEADER_SIZE + (t * q * bits + 7) // 8
+    if len(data) != size:
+        raise Truncated(size, len(data))
+    codes = _unpack_codes(data[HEADER_SIZE:], bits, t * q)
+    return TokenStream(codes.reshape(t, q), codebook_size=k)
 
 
 def prefix(data: bytes, n_stages: int) -> bytes:
     """Re-pack a stream keeping only the first n_stages codes per frame."""
-    header, tokens = unpack(data)
-    if not 1 <= n_stages <= header.n_stages:
+    tokens = unpack(data)
+    if not 1 <= n_stages <= tokens.n_stages:
         raise InvalidInput(
-            f"prefix stages must be in [1, {header.n_stages}], got {n_stages}"
+            f"prefix stages must be in [1, {tokens.n_stages}], got {n_stages}"
         )
-    trimmed = TokenStream(
-        tokens.frames[:, :n_stages],
-        codebook_size=header.codebook_size,
-        frame_rate=header.frame_rate,
-    )
-    return pack(trimmed, header.sample_rate)
+    return pack(TokenStream(tokens.frames[:, :n_stages], tokens.codebook_size))

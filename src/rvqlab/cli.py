@@ -133,8 +133,8 @@ def _cmd_train(args) -> None:
 
 def _cmd_encode(args) -> None:
     model = container.load(args.model)
-    audio, _, tokens = codec.encode(model, read_wav(args.wav_in), args.stages)
-    data = bitstream.pack(tokens, audio.sample_rate)
+    _, _, tokens = codec.encode(model, read_wav(args.wav_in), args.stages)
+    data = bitstream.pack(tokens)
     with open(args.out, "wb") as fh:
         fh.write(data)
     rate = bitrate(model.rvq.config, args.stages)
@@ -153,8 +153,8 @@ def _cmd_decode(args) -> None:
     model = container.load(args.model)
     with open(args.stream_in, "rb") as fh:
         data = fh.read()
-    header, tokens = codec.unpack_stream(data)
-    stages = args.stages if args.stages is not None else header.n_stages
+    tokens = bitstream.unpack(data)
+    stages = args.stages if args.stages is not None else tokens.n_stages
     _, audio = codec.decode(model, tokens, stages, args.gl_iterations)
     write_wav(args.wav_out, audio, encoding="float32")
     payload = {
@@ -164,7 +164,7 @@ def _cmd_decode(args) -> None:
         "stages_used": stages,
     }
     _emit(args, payload, f"wrote {args.wav_out}: {len(audio)} samples at {audio.sample_rate} Hz "
-                         f"({stages} of {header.n_stages} stages)")
+                         f"({stages} of {tokens.n_stages} stages)")
 
 
 def _cmd_eval(args) -> None:

@@ -1,18 +1,17 @@
 """The codec pipeline over a ModelContainer, audio -> tokens -> audio.
 
 CLI encode/decode and run_evaluation all run these functions, so the
-evaluation grid scores exactly what `rvqlab encode`/`decode` emit.
+evaluation grid scores exactly what `rvqlab encode`/`decode` emit.  The
+`.rvqs` serialization, with its rate check, is left to rvqlab.bitstream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import unpack
 from .container import ModelContainer
 from .dsp import AudioBuffer, resample
-from .errors import SampleRateMismatch
-from .frontend import FRAME_RATE, SAMPLE_RATE, decode_latent, encode_latent
+from .frontend import SAMPLE_RATE, decode_latent, encode_latent
 from .rvq import TokenStream, dequantize, quantize
 
 
@@ -31,13 +30,3 @@ def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterati
     audio = decode_latent(model.frontend, latents, gl_iterations)
     return latents, AudioBuffer(audio.samples.astype(np.float32).astype(np.float64), audio.sample_rate)
 
-
-def unpack_stream(data: bytes):
-    """bitstream.unpack, raising SampleRateMismatch unless the header's rates are the codec's."""
-    header, tokens = unpack(data)
-    if (header.sample_rate, header.frame_rate) != (SAMPLE_RATE, FRAME_RATE):
-        raise SampleRateMismatch(
-            f"stream is {header.sample_rate} Hz at {header.frame_rate} frames/s, "
-            f"the codec expects {SAMPLE_RATE} Hz at {FRAME_RATE} frames/s"
-        )
-    return header, tokens

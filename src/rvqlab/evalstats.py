@@ -45,12 +45,7 @@ class MetricReport:
         return self.rows[(test_set, metric, system)][q]
 
     def row_keys(self):
-        def order(key):
-            test_set, metric, system = key
-            rank = _METRIC_ORDER.index(metric) if metric in _METRIC_ORDER else len(_METRIC_ORDER)
-            return (test_set, rank, metric, system)
-
-        return sorted(self.rows, key=order)
+        return sorted(self.rows, key=lambda key: (key[0], _METRIC_ORDER.index(key[1]), key[2]))
 
 
 @dataclass(frozen=True)
@@ -311,7 +306,8 @@ def _format_value(value) -> str:
 
 
 def render_report(report, fmt: str = "markdown") -> str:
-    """Deterministic text rendering of a MetricReport or MUSHRA summaries."""
+    """Deterministic text rendering of a MetricReport or a (MUSHRA summaries,
+    significance results) pair."""
     if fmt not in ("markdown", "csv"):
         raise InvalidInput(f"unknown format {fmt!r}")
     if isinstance(report, MetricReport):
@@ -332,7 +328,7 @@ def _render_metric_report(report: MetricReport, fmt: str) -> str:
 
 
 def _render_mushra(payload, fmt: str) -> str:
-    summaries, results = payload if isinstance(payload, tuple) else (payload, [])
+    summaries, results = payload
     headers = ["system", "mean", "ci_low", "ci_high", "n", "p_vs_reference", "significant", "method"]
     p_by_system = {r.system: r for r in results}
     rows = []

@@ -21,6 +21,9 @@ from .frontend import FRAME_RATE, LatentSequence, _principal_basis
 
 _LLOYD_MAX_ITER = 100
 _LLOYD_REL_TOL = 1e-6
+# Absolute floor of the stop test: an exact fit's distortion is rounding
+# noise around zero, which a tolerance relative to it never covers.
+_LLOYD_ABS_TOL = 1e-12
 _NORM_EPS = 1e-12
 
 
@@ -83,7 +86,6 @@ class TokenStream:
 
     frames: np.ndarray
     codebook_size: int
-    frame_rate: int = FRAME_RATE
 
     def __post_init__(self):
         frames = np.asarray(self.frames)
@@ -269,7 +271,7 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)
-        if prev is not None and abs(prev - distortion) <= _LLOYD_REL_TOL * max(prev, _NORM_EPS):
+        if prev is not None and abs(prev - distortion) <= max(_LLOYD_REL_TOL * prev, _LLOYD_ABS_TOL):
             break
         prev = distortion
 

@@ -77,11 +77,11 @@ def test_criterion_2_bitstream_roundtrip_and_fuzz():
             t = int(rng.integers(0, 501))
             q = int(rng.integers(1, 33))
             tokens = TokenStream(rng.integers(0, 1024, (t, q)), codebook_size=1024)
-            data = bitstream.pack(tokens, 24000)
-            header, back = bitstream.unpack(data)
+            data = bitstream.pack(tokens)
+            back = bitstream.unpack(data)
             assert np.array_equal(back.frames, tokens.frames)
-            assert header.n_frames == t and header.n_stages == q
-            assert bitstream.pack(back, 24000) == data
+            assert back.n_frames == t and back.n_stages == q
+            assert bitstream.pack(back) == data
 
         for i in range(10_000):
             length = int(rng.integers(0, 120))
@@ -252,9 +252,9 @@ def test_criterion_9_container_and_prefix_roundtrips(toy_model, tmp_path):
 
         latents = encode_latent(model.frontend, audio)
         tokens = quantize(model.rvq, latents, 4)
-        data = bitstream.pack(tokens, 24000)
+        data = bitstream.pack(tokens)
         for q_prefix in (1, 2, 3, 4):
-            _, prefix_tokens = bitstream.unpack(bitstream.prefix(data, q_prefix))
+            prefix_tokens = bitstream.unpack(bitstream.prefix(data, q_prefix))
             via_prefix = dequantize(model.rvq, prefix_tokens, q_prefix)
             direct = dequantize(model.rvq, tokens, q_prefix)
             assert np.array_equal(via_prefix.frames, direct.frames)

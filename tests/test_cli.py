@@ -1,10 +1,13 @@
 import json
+import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import rvqlab
 from rvqlab import bitstream, container
 from rvqlab.cli import main
 from rvqlab.datapipe import load_manifest
@@ -167,7 +170,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(0)
         alien = TokenStream(rng.integers(0, 1024, (10, 2)), codebook_size=1024)
         path = tmp_path / "alien.rvqs"
-        path.write_bytes(bitstream.pack(alien, 24000))
+        path.write_bytes(bitstream.pack(alien))
         code, _, err = _run(
             capsys, ["decode", "--model", str(model_path), str(path), str(tmp_path / "o.wav")]
         )
@@ -203,9 +206,9 @@ class TestEncodeDecode:
         model_path, _, _ = toy_model
         stream = tmp_path / "s.rvqs"
         _run(capsys, ["encode", "--model", str(model_path), str(one_second_wav), "-q", "2", str(stream)])
-        _, tokens = bitstream.unpack(stream.read_bytes())
-        forged = TokenStream(tokens.frames, tokens.codebook_size, frame_rate=frame_rate)
-        stream.write_bytes(bitstream.pack(forged, sample_rate))
+        forged = bytearray(stream.read_bytes())
+        struct.pack_into("<IH", forged, 6, sample_rate, frame_rate)  # the header's rate fields
+        stream.write_bytes(forged)
         wav_out = tmp_path / "o.wav"
         code, _, err = _run(
             capsys, ["decode", "--model", str(model_path), str(stream), str(wav_out)]
@@ -339,10 +342,15 @@ class TestMushra:
 
 
 def test_module_entrypoint_smoke(toy_corpus):
+    # The child imports the rvqlab package this process imported, also when
+    # only pytest's own pythonpath setting put src/ on sys.path.
+    package_root = os.path.dirname(os.path.dirname(rvqlab.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rvqlab.cli", "validate", str(toy_corpus)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "12 files" in proc.stdout

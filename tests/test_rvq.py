@@ -7,6 +7,7 @@ from rvqlab import rvq
 from rvqlab.errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.frontend import FRAME_RATE, LatentSequence
 from rvqlab.rvq import (
+    _LLOYD_ABS_TOL,
     _LLOYD_MAX_ITER,
     _LLOYD_REL_TOL,
     _NORM_EPS,
@@ -68,7 +69,7 @@ def _reference_kmeans_unit(points, k, seed):
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)
-        if prev is not None and abs(prev - distortion) <= _LLOYD_REL_TOL * max(prev, _NORM_EPS):
+        if prev is not None and abs(prev - distortion) <= max(_LLOYD_REL_TOL * prev, _LLOYD_ABS_TOL):
             break
         prev = distortion
         counts = np.bincount(assign, minlength=k)
@@ -140,6 +141,14 @@ class TestTrainRvq:
             _, _, history = kmeans_unit(points, 32, seed=seed)
             history = np.asarray(history)
             assert np.all(np.diff(history) <= 1e-9 * np.maximum(history[:-1], 1e-30))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_fit_stops(self, seed):
+        # 6 distinct points for 40 centroids fit exactly: every distortion is
+        # rounding noise around zero, so the second iteration must stop.
+        points = np.repeat(_unit_points(6, 8, seed=seed), 10, axis=0)
+        _, _, history = kmeans_unit(points, 40, seed)
+        assert len(history) == 2
 
     def test_insufficient_data(self):
         config = RvqConfig(n_stages=1, codebook_size=1024, code_dim=8, latent_dim=16, seed=0)
