@@ -64,8 +64,14 @@ def _unpack_codes(payload: bytes, bits: int, count: int) -> np.ndarray:
 
 
 def pack(tokens: TokenStream) -> bytes:
-    """Serialize a token stream; size = 19 + ceil(T*q*log2(K)/8) bytes."""
+    """Serialize a token stream; size = 19 + ceil(T*q*log2(K)/8) bytes.
+
+    Raises InvalidInput for a K or q that the header's u16 K and u8 q fields
+    cannot hold, or for a token index >= K.
+    """
     k = tokens.codebook_size
+    if k > 0xFFFF or tokens.n_stages > 0xFF:
+        raise InvalidInput(f"the stream header holds K <= 65535 and q <= 255, got K={k}, q={tokens.n_stages}")
     if tokens.frames.size and int(tokens.frames.max()) >= k:
         raise InvalidInput(f"token index {int(tokens.frames.max())} overflows K={k}")
     bits = _bits_per_code(k, tokens.n_stages)

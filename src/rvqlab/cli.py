@@ -172,7 +172,7 @@ def _cmd_eval(args) -> None:
     manifests = {}
     for item in args.test:
         if "=" not in item:
-            raise RvqLabError(f"--test expects NAME=MANIFEST, got {item!r}")
+            raise InvalidInput(f"--test expects NAME=MANIFEST, got {item!r}")
         name, path = item.split("=", 1)
         manifests[name] = load_manifest(path)
     try:
@@ -207,7 +207,7 @@ def _cmd_mushra(args) -> None:
     for record in records:
         by_system.setdefault(record.system, []).append(record.score)
     if args.reference not in by_system:
-        raise RvqLabError(
+        raise InvalidInput(
             f"reference system {args.reference!r} not present in {sorted(by_system)}"
         )
     reference_scores = by_system[args.reference]

@@ -23,6 +23,7 @@ import numpy as np
 from .dsp import AudioBuffer, resample
 from .errors import (
     EmptyCategory,
+    EmptyInput,
     InvalidConfig,
     MissingFile,
     NotDivisible,
@@ -147,6 +148,8 @@ def summarize_manifest(entries) -> dict:
 
 def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
     n = len(audio)
+    if n == 0:
+        raise EmptyInput("cannot cut an excerpt from empty audio")
     if n == length:
         return audio, 0
     if n > length:
@@ -155,8 +158,7 @@ def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
         samples = audio.samples[offset : offset + length].copy()
         return AudioBuffer(samples, audio.sample_rate), offset
     # Shorter sources are reflect-padded out to the excerpt length.
-    mode = "reflect" if n > 1 else "edge"
-    padded = np.pad(audio.samples, (0, length - n), mode=mode)
+    padded = np.pad(audio.samples, (0, length - n), mode="reflect")
     return AudioBuffer(padded, audio.sample_rate), 0
 
 

@@ -54,10 +54,6 @@ class AudioBuffer:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -150,10 +146,7 @@ def stft(audio: AudioBuffer, config: StftConfig) -> Spectrogram:
     """
     if len(audio) == 0:
         raise EmptyInput("cannot compute STFT of empty audio")
-    pad = config.fft_size // 2
-    x = np.pad(audio.samples, pad, mode="reflect") if len(audio) > 1 else np.pad(
-        audio.samples, pad, mode="edge"
-    )
+    x = np.pad(audio.samples, config.fft_size // 2, mode="reflect")
     return Spectrogram(_windowed_rfft(x, config), config, audio.sample_rate)
 
 
@@ -223,43 +216,34 @@ def istft(spec: Spectrogram) -> AudioBuffer:
 
 
 @functools.lru_cache(maxsize=32)
-def mel_filterbank(
-    sample_rate: int, fft_size: int, n_mels: int, f_min: float, f_max: float
-) -> MelFilterbank:
-    """Build triangular filters with centers equally spaced on the mel scale.
+def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
+    """Build triangular filters with centers equally spaced on the mel scale
+    over the full band, 0 Hz to sample_rate/2.
 
     Args:
         sample_rate: Hz of the signals the bank will analyze.
         fft_size: FFT size of the magnitude spectrogram it applies to.
         n_mels: number of filters (>= 1).
-        f_min, f_max: band limits, 0 <= f_min < f_max <= sample_rate/2.
 
     Banks are cached on their arguments and shared by every caller, so their
     weights and center_freqs are read-only.
 
     Raises:
-        InvalidConfig: if the band edges are inconsistent or a filter would
-            cover no FFT bin (too many mels for the available resolution).
+        InvalidConfig: if n_mels < 1 or a filter would cover no FFT bin (too
+            many mels for the available resolution).
     """
     if n_mels < 1:
         raise InvalidConfig(f"n_mels must be >= 1, got {n_mels}")
-    if not (0 <= f_min < f_max <= sample_rate / 2):
-        raise InvalidConfig(
-            f"need 0 <= f_min < f_max <= sample_rate/2, got [{f_min}, {f_max}] at {sample_rate} Hz"
-        )
     n_bins = fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * (sample_rate / fft_size)
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), n_mels + 2))
     weights = np.zeros((n_mels, n_bins))
     for i in range(n_mels):
         lower = (fft_freqs - edges[i]) / max(edges[i + 1] - edges[i], 1e-12)
         upper = (edges[i + 2] - fft_freqs) / max(edges[i + 2] - edges[i + 1], 1e-12)
         weights[i] = np.maximum(0.0, np.minimum(lower, upper))
     if np.any(weights.max(axis=1) <= 0.0):
-        raise InvalidConfig(
-            f"{n_mels} mel filters leave empty rows for fft_size {fft_size}; "
-            "reduce n_mels or widen [f_min, f_max]"
-        )
+        raise InvalidConfig(f"{n_mels} mel filters leave empty rows for fft_size {fft_size}")
     centers = edges[1:-1].copy()
     weights.flags.writeable = False
     centers.flags.writeable = False

@@ -29,6 +29,7 @@ _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
 _ABSENT = "—"  # em dash renders unconfigured cells
 _SYSTEM = "rvq"  # the system column of every evaluation row
 PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
+_MAX_FAILURE_RATE = 0.01  # share of files that may fail before a run does
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,6 @@ def run_evaluation(
     test_manifests: dict,
     q_list,
     gl_iterations: int = 32,
-    pesq_tool: str | None = None,
-    max_failure_rate: float = 0.01,
 ) -> MetricReport:
     """Score the codec on every test file at every stage count.
 
@@ -92,8 +91,9 @@ def run_evaluation(
     Each file runs through codec.encode and codec.decode, the pipeline of
     the CLI's encode and decode, so CLI-side metrics reproduce these
     numbers exactly.  Per-file failures are recorded and skipped; the run
-    fails only if more than max_failure_rate of files do.  pesq_tool
-    defaults to $RVQLAB_PESQ_TOOL; the tool used is recorded in the config.
+    raises EvaluationFailed only if more than 1% of files fail.  PESQ is
+    scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
+    recorded in the config.
     """
     q_list = sorted(set(int(q) for q in q_list), reverse=True)
     if not q_list:
@@ -106,7 +106,7 @@ def run_evaluation(
         raise InvalidInput(f"q must be >= 1, got {q_list[-1]}")
     if gl_iterations < 1:
         raise InvalidInput(f"gl_iterations must be >= 1, got {gl_iterations}")
-    pesq_tool = pesq_tool or os.environ.get(PESQ_TOOL_ENV)
+    pesq_tool = os.environ.get(PESQ_TOOL_ENV)
 
     rows = {}
     failures = []
@@ -149,9 +149,9 @@ def run_evaluation(
 
     if total_files == 0:
         raise InvalidInput("test manifests contain no files")
-    if len(failures) / total_files > max_failure_rate:
+    if len(failures) / total_files > _MAX_FAILURE_RATE:
         raise EvaluationFailed(
-            f"{len(failures)}/{total_files} files failed (> {max_failure_rate:.0%}): "
+            f"{len(failures)}/{total_files} files failed (> {_MAX_FAILURE_RATE:.0%}): "
             + "; ".join(f[2] for f in failures[:3])
         )
     config = {

@@ -36,6 +36,8 @@ FRAME_RATE = 75
 FFT_SIZE = 1024
 HOP = SAMPLE_RATE // FRAME_RATE  # 320 samples: hop * 75 == sample_rate exactly
 N_MELS = 80
+# The mel bank always spans the full band; .rvqm stores these edges and
+# rejects any others.
 F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
@@ -96,10 +98,10 @@ def _analysis_log_mel(audio: AudioBuffer) -> np.ndarray:
     samples = audio.samples
     if remainder:
         pad = HOP - remainder
-        samples = np.pad(samples, (0, pad), mode="reflect" if n > 1 else "edge")
+        samples = np.pad(samples, (0, pad), mode="reflect")
     spec = stft(AudioBuffer(samples, SAMPLE_RATE), STFT_CONFIG)
     kept = Spectrogram(spec.frames[:-1], STFT_CONFIG, SAMPLE_RATE)  # T = len/hop
-    return log_mel(kept, mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, F_MIN, F_MAX), LOG_FLOOR)
+    return log_mel(kept, mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS), LOG_FLOOR)
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +190,7 @@ def decode_latent(model: FrontendModel, latents: LatentSequence, gl_iterations: 
         )
     logmel = latents.frames @ model.basis + model.mean
     mel_amp = np.exp(logmel)
-    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS, F_MIN, F_MAX).weights
+    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS).weights
     pinv = np.linalg.pinv(weights)  # (n_bins, n_mels)
     mags = np.maximum(mel_amp @ pinv.T, 0.0)
     col_sum = np.maximum(weights.sum(axis=0), 1e-12)

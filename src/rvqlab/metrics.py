@@ -93,7 +93,7 @@ def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     """Sum over scales of the mean L1 distance between log-mel spectrograms."""
     total = 0.0
     for n_mels, a, b in _scale_magnitudes(ref, test):
-        fb = mel_filterbank(a.sample_rate, a.config.fft_size, n_mels, 0.0, a.sample_rate / 2)
+        fb = mel_filterbank(a.sample_rate, a.config.fft_size, n_mels)
         total += float(np.mean(np.abs(log_mel(a, fb, LOSS_FLOOR) - log_mel(b, fb, LOSS_FLOOR))))
     return MetricValue("mel", total, higher_is_better=False)
 

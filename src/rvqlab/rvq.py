@@ -297,18 +297,15 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     return centers, assign, history
 
 
-def train_rvq(latents, config: RvqConfig) -> RvqModel:
-    """Train the stage codebooks by residual k-means.
+def train_rvq(latents: np.ndarray, config: RvqConfig) -> RvqModel:
+    """Train the stage codebooks by residual k-means on an N x latent_dim array.
 
     Each stage fits its input projection to the current residuals, runs
     seeded k-means++ / Lloyd on the normalized projections, folds the
     least-squares reconstruction gain into the output projection, subtracts
     the quantized values, and records the remaining mean squared error.
     """
-    if isinstance(latents, LatentSequence):
-        data = latents.frames
-    else:
-        data = np.asarray(latents, dtype=np.float64)
+    data = np.asarray(latents, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != config.latent_dim:
         raise InvalidInput(
             f"training latents must be N x {config.latent_dim}, got {data.shape}"
@@ -380,10 +377,8 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
     return TokenStream(tokens, model.config.codebook_size)
 
 
-def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int | None = None) -> LatentSequence:
+def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSequence:
     """Sum the first n_stages codeword reconstructions per frame."""
-    if n_stages is None:
-        n_stages = tokens.n_stages
     if not 1 <= n_stages <= tokens.n_stages:
         raise InvalidInput(
             f"n_stages must be in [1, {tokens.n_stages}], got {n_stages}"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -14,20 +13,14 @@ from .frontend import _analysis_log_mel, _fit_log_mel, _project
 from .rvq import RvqConfig, train_rvq
 
 
-def _corpus_hash(manifest, spec: BatchSpec, n_batches: int) -> str:
-    payload = json.dumps(
-        {
-            "entries": [
-                [str(e.path), e.category.value, e.duration, e.sample_rate] for e in manifest
-            ],
-            "batch_size": spec.batch_size,
-            "excerpt_samples": spec.excerpt_samples,
-            "seed": spec.seed,
-            "n_batches": n_batches,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+def _corpus_hash(excerpts, spec: BatchSpec, n_batches: int) -> str:
+    """Hash of what training consumed: the batch settings and every excerpt's
+    samples in training order.  No file path enters it, so one corpus gives
+    one hash, and one .rvqm, wherever it is stored."""
+    h = hashlib.sha256(repr((spec.batch_size, spec.excerpt_samples, spec.seed, n_batches)).encode())
+    for excerpt in excerpts:
+        h.update(np.ascontiguousarray(excerpt.audio.samples, dtype="<f8"))
+    return h.hexdigest()[:16]
 
 
 def _fit_and_encode(excerpts, latent_dim: int, seed: int):
@@ -90,7 +83,7 @@ def train_codec(
         frontend=frontend,
         rvq=rvq_model,
         metadata={
-            "corpus_hash": _corpus_hash(manifest, spec, n_batches),
+            "corpus_hash": _corpus_hash(excerpts, spec, n_batches),
             "seed": str(seed),
             "excerpts": str(len(excerpts)),
             "rvq_frames": str(rvq_latents.shape[0]),

@@ -5,7 +5,7 @@
 
 Rebuilding trains the desk model (Q=32, K=1024), which takes minutes.
 tests/test_golden.py checks the toy digests against the session toy model:
-its container (less its path-dependent corpus_hash) and train_codec
+its container (whose corpus_hash covers excerpt samples, not paths) and train_codec
 summary, the .rvqs of one speech-like clip at 24, 16 and 48 kHz input (so
 the resampler is pinned too), the float32 WAVs decoded from the 24 kHz
 stream at full and prefix q, the eval report as csv, markdown and --json,
@@ -30,7 +30,6 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -109,12 +108,6 @@ def _cli(argv) -> str:
     return out.getvalue()
 
 
-def _location_free_bytes(model) -> bytes:
-    """The container's bytes with its corpus_hash blanked: that hash covers the
-    corpus files' absolute paths, which differ between checkouts and runs."""
-    return container.to_bytes(replace(model, metadata={**model.metadata, "corpus_hash": ""}))
-
-
 def _check_pesq_unset() -> None:
     if os.environ.get(PESQ_TOOL_ENV):
         raise RuntimeError(f"unset {PESQ_TOOL_ENV}: eval records the PESQ tool it used")
@@ -140,7 +133,7 @@ def compute_digests(model_path, summary, corpus_manifest, workdir) -> dict:
     workdir = Path(workdir)
     model = ["--model", str(model_path)]
     digests = {
-        "toy_model": _sha256(_location_free_bytes(container.load(model_path))),
+        "toy_model": _sha256(Path(model_path).read_bytes()),
         "toy_summary": _sha256(json.dumps(summary, sort_keys=True).encode()),
     }
 
@@ -176,7 +169,7 @@ def desk_digests(model, report) -> dict:
     _check_pesq_unset()
     cells = (sorted(report.rows.items()), report.config, report.failures)
     return {
-        "desk_model": _sha256(_location_free_bytes(model)),
+        "desk_model": _sha256(container.to_bytes(model)),
         "desk_eval": _sha256(repr(cells).encode()),
     }
 

@@ -63,6 +63,12 @@ class TestPack:
         with pytest.raises(InvalidInput):
             pack(tokens)
 
+    @pytest.mark.parametrize("shape, k", [((2, 1), 65536), ((2, 256), 1024)], ids=["K-u16", "q-u8"])
+    def test_header_field_overflow(self, shape, k):
+        # K is a u16 and q a u8 in the header: wider values are typed errors.
+        with pytest.raises(InvalidInput, match="header holds"):
+            pack(TokenStream(np.zeros(shape), k))
+
 
 class TestUnpack:
     @settings(max_examples=60, deadline=None)
@@ -90,6 +96,11 @@ class TestUnpack:
             back = unpack(data)
             assert np.array_equal(back.frames, tokens.frames)
             assert pack(back) == data
+
+    def test_zero_stages_in_header(self):
+        data = struct.pack("<4sHIHHBI", b"RVQS", 1, 24000, 75, 1024, 0, 1)
+        with pytest.raises(NotABitstream, match="q=0"):
+            unpack(data)
 
     def test_bad_magic(self):
         with pytest.raises(NotABitstream):

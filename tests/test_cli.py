@@ -101,6 +101,24 @@ class TestTrain:
         assert err.startswith("error: InvalidInput:") and "max_rvq_frames" in err
 
 
+    def test_empty_wav_exit_2(self, tmp_path, capsys):
+        write_wav(tmp_path / "empty.wav", AudioBuffer(np.zeros(0), 24000))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            json.dumps({"path": "empty.wav", "category": "HQ1", "duration": 1.0, "sample_rate": 24000})
+        )
+        out = tmp_path / "m.rvqm"
+        code, stdout, err = _run(
+            capsys,
+            ["train", "--manifest", str(manifest), "--out", str(out), "--batches", "1",
+             "--batch-size", "1"],
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: EmptyInput:")
+        assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def one_second_wav(tmp_path_factory):
     path = tmp_path_factory.mktemp("wavs") / "one_second.wav"
@@ -187,6 +205,16 @@ class TestEncodeDecode:
         assert err.startswith("error: IsADirectoryError")
         assert "Traceback" not in err
 
+    def test_missing_model_exit_2(self, one_second_wav, tmp_path, capsys):
+        code, _, err = _run(
+            capsys,
+            ["encode", "--model", str(tmp_path / "none.rvqm"), str(one_second_wav), "-q", "1",
+             str(tmp_path / "x.rvqs")],
+        )
+        assert code == 2
+        assert err.startswith("error: MissingFile:") and "none.rvqm" in err
+        assert "Traceback" not in err
+
     def test_non_integer_q_list_exit_2(self, toy_model, toy_corpus, capsys):
         model_path, _, _ = toy_model
         code, _, err = _run(
@@ -271,6 +299,14 @@ class TestEval:
         assert f"{mel_row['4']:.6g}" in text
 
 
+    def test_test_without_name_exit_2(self, toy_model, toy_corpus, capsys):
+        model_path, _, _ = toy_model
+        code, _, err = _run(capsys, ["eval", "--model", str(model_path), "--test", str(toy_corpus)])
+        assert code == 2
+        assert err.startswith("error: InvalidInput:") and "NAME=MANIFEST" in err
+        assert "Traceback" not in err
+
+
 class TestMushra:
     def test_summary_and_significance(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -306,7 +342,7 @@ class TestMushra:
         path.write_text("s1,st1,codec,80\ns2,st1,codec,82\n")
         code, _, err = _run(capsys, ["mushra", str(path), "--reference", "reference"])
         assert code == 2
-        assert "reference" in err
+        assert err.startswith("error: InvalidInput:") and "reference" in err
 
     def test_alpha_flag_on_borderline_p(self, tmp_path, capsys):
         # Construct groups whose exact p lands above 0.05: not significant.

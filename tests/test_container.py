@@ -125,6 +125,27 @@ class TestCodecGeometry:
         with pytest.raises(CorruptModel, match="frame rate is 50"):
             from_bytes(_join([frontend, forged, metadata]))
 
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["frontend", "rvq", "metadata"])
+    def test_trailing_bytes_inside_section(self, container, index):
+        sections = _sections(to_bytes(container))
+        sections[index] += b"\x00"
+        with pytest.raises(CorruptModel, match="trailing bytes"):
+            from_bytes(_join(sections))
+
+    @pytest.mark.parametrize(
+        "index, forge",
+        [
+            (1, lambda rvq: rvq[:2] + struct.pack("<I", 3) + rvq[6:]),  # u32 K
+            (2, lambda _: struct.pack("<II", 1, 1) + b"\xff" + struct.pack("<I", 0)),
+        ],
+        ids=["K-not-power-of-two", "non-utf8-key"],
+    )
+    def test_invalid_field_values_are_corrupt(self, container, index, forge):
+        sections = _sections(to_bytes(container))
+        sections[index] = forge(sections[index])
+        with pytest.raises(CorruptModel, match="invalid model payload"):
+            from_bytes(_join(sections))
+
     def test_frontend_and_rvq_latent_dims_must_agree(self, container):
         # A frontend of D=16 next to an RVQ trained on D=32 latents once
         # loaded and only failed at encode, as an InvalidInput.

@@ -16,6 +16,7 @@ from rvqlab.datapipe import (
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import (
     EmptyCategory,
+    EmptyInput,
     InvalidConfig,
     MissingFile,
     NotDivisible,
@@ -128,6 +129,12 @@ class TestLoadManifest:
         path = tmp_path / "binary.jsonl"
         path.write_bytes(b"\xff\xfe\x00not text\n")
         with pytest.raises(SchemaError, match="cannot read manifest"):
+            load_manifest(path)
+
+    def test_line_not_json_schema_error(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_text('# header\n{"path": "a.wav",\n')
+        with pytest.raises(SchemaError, match=r"broken\.jsonl:2: invalid JSON"):
             load_manifest(path)
 
     def test_crlf_lines_and_numbers(self, tmp_path):
@@ -270,6 +277,15 @@ class TestExtractExcerpt:
         # Reflection oracle: sample n past the end mirrors index -(n+2).
         np.testing.assert_allclose(out.samples[4000:4005], x.samples[-2:-7:-1])
 
+    def test_one_sample_source_repeats_it(self):
+        out = _seeded_excerpt(AudioBuffer(np.array([0.25]), 24000), 320, 0)
+        assert np.array_equal(out.samples, np.full(320, 0.25))
+
+    def test_empty_source_rejected(self):
+        # numpy cannot reflect-pad an empty array; a 0-sample WAV is bad input.
+        with pytest.raises(EmptyInput):
+            _seeded_excerpt(AudioBuffer(np.zeros(0), 24000), 320, 0)
+
 
 def _find_offset(haystack, needle):
     # Excerpts are contiguous slices; locate by matching the first samples.
@@ -284,3 +300,8 @@ class TestBatchSpec:
     def test_excerpt_must_be_hop_multiple(self):
         with pytest.raises(InvalidConfig):
             BatchSpec(batch_size=6, excerpt_samples=9120)  # 0.38 s is not a hop multiple
+
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("seed", -1)])
+    def test_out_of_range_field(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            BatchSpec(**{field: value})

@@ -152,6 +152,10 @@ class TestWilcoxon:
         with pytest.raises(InvalidInput):
             wilcoxon_ranksum([], [1.0])
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidInput, match="unknown method"):
+            wilcoxon_ranksum([1.0], [2.0], method="bootstrap")
+
 
 class TestMushraFile:
     def test_load_and_duplicate_detection(self, tmp_path):
@@ -188,6 +192,12 @@ class TestMushraFile:
         with pytest.raises(InvalidInput, match="line 2: bad score"):
             load_mushra_records(path)
 
+    def test_three_field_line_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("s1,st1,codec,80\ns2,st1,codec\n")
+        with pytest.raises(InvalidInput, match="line 2: expected 4"):
+            load_mushra_records(path)
+
     def test_non_utf8_file_is_invalid_input(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b"\xff\xfe\x00")
@@ -205,6 +215,10 @@ class TestRenderReport:
         return MetricReport(
             rows=rows, q_list=(4, 2, 1), config={"system": "rvq", "q_list": [4, 2, 1]}
         )
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidInput, match="unknown format"):
+            render_report(self._small_report(), fmt="html")
 
     def test_empty_report_header_only(self):
         report = MetricReport(rows={}, q_list=(2, 1), config={})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rvqlab.dsp import AudioBuffer
-from rvqlab.errors import InsufficientData, InvalidInput, SampleRateMismatch
+from rvqlab.errors import EmptyInput, InsufficientData, InvalidInput, SampleRateMismatch
 from rvqlab.frontend import (
     LOG_FLOOR,
     FrontendModel,
@@ -78,6 +78,24 @@ class TestFitFrontend:
         clips = [AudioBuffer(speech_like(1.0, 16000, 1), 16000)]
         with pytest.raises(SampleRateMismatch):
             fit_frontend(clips, latent_dim=8, seed=0)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda m: LatentSequence(np.zeros(4)), InvalidInput),
+            (lambda m: LatentSequence(np.full((2, 4), np.nan)), InvalidInput),
+            (lambda m: encode_latent(m, AudioBuffer(np.zeros(0), 24000)), EmptyInput),
+            (lambda m: fit_frontend(_training_audio(1), latent_dim=0, seed=0), InvalidInput),
+            (lambda m: fit_frontend(_training_audio(1), latent_dim=8, seed=-1), InvalidInput),
+        ],
+        ids=["one-d-latents", "non-finite-latents", "empty-audio", "latent-dim-zero",
+             "negative-seed"],
+    )
+    def test_typed_errors(self, model64, call, error):
+        with pytest.raises(error):
+            call(model64)
 
 
 class TestEncodeLatent:

@@ -52,7 +52,7 @@ class TestMelLoss:
         test = _buf(np.zeros(12000))
         expected = 0.0
         for fft_size, hop, n_mels in LOSS_SCALES:
-            fb = mel_filterbank(24000, fft_size, min(n_mels, fft_size // 2), 0.0, 12000.0)
+            fb = mel_filterbank(24000, fft_size, min(n_mels, fft_size // 2))
             a = np.abs(stft(ref, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
             b = np.abs(stft(test, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
             la = np.log(np.maximum(a @ fb.weights.T, LOSS_FLOOR))
@@ -67,6 +67,10 @@ class TestMelLoss:
         b = _buf(speech_like(0.5, 24000, 5))
         assert mel_loss(a, b).value == pytest.approx(mel_loss(b, a).value, abs=1e-12)
         assert mel_loss(a, b).value > 0
+
+    def test_empty_signals(self):
+        with pytest.raises(InvalidInput, match="empty"):
+            mel_loss(_buf(np.zeros(0)), _buf(np.zeros(100)))
 
     def test_rate_mismatch(self):
         with pytest.raises(SampleRateMismatch):
@@ -192,6 +196,11 @@ class TestPesqAdapter:
         x = _buf(speech_like(0.5, 24000, 4))
         with pytest.raises(ExternalToolError):
             pesq_adapter(x, x, tool_path=tool)
+
+    def test_missing_tool(self, tmp_path):
+        x = _buf(speech_like(0.5, 24000, 6))
+        with pytest.raises(ExternalToolError, match="failed to run"):
+            pesq_adapter(x, x, tool_path=str(tmp_path / "no_such_pesq"))
 
     def test_out_of_range_score(self, tmp_path):
         tool = self._fake_tool(tmp_path, 'echo "9.99"')

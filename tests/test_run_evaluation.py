@@ -3,6 +3,7 @@ import stat
 import numpy as np
 import pytest
 
+from rvqlab import evalstats
 from rvqlab.datapipe import load_manifest
 from rvqlab.errors import InvalidInput
 from rvqlab.evalstats import render_report, run_evaluation
@@ -57,6 +58,16 @@ class TestRunEvaluation:
         with pytest.raises(InvalidInput):
             run_evaluation(model, test_sets, q_list=[8])
 
+    @pytest.mark.parametrize(
+        "manifests, q_list, match",
+        [(None, [], "q_list"), ({}, [1], "test manifest"), ({"none": []}, [1], "no files")],
+        ids=["empty-q-list", "no-manifests", "no-files"],
+    )
+    def test_nothing_to_evaluate_rejected(self, toy_model, test_sets, manifests, q_list, match):
+        _, model, _ = toy_model
+        with pytest.raises(InvalidInput, match=match):
+            run_evaluation(model, test_sets if manifests is None else manifests, q_list=q_list)
+
     def test_q_below_one_rejected_before_any_file(self, toy_model, test_sets):
         _, model, _ = toy_model
         with pytest.raises(InvalidInput):
@@ -77,7 +88,7 @@ class TestRunEvaluation:
         assert report.cell("seta", "pesq", "rvq", 1) == pytest.approx(4.1)
         assert report.config["pesq_tool"] == str(tool)
 
-    def test_file_failing_at_later_q_counts_at_no_q(self, toy_model, test_sets, tmp_path):
+    def test_file_failing_at_later_q_counts_at_no_q(self, toy_model, test_sets, tmp_path, monkeypatch):
         _, model, _ = toy_model
         # The fake tool prints its call count as the score and fails on its
         # 2nd call: file 0 scores 1 at q=2, then fails at q=1; file 1 scores
@@ -92,19 +103,19 @@ class TestRunEvaluation:
         )
         tool.chmod(tool.stat().st_mode | stat.S_IEXEC)
         files = test_sets["seta"][:2]
-        report = run_evaluation(
-            model, {"pair": files}, q_list=[2, 1], gl_iterations=2,
-            pesq_tool=str(tool), max_failure_rate=0.5,
-        )
+        monkeypatch.setenv("RVQLAB_PESQ_TOOL", str(tool))
+        monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
+        report = run_evaluation(model, {"pair": files}, q_list=[2, 1], gl_iterations=2)
         assert [f[1] for f in report.failures] == [str(files[0].path)]
         assert report.cell("pair", "pesq", "rvq", 2) == 3.0
         assert report.cell("pair", "pesq", "rvq", 1) == 4.0
+        monkeypatch.delenv("RVQLAB_PESQ_TOOL")
         alone = run_evaluation(model, {"pair": files[1:]}, q_list=[2, 1], gl_iterations=2)
         for metric in ("mel", "stft", "stoi", "latent_mse"):
             for q in (2, 1):
                 assert report.cell("pair", metric, "rvq", q) == alone.cell("pair", metric, "rvq", q)
 
-    def test_failures_recorded_and_tolerated(self, toy_model, test_sets, tmp_path):
+    def test_failures_recorded_and_tolerated(self, toy_model, test_sets, tmp_path, monkeypatch):
         _, model, _ = toy_model
         # Corrupt one file out of many: failure rate 1/12 exceeds the 1%
         # default threshold, so the run must fail loudly.
@@ -119,8 +130,7 @@ class TestRunEvaluation:
         with pytest.raises(EvaluationFailed):
             run_evaluation(model, {"broken": manifest}, q_list=[1], gl_iterations=4)
         # With a permissive threshold the run completes and records it.
-        report = run_evaluation(
-            model, {"broken": manifest}, q_list=[1], gl_iterations=4, max_failure_rate=0.5
-        )
+        monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
+        report = run_evaluation(model, {"broken": manifest}, q_list=[1], gl_iterations=4)
         assert len(report.failures) == 1
         assert "WavError" in report.failures[0][2]

@@ -185,6 +185,10 @@ class TestTrainRvq:
             RvqConfig(n_stages=4, codebook_size=1000)
         with pytest.raises(InvalidConfig):
             RvqConfig(n_stages=4, code_dim=80, latent_dim=64)
+        with pytest.raises(InvalidConfig):
+            RvqConfig(n_stages=4, codebook_size=1 << 16)
+        with pytest.raises(InvalidConfig):
+            RvqConfig(n_stages=4, seed=-1)
 
 
 class TestKmeansRejects:
@@ -398,6 +402,26 @@ class TestDequantize:
         model, _ = small_model
         with pytest.raises(CorruptTokens):
             TokenStream(np.array([[999]], dtype=np.int64), model.config.codebook_size)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda m: rvq.Codebook(np.full((2, 2), 0.5), np.eye(2), np.eye(2)), InvalidConfig),
+            (lambda m: TokenStream(np.zeros(4), 1024), InvalidInput),
+            (lambda m: train_rvq(_gaussian_latents(400, 15, seed=0), m.config), InvalidInput),
+            (lambda m: quantize(m, LatentSequence(np.zeros((2, 15))), 1), InvalidInput),
+            (lambda m: dequantize(m, TokenStream(np.zeros((2, m.n_stages + 1)), 16), 1),
+             InvalidInput),
+        ],
+        ids=["non-unit-entries", "one-d-tokens", "training-width", "quantize-width",
+             "stream-deeper-than-model"],
+    )
+    def test_typed_errors(self, small_model, call, error):
+        model, _ = small_model
+        with pytest.raises(error):
+            call(model)
 
 
 class TestBitrate:

@@ -1,6 +1,8 @@
+import shutil
+
 import pytest
 
-from rvqlab import datapipe
+from rvqlab import container, datapipe
 from rvqlab.datapipe import load_manifest
 from rvqlab.errors import InvalidInput
 from rvqlab.training import train_codec
@@ -16,3 +18,11 @@ def test_max_rvq_frames_below_one_rejected_before_reading_audio(toy_corpus, monk
     monkeypatch.setattr(datapipe, "read_wav", no_reads)
     with pytest.raises(InvalidInput, match="max_rvq_frames"):
         train_codec(manifest, n_stages=1, codebook_size=16, latent_dim=8, max_rvq_frames=max_rvq_frames)
+
+
+def test_same_corpus_elsewhere_gives_same_container_bytes(toy_model, toy_corpus, tmp_path):
+    from conftest import train_toy_model
+
+    moved = shutil.copytree(toy_corpus.parent, tmp_path / "elsewhere" / "corpus")
+    model, _ = train_toy_model(moved / toy_corpus.name)
+    assert container.to_bytes(model) == container.to_bytes(toy_model[1])

@@ -68,6 +68,28 @@ def test_rejects_garbage(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize(
+    "chunks, match",
+    [
+        ([(b"LIST", b"")], "missing fmt or data"),
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 24000, 72000, 3, 24)), (b"data", bytes(6))],
+         "unsupported format"),
+    ],
+    ids=["no-fmt-or-data", "pcm24"],
+)
+def test_rejects_unsupported_layout(tmp_path, chunks, match):
+    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    path = tmp_path / "odd.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    with pytest.raises(WavError, match=match):
+        read_wav(path)
+
+
+def test_unknown_encoding_rejected(tmp_path):
+    with pytest.raises(WavError, match="unknown encoding"):
+        write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 24000), encoding="pcm24")
+
+
 def test_pcm16_clips_overrange(tmp_path):
     path = tmp_path / "hot.wav"
     write_wav(path, AudioBuffer(np.array([1.5, -2.0, 0.0]), 8000), encoding="pcm16")
