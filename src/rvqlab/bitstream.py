@@ -16,7 +16,6 @@ boundary.  A q' <= q prefix of every stream is itself a valid stream.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     NotABitstream,
     SampleRateMismatch,
     Truncated,
+    check_int,
 )
 from .frontend import FRAME_RATE, SAMPLE_RATE
 from .rvq import TokenStream
@@ -35,15 +35,6 @@ MAGIC = b"RVQS"
 VERSION = 1
 _HEADER_FMT = "<4sHIHHBI"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 19 bytes
-
-
-def _bits_per_code(k: int, q: int) -> int:
-    """log2(K) of a stream with K entries per codebook and q stages."""
-    if k < 2 or k & (k - 1):
-        raise NotABitstream(f"header K={k} is not a power of two")
-    if q < 1:
-        raise NotABitstream(f"header q={q} must be >= 1")
-    return int(math.log2(k))
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> bytes:
@@ -66,15 +57,15 @@ def _unpack_codes(payload: bytes, bits: int, count: int) -> np.ndarray:
 def pack(tokens: TokenStream) -> bytes:
     """Serialize a token stream; size = 19 + ceil(T*q*log2(K)/8) bytes.
 
-    Raises InvalidInput for a K or q that the header's u16 K and u8 q fields
-    cannot hold, or for a token index >= K.
+    Raises InvalidInput for a q that the header's u8 q field cannot hold, or
+    for a token index >= K.  TokenStream bounds K to the u16 K field.
     """
     k = tokens.codebook_size
-    if k > 0xFFFF or tokens.n_stages > 0xFF:
-        raise InvalidInput(f"the stream header holds K <= 65535 and q <= 255, got K={k}, q={tokens.n_stages}")
+    if tokens.n_stages > 0xFF:
+        raise InvalidInput(f"the stream header holds q <= 255, got q={tokens.n_stages}")
     if tokens.frames.size and int(tokens.frames.max()) >= k:
         raise InvalidInput(f"token index {int(tokens.frames.max())} overflows K={k}")
-    bits = _bits_per_code(k, tokens.n_stages)
+    bits = k.bit_length() - 1  # log2(K): TokenStream holds a power of two
     head = struct.pack(
         _HEADER_FMT, MAGIC, VERSION, SAMPLE_RATE, FRAME_RATE, k, tokens.n_stages, tokens.n_frames
     )
@@ -99,7 +90,9 @@ def unpack(data: bytes) -> TokenStream:
         raise NotABitstream(f"bad magic {magic!r}")
     if version != VERSION:
         raise NotABitstream(f"unsupported stream version {version}")
-    bits = _bits_per_code(k, q)
+    if k < 2 or k & (k - 1) or q < 1:
+        raise NotABitstream(f"header K={k} must be a power of two >= 2 and q={q} >= 1")
+    bits = k.bit_length() - 1
     if (sample_rate, frame_rate) != (SAMPLE_RATE, FRAME_RATE):
         raise SampleRateMismatch(
             f"stream is {sample_rate} Hz at {frame_rate} frames/s, "
@@ -115,8 +108,5 @@ def unpack(data: bytes) -> TokenStream:
 def prefix(data: bytes, n_stages: int) -> bytes:
     """Re-pack a stream keeping only the first n_stages codes per frame."""
     tokens = unpack(data)
-    if not 1 <= n_stages <= tokens.n_stages:
-        raise InvalidInput(
-            f"prefix stages must be in [1, {tokens.n_stages}], got {n_stages}"
-        )
+    n_stages = check_int("n_stages", n_stages, 1, tokens.n_stages)
     return pack(TokenStream(tokens.frames[:, :n_stages], tokens.codebook_size))

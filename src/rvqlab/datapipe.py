@@ -28,6 +28,7 @@ from .errors import (
     MissingFile,
     NotDivisible,
     SchemaError,
+    check_int,
 )
 from .frontend import HOP, SAMPLE_RATE
 from .wavio import read_wav
@@ -57,14 +58,10 @@ class BatchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.excerpt_samples < 1 or self.excerpt_samples % HOP:
-            raise InvalidConfig(
-                f"excerpt_samples must be a positive multiple of {HOP}, got {self.excerpt_samples}"
-            )
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
+        for name, low in (("batch_size", 1), ("excerpt_samples", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low, error=InvalidConfig))
+        if self.excerpt_samples % HOP:
+            raise InvalidConfig(f"excerpt_samples must be a multiple of {HOP}, got {self.excerpt_samples}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +172,7 @@ def sample_batch(
     the category count does not divide.  With load_audio=False the excerpts
     carry empty buffers (provenance only), which is handy for balance audits.
     """
+    batch_index = check_int("batch_index", batch_index, 0)
     by_category = {}
     for entry in manifest:
         by_category.setdefault(entry.category, []).append(entry)

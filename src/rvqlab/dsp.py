@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidInput
+from .errors import EmptyInput, InvalidConfig, InvalidInput, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,12 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(check_real("audio", self.samples), dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidInput(f"audio must be mono 1-D, got shape {samples.shape}")
         if samples.size and not np.all(np.isfinite(samples)):
             raise InvalidInput("audio contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise InvalidInput(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", check_int("sample_rate", self.sample_rate, 1))
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):
@@ -63,10 +62,10 @@ class StftConfig:
     hop: int
 
     def __post_init__(self):
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise InvalidConfig(f"fft_size must be a power of two, got {self.fft_size}")
-        if not 0 < self.hop <= self.fft_size:
-            raise InvalidConfig(f"hop must satisfy 0 < hop <= fft_size, got {self.hop}")
+        fft_size = check_int("fft_size", self.fft_size, 2, error=InvalidConfig)
+        if fft_size & (fft_size - 1):
+            raise InvalidConfig(f"fft_size must be a power of two, got {fft_size}")
+        check_int("hop", self.hop, 1, fft_size, InvalidConfig)
 
     @property
     def window(self) -> np.ndarray:
@@ -95,6 +94,7 @@ class Spectrogram:
             )
         if frames.size and not np.all(np.isfinite(frames)):
             raise InvalidInput("spectrogram contains non-finite values")
+        object.__setattr__(self, "sample_rate", check_int("sample_rate", self.sample_rate, 1))
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -215,7 +215,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
     """Build triangular filters with centers equally spaced on the mel scale
     over the full band, 0 Hz to sample_rate/2.
@@ -226,14 +226,15 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterban
         n_mels: number of filters (>= 1).
 
     Banks are cached on their arguments and shared by every caller, so their
-    weights and center_freqs are read-only.
+    weights and center_freqs are read-only.  The cache is typed, so 4.0 never
+    finds the bank of 4 and skips the checks.
 
     Raises:
-        InvalidConfig: if n_mels < 1 or a filter would cover no FFT bin (too
-            many mels for the available resolution).
+        InvalidConfig: if an argument is not an integer >= 1 or a filter
+            would cover no FFT bin (too many mels for the available resolution).
     """
-    if n_mels < 1:
-        raise InvalidConfig(f"n_mels must be >= 1, got {n_mels}")
+    for name, value in (("sample_rate", sample_rate), ("fft_size", fft_size), ("n_mels", n_mels)):
+        check_int(name, value, 1, error=InvalidConfig)
     n_bins = fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * (sample_rate / fft_size)
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), n_mels + 2))
@@ -307,14 +308,11 @@ def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None) -> Audio
         callback: optional callable(iteration, sc_error) invoked once per
             cycle with the current spectral-convergence error.
     """
-    if iterations < 1:
-        raise InvalidInput(f"iterations must be >= 1, got {iterations}")
+    iterations = check_int("iterations", iterations, 1)
     config = magnitude.config
+    if np.iscomplexobj(magnitude.frames) or np.any(magnitude.frames < 0):
+        raise InvalidInput("magnitude spectrogram must be real and nonnegative")
     target = np.asarray(magnitude.frames, dtype=np.float64)
-    if np.iscomplexobj(magnitude.frames):
-        target = np.abs(magnitude.frames)
-    if np.any(target < 0):
-        raise InvalidInput("magnitude spectrogram must be nonnegative")
 
     divisor = _synthesis_divisor(config, len(target))
     x = _istft_padded(target + 0j, config, divisor)
@@ -373,8 +371,7 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     products kernel[r, j] * sample in ascending j, starting from zero, so
     the two paths return the same bits.  Working memory is O(n_out).
     """
-    if target_rate <= 0:
-        raise InvalidInput(f"target_rate must be positive, got {target_rate}")
+    target_rate = check_int("target_rate", target_rate, 1)
     if target_rate == audio.sample_rate:
         return audio
     src = audio.samples

@@ -1,9 +1,13 @@
-"""Typed errors raised across the workbench.
+"""Typed errors raised across the workbench, and the setting checks that raise them.
 
 Every failure surfaced to callers derives from :class:`RvqLabError`, so the
 CLI (and fuzz harnesses) can catch one base class and still report the
 specific condition.
 """
+
+import operator
+
+import numpy as np
 
 
 class RvqLabError(Exception):
@@ -93,3 +97,30 @@ class ExternalToolError(RvqLabError):
 
 class EvaluationFailed(RvqLabError):
     """Too many per-file failures during an evaluation run."""
+
+
+def check_int(name, value, low, high=None, error=InvalidInput) -> int:
+    """value as an int if it is an integer in [low, high] (high None: no upper
+    bound), else error.  Python and numpy integers pass; bool, float (even
+    4.0), str and None do not."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low or (high is not None and number > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+    return number
+
+
+def check_real(name, values, error=InvalidInput) -> np.ndarray:
+    """values as a numpy array of bool, integer or float dtype, else error: a
+    cast would drop an imaginary part with only a warning, and text or ragged
+    input would fail with numpy's own ValueError."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:
+        raise error(f"{name} must be a real numeric array: {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise error(f"{name} must be a real numeric array, got dtype {array.dtype}")
+    return array

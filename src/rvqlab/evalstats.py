@@ -21,7 +21,7 @@ from scipy.stats import t as student_t
 
 from . import codec
 from .container import ModelContainer
-from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
+from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError, check_int
 from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
@@ -95,17 +95,12 @@ def run_evaluation(
     scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
     recorded in the config.
     """
-    q_list = sorted(set(int(q) for q in q_list), reverse=True)
+    q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
     if not q_list:
         raise InvalidInput("q_list must be nonempty")
     if not test_manifests:
         raise InvalidInput("need at least one test manifest")
-    if q_list[0] > container.rvq.n_stages:
-        raise InvalidInput(f"q={q_list[0]} exceeds the model's {container.rvq.n_stages} stages")
-    if q_list[-1] < 1:
-        raise InvalidInput(f"q must be >= 1, got {q_list[-1]}")
-    if gl_iterations < 1:
-        raise InvalidInput(f"gl_iterations must be >= 1, got {gl_iterations}")
+    gl_iterations = check_int("gl_iterations", gl_iterations, 1)
     pesq_tool = os.environ.get(PESQ_TOOL_ENV)
 
     rows = {}

@@ -29,6 +29,8 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     SampleRateMismatch,
+    check_int,
+    check_real,
 )
 
 SAMPLE_RATE = 24000
@@ -41,6 +43,7 @@ N_MELS = 80
 F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
+MAX_SEED = (1 << 63) - 1  # .rvqm stores seeds as int64
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class LatentSequence:
     frames: np.ndarray
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.asarray(check_real("latents", self.frames), dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise InvalidInput(f"latents must be a nonempty T x D matrix, got {frames.shape}")
         if not np.all(np.isfinite(frames)):
@@ -120,10 +123,8 @@ def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 
 def _fit_log_mel(frame_sets: Iterable[np.ndarray], latent_dim: int, seed: int) -> FrontendModel:
     """Fit the PCA projection to the log-mel frames of each training buffer."""
-    if not 1 <= latent_dim <= N_MELS:
-        raise InvalidInput(f"latent_dim must be in [1, {N_MELS}], got {latent_dim}")
-    if seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    latent_dim = check_int("latent_dim", latent_dim, 1, N_MELS)
+    seed = check_int("seed", seed, 0, MAX_SEED)
 
     count = 0
     total = np.zeros(N_MELS)
@@ -158,6 +159,7 @@ def fit_frontend(training_audio: Iterable[AudioBuffer], latent_dim: int, seed: i
         seed: recorded for provenance; the fit itself is deterministic.
 
     Raises:
+        InvalidInput: latent_dim not in [1, 80] or seed not in [0, 2^63 - 1].
         InsufficientData: fewer than 10 * D training frames.
         SampleRateMismatch: any buffer not at 24 kHz.
     """

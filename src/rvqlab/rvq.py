@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
-from .frontend import FRAME_RATE, LatentSequence, _principal_basis
+from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput, check_int, check_real
+from .frontend import FRAME_RATE, MAX_SEED, N_MELS, LatentSequence, _principal_basis
 
+MAX_CODEBOOK_SIZE = 1 << 15  # largest power of two the .rvqs header's u16 K field holds
 _LLOYD_MAX_ITER = 100
 _LLOYD_REL_TOL = 1e-6
 # Absolute floor of the stop test: an exact fit's distortion is rounding
@@ -36,19 +37,13 @@ class RvqConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_stages <= 32:
-            raise InvalidConfig(f"n_stages must be in [1, 32], got {self.n_stages}")
-        if self.codebook_size < 2 or self.codebook_size & (self.codebook_size - 1):
-            raise InvalidConfig(f"codebook_size must be a power of two, got {self.codebook_size}")
-        if self.codebook_size > 1 << 15:
-            # the stream header stores K in a u16 field
-            raise InvalidConfig(f"codebook_size above 2^15 is not supported, got {self.codebook_size}")
-        if not 1 <= self.code_dim <= self.latent_dim:
-            raise InvalidConfig(
-                f"code_dim must be in [1, latent_dim={self.latent_dim}], got {self.code_dim}"
-            )
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
+        check_int("n_stages", self.n_stages, 1, 32, InvalidConfig)
+        k = check_int("codebook_size", self.codebook_size, 2, MAX_CODEBOOK_SIZE, InvalidConfig)
+        if k & (k - 1):
+            raise InvalidConfig(f"codebook_size must be a power of two, got {k}")
+        latent_dim = check_int("latent_dim", self.latent_dim, 1, N_MELS, InvalidConfig)
+        check_int("code_dim", self.code_dim, 1, latent_dim, InvalidConfig)
+        check_int("seed", self.seed, 0, MAX_SEED, InvalidConfig)
 
     @property
     def bits_per_code(self) -> int:
@@ -88,9 +83,15 @@ class TokenStream:
     codebook_size: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames)
-        if frames.ndim != 2:
-            raise InvalidInput(f"token frames must be T x q, got shape {frames.shape}")
+        k = check_int("codebook_size", self.codebook_size, 2, MAX_CODEBOOK_SIZE)
+        if k & (k - 1):
+            raise InvalidInput(f"codebook_size must be a power of two, got {k}")
+        object.__setattr__(self, "codebook_size", k)
+        frames = check_real("token frames", self.frames)
+        if frames.ndim != 2 or frames.shape[1] < 1:
+            raise InvalidInput(f"token frames must be T x q with q >= 1, got shape {frames.shape}")
+        if not np.array_equal(frames, np.trunc(frames)):
+            raise InvalidInput("token frames must hold integer values")
         if frames.size and (frames.min() < 0 or frames.max() >= self.codebook_size):
             raise CorruptTokens(
                 f"token index out of range [0, {self.codebook_size})"
@@ -226,9 +227,8 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     Returns:
         (centroids, assignments, distortion_history)
     """
-    for name, value, low in (("k", k, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    k = check_int("k", k, 1, error=InvalidConfig)
+    seed = check_int("seed", seed, 0, error=InvalidConfig)
     points = np.asarray(points)
     if points.ndim != 2 or points.size == 0:
         raise InvalidInput(f"points must be a nonempty N x d array, got shape {points.shape}")
@@ -367,10 +367,7 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
     nearest entry (lowest index on ties), subtract its reconstruction, and
     continue with the next stage.
     """
-    if not 1 <= n_stages <= model.n_stages:
-        raise InvalidInput(
-            f"n_stages must be in [1, {model.n_stages}], got {n_stages}"
-        )
+    n_stages = check_int("n_stages", n_stages, 1, model.n_stages)
     tokens = np.empty((latents.n_frames, n_stages), dtype=np.uint16)
     for i, (idx, _) in enumerate(_greedy_stages(model, latents, n_stages)):
         tokens[:, i] = idx
@@ -379,10 +376,7 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
 
 def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSequence:
     """Sum the first n_stages codeword reconstructions per frame."""
-    if not 1 <= n_stages <= tokens.n_stages:
-        raise InvalidInput(
-            f"n_stages must be in [1, {tokens.n_stages}], got {n_stages}"
-        )
+    n_stages = check_int("n_stages", n_stages, 1, tokens.n_stages)
     if tokens.n_stages > model.n_stages:
         raise InvalidInput(
             f"stream has {tokens.n_stages} stages but model only {model.n_stages}"
@@ -402,11 +396,7 @@ def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSeq
 
 def bitrate(config: RvqConfig, n_stages: int) -> int:
     """Bits per second for an n_stages stream: q * log2(K) * FRAME_RATE."""
-    if not 1 <= n_stages <= config.n_stages:
-        raise InvalidInput(
-            f"n_stages must be in [1, {config.n_stages}], got {n_stages}"
-        )
-    return n_stages * config.bits_per_code * FRAME_RATE
+    return check_int("n_stages", n_stages, 1, config.n_stages) * config.bits_per_code * FRAME_RATE
 
 
 def stage_distortions(model: RvqModel, latents: LatentSequence) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
-from .errors import InvalidInput
+from .errors import check_int
 from .frontend import _analysis_log_mel, _fit_log_mel, _project
 from .rvq import RvqConfig, train_rvq
 
@@ -48,10 +48,18 @@ def train_codec(
     Returns (ModelContainer, summary) where summary carries the data
     balance, explained variance, and per-stage training distortions.
     Deterministic given the seed; the container metadata deliberately skips
-    wall-clock fields so identical seeds produce identical bytes.
+    wall-clock fields so identical seeds produce identical bytes.  Every
+    setting is checked before any audio is read.
     """
-    if max_rvq_frames < 1:
-        raise InvalidInput(f"max_rvq_frames must be >= 1, got {max_rvq_frames}")
+    n_batches = check_int("n_batches", n_batches, 1)
+    max_rvq_frames = check_int("max_rvq_frames", max_rvq_frames, 1)
+    config = RvqConfig(
+        n_stages=n_stages,
+        codebook_size=codebook_size,
+        code_dim=code_dim,
+        latent_dim=latent_dim,
+        seed=seed,
+    )
     spec = BatchSpec(batch_size=batch_size, excerpt_samples=excerpt_samples, seed=seed)
     excerpts = []
     for batch_index in range(n_batches):
@@ -70,13 +78,6 @@ def train_codec(
     else:
         rvq_latents = latents
 
-    config = RvqConfig(
-        n_stages=n_stages,
-        codebook_size=codebook_size,
-        code_dim=code_dim,
-        latent_dim=latent_dim,
-        seed=seed,
-    )
     rvq_model = train_rvq(rvq_latents, config)
 
     container = ModelContainer(

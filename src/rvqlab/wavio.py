@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from .dsp import AudioBuffer
-from .errors import WavError
+from .errors import WavError, check_int
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -83,10 +83,9 @@ def write_wav(path, audio: AudioBuffer, encoding: str = "float32") -> None:
         raise WavError(f"unknown encoding {encoding!r}")
 
     block_align = bits // 8
-    byte_rate = audio.sample_rate * block_align
-    fmt_chunk = struct.pack(
-        "<HHIIHH", audio_format, 1, audio.sample_rate, byte_rate, block_align, bits
-    )
+    # the rate and the byte rate (rate * block_align) are u32 header fields
+    rate = check_int("sample_rate", audio.sample_rate, 1, 0xFFFFFFFF // block_align, WavError)
+    fmt_chunk = struct.pack("<HHIIHH", audio_format, 1, rate, rate * block_align, block_align, bits)
     riff_len = 4 + (8 + len(fmt_chunk)) + (8 + len(payload))
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_len) + b"WAVE")

@@ -63,10 +63,15 @@ class TestPack:
         with pytest.raises(InvalidInput):
             pack(tokens)
 
-    @pytest.mark.parametrize("shape, k", [((2, 1), 65536), ((2, 256), 1024)], ids=["K-u16", "q-u8"])
-    def test_header_field_overflow(self, shape, k):
-        # K is a u16 and q a u8 in the header: wider values are typed errors.
-        with pytest.raises(InvalidInput, match="header holds"):
+    @pytest.mark.parametrize(
+        "shape, k, message",
+        [((2, 1), 65536, "codebook_size"), ((2, 256), 1024, "header holds")],
+        ids=["K-u16", "q-u8"],
+    )
+    def test_header_field_overflow(self, shape, k, message):
+        # K is a u16 and q a u8 in the header: wider values are typed errors,
+        # K's from TokenStream and q's from pack.
+        with pytest.raises(InvalidInput, match=message):
             pack(TokenStream(np.zeros(shape), k))
 
 
