@@ -203,8 +203,9 @@ def from_bytes(data: bytes) -> ModelContainer:
 
 
 def save(container: ModelContainer, path) -> None:
+    data = to_bytes(container)  # before open: a failed serialisation leaves no file behind
     with open(path, "wb") as fh:
-        fh.write(to_bytes(container))
+        fh.write(data)
 
 
 def load(path) -> ModelContainer:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -87,7 +88,7 @@ def load_manifest(path) -> list[ManifestEntry]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, or an int of > 4300 digits
             raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
             raw_path = record["path"]
@@ -118,7 +119,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         audio_path = Path(raw_path)
         if not audio_path.is_absolute():
             audio_path = path.parent / audio_path
-        if not audio_path.exists():
+        if not os.path.exists(audio_path):  # False, not OSError, for a name too long to exist
             raise MissingFile(audio_path)
         if audio_path.is_dir():
             raise SchemaError(f"{path}:{lineno}: path names a directory: {audio_path}")

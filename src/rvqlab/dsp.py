@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidInput, check_int, check_real
+from .errors import EmptyInput, InvalidConfig, InvalidInput, check_array, check_int
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,8 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(check_real("audio", self.samples), dtype=np.float64)
-        if samples.ndim != 1:
-            raise InvalidInput(f"audio must be mono 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise InvalidInput("audio contains non-finite samples")
+        object.__setattr__(self, "samples", check_array("audio", self.samples, 1))
         object.__setattr__(self, "sample_rate", check_int("sample_rate", self.sample_rate, 1))
-        object.__setattr__(self, "samples", samples)
 
     def __len__(self):
         return len(self.samples)
@@ -87,13 +82,9 @@ class Spectrogram:
     sample_rate: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames)
-        if frames.ndim != 2 or frames.shape[1] != self.config.n_bins:
-            raise InvalidConfig(
-                f"spectrogram must be T x {self.config.n_bins}, got {frames.shape}"
-            )
-        if frames.size and not np.all(np.isfinite(frames)):
-            raise InvalidInput("spectrogram contains non-finite values")
+        frames = check_array("spectrogram", self.frames, 2, complex_ok=True)
+        if frames.shape[1] != self.config.n_bins:
+            raise InvalidConfig(f"spectrogram must be T x {self.config.n_bins}, got {frames.shape}")
         object.__setattr__(self, "sample_rate", check_int("sample_rate", self.sample_rate, 1))
         object.__setattr__(self, "frames", frames)
 
@@ -209,8 +200,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     that is a hop multiple, istft(stft(x)) == x to machine precision.
     """
     config = spec.config
-    frames = np.asarray(spec.frames, dtype=np.complex128)
-    y = _istft_padded(frames, config, _synthesis_divisor(config, len(frames)))
+    y = _istft_padded(spec.frames, config, _synthesis_divisor(config, spec.n_frames))
     pad = config.fft_size // 2
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
@@ -255,7 +245,7 @@ def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:
     """ln(max(fb @ magnitude, floor)) per frame; shape (T, n_mels)."""
     if floor <= 0:
         raise InvalidConfig(f"floor must be positive, got {floor}")
-    mag = np.asarray(spec.frames)
+    mag = spec.frames
     if np.iscomplexobj(mag):
         mag = np.abs(mag)
     if mag.shape[1] != fb.weights.shape[1]:
@@ -312,7 +302,7 @@ def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None) -> Audio
     config = magnitude.config
     if np.iscomplexobj(magnitude.frames) or np.any(magnitude.frames < 0):
         raise InvalidInput("magnitude spectrogram must be real and nonnegative")
-    target = np.asarray(magnitude.frames, dtype=np.float64)
+    target = magnitude.frames
 
     divisor = _synthesis_divisor(config, len(target))
     x = _istft_padded(target + 0j, config, divisor)

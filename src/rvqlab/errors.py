@@ -113,14 +113,19 @@ def check_int(name, value, low, high=None, error=InvalidInput) -> int:
     return number
 
 
-def check_real(name, values, error=InvalidInput) -> np.ndarray:
-    """values as a numpy array of bool, integer or float dtype, else error: a
-    cast would drop an imaginary part with only a warning, and text or ragged
-    input would fail with numpy's own ValueError."""
+def check_array(name, values, ndim, error=InvalidInput, complex_ok=False) -> np.ndarray:
+    """values as a finite ndim-D float64 array (complex128 if complex and
+    complex_ok), else error.  Text, object, ragged and, unless complex_ok,
+    complex input fail: a cast would raise numpy's own error or drop an
+    imaginary part with only a warning."""
     try:
         array = np.asarray(values)
     except ValueError as exc:
-        raise error(f"{name} must be a real numeric array: {exc}") from None
-    if array.dtype.kind not in "biuf":
-        raise error(f"{name} must be a real numeric array, got dtype {array.dtype}")
+        raise error(f"{name} must be a numeric array: {exc}") from None
+    if array.dtype.kind not in ("biufc" if complex_ok else "biuf") or array.ndim != ndim:
+        raise error(f"{name} must be a {ndim}-D {'' if complex_ok else 'real '}numeric array, "
+                    f"got {array.dtype} of shape {array.shape}")
+    array = array.astype(np.complex128 if array.dtype.kind == "c" else np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise error(f"non-finite values in {name}")
     return array

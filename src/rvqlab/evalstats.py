@@ -21,7 +21,7 @@ from scipy.stats import t as student_t
 
 from . import codec
 from .container import ModelContainer
-from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError, check_int
+from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError, check_array, check_int
 from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
@@ -268,8 +268,7 @@ def wilcoxon_ranksum(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must be in the open interval (0, 1), got {alpha}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = check_array("a", a, 1), check_array("b", b, 1)
     if a.size < 1 or b.size < 1:
         raise InvalidInput("both groups need at least one observation")
     if method not in ("auto", "exact", "normal-approx"):

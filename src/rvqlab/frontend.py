@@ -27,10 +27,11 @@ from .dsp import (
 from .errors import (
     EmptyInput,
     InsufficientData,
+    InvalidConfig,
     InvalidInput,
     SampleRateMismatch,
+    check_array,
     check_int,
-    check_real,
 )
 
 SAMPLE_RATE = 24000
@@ -53,11 +54,9 @@ class LatentSequence:
     frames: np.ndarray
 
     def __post_init__(self):
-        frames = np.asarray(check_real("latents", self.frames), dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[0] < 1:
+        frames = check_array("latents", self.frames, 2)
+        if frames.shape[0] < 1:
             raise InvalidInput(f"latents must be a nonempty T x D matrix, got {frames.shape}")
-        if not np.all(np.isfinite(frames)):
-            raise InvalidInput("latents contain non-finite values")
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -77,6 +76,11 @@ class FrontendModel:
     basis: np.ndarray                     # (D, n_mels), orthonormal rows
     explained_variance: np.ndarray        # all n_mels eigenvalue fractions
     seed: int
+
+    def __post_init__(self):
+        for name, ndim in (("mean", 1), ("basis", 2), ("explained_variance", 1)):
+            object.__setattr__(self, name, check_array(name, getattr(self, name), ndim, InvalidConfig))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0, MAX_SEED, InvalidConfig))
 
     @property
     def latent_dim(self) -> int:

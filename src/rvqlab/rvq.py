@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput, check_int, check_real
+from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput, check_array, check_int
 from .frontend import FRAME_RATE, MAX_SEED, N_MELS, LatentSequence, _principal_basis
 
 MAX_CODEBOOK_SIZE = 1 << 15  # largest power of two the .rvqs header's u16 K field holds
@@ -59,9 +59,13 @@ class Codebook:
     out_proj: np.ndarray  # (D, code_dim)
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.entries, axis=1)
-        if not np.all(np.isfinite(self.entries)) or np.any(np.abs(norms - 1.0) > 1e-9):
-            raise InvalidConfig("codebook entries must be finite unit vectors")
+        for name in ("entries", "in_proj", "out_proj"):
+            object.__setattr__(self, name, check_array(name, getattr(self, name), 2, InvalidConfig))
+        if np.any(np.abs(np.linalg.norm(self.entries, axis=1) - 1.0) > 1e-9):
+            raise InvalidConfig("codebook entries must be unit vectors")
+        code_dim, dim = self.entries.shape[1], self.in_proj.shape[1]
+        if self.in_proj.shape != (code_dim, dim) or self.out_proj.shape != (dim, code_dim):
+            raise InvalidConfig(f"in_proj must be {code_dim} x D and out_proj D x {code_dim}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,8 @@ class TokenStream:
         if k & (k - 1):
             raise InvalidInput(f"codebook_size must be a power of two, got {k}")
         object.__setattr__(self, "codebook_size", k)
-        frames = check_real("token frames", self.frames)
-        if frames.ndim != 2 or frames.shape[1] < 1:
+        frames = check_array("token frames", self.frames, 2)
+        if frames.shape[1] < 1:
             raise InvalidInput(f"token frames must be T x q with q >= 1, got shape {frames.shape}")
         if not np.array_equal(frames, np.trunc(frames)):
             raise InvalidInput("token frames must hold integer values")
@@ -229,11 +233,9 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     """
     k = check_int("k", k, 1, error=InvalidConfig)
     seed = check_int("seed", seed, 0, error=InvalidConfig)
-    points = np.asarray(points)
-    if points.ndim != 2 or points.size == 0:
+    points = check_array("points", points, 2)
+    if points.size == 0:
         raise InvalidInput(f"points must be a nonempty N x d array, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInput("points contain non-finite values")
     rng = np.random.default_rng(seed)
     centers = _normalize_rows(_kmeans_pp_init(points, k, rng))
     sq_norms = np.sum(points**2, axis=1)
@@ -305,13 +307,9 @@ def train_rvq(latents: np.ndarray, config: RvqConfig) -> RvqModel:
     least-squares reconstruction gain into the output projection, subtracts
     the quantized values, and records the remaining mean squared error.
     """
-    data = np.asarray(latents, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != config.latent_dim:
-        raise InvalidInput(
-            f"training latents must be N x {config.latent_dim}, got {data.shape}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise InvalidInput("training latents contain non-finite values")
+    data = check_array("training latents", latents, 2)
+    if data.shape[1] != config.latent_dim:
+        raise InvalidInput(f"training latents must be N x {config.latent_dim}, got {data.shape}")
     if data.shape[0] < 10 * config.codebook_size:
         raise InsufficientData(
             f"need at least {10 * config.codebook_size} training frames, got {data.shape[0]}"

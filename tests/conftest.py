@@ -3,8 +3,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every run draws the same examples, so a property failure reproduces
+# instead of flickering between runs.
+settings.register_profile("rvqlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("rvqlab")
 
 from rvqlab.datapipe import QualityCategory  # noqa: E402
 from rvqlab.dsp import AudioBuffer  # noqa: E402

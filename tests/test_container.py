@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from rvqlab import container as container_module
 from rvqlab.container import ModelContainer, from_bytes, load, save, to_bytes
 from rvqlab.dsp import AudioBuffer
-from rvqlab.errors import CorruptModel
+from rvqlab.errors import CorruptModel, InvalidInput
 from rvqlab.frontend import encode_latent, fit_frontend
 from rvqlab.rvq import RvqConfig, train_rvq
 
@@ -44,6 +45,19 @@ class TestRoundtrip:
     def test_byte_identical_reserialization(self, container):
         data = to_bytes(container)
         assert to_bytes(from_bytes(data)) == data
+
+    def test_failed_serialisation_writes_nothing(self, container, tmp_path, monkeypatch):
+        def fail(_):
+            raise InvalidInput("cannot serialise")
+
+        kept = tmp_path / "kept.rvqm"
+        kept.write_bytes(b"old model")
+        monkeypatch.setattr(container_module, "to_bytes", fail)
+        for path in (tmp_path / "fresh.rvqm", kept):
+            with pytest.raises(InvalidInput):
+                save(container, path)
+        assert not (tmp_path / "fresh.rvqm").exists()
+        assert kept.read_bytes() == b"old model"
 
 
 class TestCorruption:
@@ -137,8 +151,10 @@ class TestCodecGeometry:
         [
             (1, lambda rvq: rvq[:2] + struct.pack("<I", 3) + rvq[6:]),  # u32 K
             (2, lambda _: struct.pack("<II", 1, 1) + b"\xff" + struct.pack("<I", 0)),
+            (0, lambda fe: fe[:40] + struct.pack("<q", -5) + fe[48:]),  # i64 seed
+            (0, lambda fe: fe[:48] + struct.pack("<d", np.nan) + fe[56:]),  # mean[0]
         ],
-        ids=["K-not-power-of-two", "non-utf8-key"],
+        ids=["K-not-power-of-two", "non-utf8-key", "frontend-seed-negative", "frontend-mean-nan"],
     )
     def test_invalid_field_values_are_corrupt(self, container, index, forge):
         sections = _sections(to_bytes(container))

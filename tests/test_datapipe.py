@@ -137,6 +137,21 @@ class TestLoadManifest:
         with pytest.raises(SchemaError, match=r"broken\.jsonl:2: invalid JSON"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "line", ["[" * 100000, '{"duration": ' + "9" * 5000 + "}"], ids=["nested-too-deep", "int-too-long"]
+    )
+    def test_json_beyond_the_decoders_limits_schema_error(self, tmp_path, line):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(line)
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            load_manifest(path)
+
+    def test_path_too_long_to_exist_missing_file(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps({"path": "a" * 5000, "category": "HQ1", "duration": 1.0, "sample_rate": 24000}))
+        with pytest.raises(MissingFile):
+            load_manifest(path)
+
     def test_crlf_lines_and_numbers(self, tmp_path):
         write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
         record = json.dumps({"path": "a.wav", "category": "HQ9", "duration": 1.0, "sample_rate": 24000})

@@ -152,6 +152,16 @@ class TestWilcoxon:
         with pytest.raises(InvalidInput):
             wilcoxon_ranksum([], [1.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(["a"], [1.0]), ([np.nan, 1.0], [1.0, 2.0]), ([np.inf, 1.0], [1.0, 2.0]),
+         ([[1.0, 2.0]], [[1.0], [3.0]]), ([[1.0, 2.0]], [[1.0, 3.0]]), ([1.0, 2.0], [1j, 3.0])],
+        ids=["text", "nan", "inf", "ragged-2d", "2d", "complex"],
+    )
+    def test_groups_must_be_finite_real_1d(self, a, b):
+        with pytest.raises(InvalidInput):
+            wilcoxon_ranksum(a, b)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInput, match="unknown method"):
             wilcoxon_ranksum([1.0], [2.0], method="bootstrap")

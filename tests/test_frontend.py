@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rvqlab.dsp import AudioBuffer
-from rvqlab.errors import EmptyInput, InsufficientData, InvalidInput, SampleRateMismatch
+from rvqlab.errors import EmptyInput, InsufficientData, InvalidConfig, InvalidInput, SampleRateMismatch
 from rvqlab.frontend import (
     LOG_FLOOR,
     FrontendModel,
@@ -89,9 +89,12 @@ class TestTypedErrors:
             (lambda m: encode_latent(m, AudioBuffer(np.zeros(0), 24000)), EmptyInput),
             (lambda m: fit_frontend(_training_audio(1), latent_dim=0, seed=0), InvalidInput),
             (lambda m: fit_frontend(_training_audio(1), latent_dim=8, seed=-1), InvalidInput),
+            (lambda m: FrontendModel("x", m.basis, m.explained_variance, 0), InvalidConfig),
+            (lambda m: FrontendModel(m.mean, m.basis[0], m.explained_variance, 0), InvalidConfig),
+            (lambda m: FrontendModel(m.mean, m.basis, m.explained_variance + np.inf, 0), InvalidConfig),
         ],
         ids=["one-d-latents", "non-finite-latents", "empty-audio", "latent-dim-zero",
-             "negative-seed"],
+             "negative-seed", "model-mean-text", "model-basis-one-d", "model-variance-inf"],
     )
     def test_typed_errors(self, model64, call, error):
         with pytest.raises(error):

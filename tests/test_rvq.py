@@ -409,13 +409,18 @@ class TestTypedErrors:
         "call, error",
         [
             (lambda m: rvq.Codebook(np.full((2, 2), 0.5), np.eye(2), np.eye(2)), InvalidConfig),
+            (lambda m: rvq.Codebook([["a"]], np.eye(1), np.eye(1)), InvalidConfig),
+            (lambda m: rvq.Codebook(np.ones(2), np.eye(1), np.eye(1)), InvalidConfig),
+            (lambda m: rvq.Codebook(np.eye(2), np.ones(3), "x"), InvalidConfig),
+            (lambda m: rvq.Codebook(np.eye(2), np.ones((2, 3)), np.ones((2, 3))), InvalidConfig),
             (lambda m: TokenStream(np.zeros(4), 1024), InvalidInput),
             (lambda m: train_rvq(_gaussian_latents(400, 15, seed=0), m.config), InvalidInput),
             (lambda m: quantize(m, LatentSequence(np.zeros((2, 15))), 1), InvalidInput),
             (lambda m: dequantize(m, TokenStream(np.zeros((2, m.n_stages + 1)), 16), 1),
              InvalidInput),
         ],
-        ids=["non-unit-entries", "one-d-tokens", "training-width", "quantize-width",
+        ids=["non-unit-entries", "text-entries", "one-d-entries", "projections-not-matrices",
+             "out-proj-not-transposed", "one-d-tokens", "training-width", "quantize-width",
              "stream-deeper-than-model"],
     )
     def test_typed_errors(self, small_model, call, error):

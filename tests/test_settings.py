@@ -1,6 +1,7 @@
-"""Every integer setting of the library takes an integer in range; anything
-else is the setting's typed error, never a TypeError, ValueError or
-struct.error from deeper in the call."""
+"""Every integer setting of the library takes an integer in range, and every
+array a finite numeric array of its dimensions; anything else is the typed
+error of the setting or value, never a TypeError, ValueError or struct.error
+from deeper in the call."""
 
 from types import SimpleNamespace
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from rvqlab.bitstream import pack, prefix, unpack
 from rvqlab.datapipe import BatchSpec, sample_batch
 from rvqlab.dsp import AudioBuffer, Spectrogram, StftConfig, griffin_lim, mel_filterbank, resample
-from rvqlab.errors import InvalidConfig, InvalidInput, WavError, check_int
+from rvqlab.errors import InvalidConfig, InvalidInput, WavError, check_array, check_int
 from rvqlab.evalstats import run_evaluation
-from rvqlab.frontend import MAX_SEED, STFT_CONFIG, LatentSequence, fit_frontend
+from rvqlab.frontend import MAX_SEED, STFT_CONFIG, FrontendModel, LatentSequence, fit_frontend
 from rvqlab.rvq import MAX_CODEBOOK_SIZE, RvqConfig, TokenStream, bitrate, dequantize, kmeans_unit, quantize, train_rvq
 from rvqlab.training import train_codec
 from rvqlab.wavio import write_wav
@@ -73,6 +74,8 @@ SETTINGS = [
     ("sample_batch.batch_index", lambda c, v: sample_batch([], BatchSpec(), v), 0, None, InvalidInput),
     ("fit_frontend.latent_dim", lambda c, v: fit_frontend([], v, 0), 1, 80, InvalidInput),
     ("fit_frontend.seed", lambda c, v: fit_frontend([], 4, v), 0, MAX_SEED, InvalidInput),
+    ("FrontendModel.seed", lambda c, v: FrontendModel(np.zeros(80), np.zeros((4, 80)), np.zeros(80), v), 0, MAX_SEED,
+     InvalidConfig),
     ("train_codec.n_batches", lambda c, v: train_codec([], n_batches=v), 1, None, InvalidInput),
     ("train_codec.max_rvq_frames", lambda c, v: train_codec([], max_rvq_frames=v), 1, None, InvalidInput),
     ("run_evaluation.q", lambda c, v: run_evaluation(c.container, {"a": []}, [v]), 1, 4, InvalidInput),
@@ -111,6 +114,9 @@ def test_value_types_store_the_checked_int():
     assert unpack(pack(tokens)).codebook_size == 16
 
 
+_TINY_RVQ = RvqConfig(n_stages=1, codebook_size=2, code_dim=2, latent_dim=4)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -125,9 +131,18 @@ def test_value_types_store_the_checked_int():
         lambda: LatentSequence(np.ones((2, 2), dtype=complex)),
         lambda: LatentSequence([["a"]]),
         lambda: griffin_lim(Spectrogram(np.ones((3, 513), dtype=complex), STFT_CONFIG, 24000), 1),
+        lambda: Spectrogram([["a"] * 513], STFT_CONFIG, 24000),
+        lambda: Spectrogram([[1.0] * 513, [1.0]], STFT_CONFIG, 24000),
+        lambda: train_rvq([["a"] * 4] * 40, _TINY_RVQ),
+        lambda: train_rvq(np.ones((40, 4), dtype=complex), _TINY_RVQ),
+        lambda: kmeans_unit([["a", "b"]], 2, 0),
+        lambda: kmeans_unit(np.array([[object(), object()]]), 2, 0),
+        lambda: kmeans_unit(np.ones((4, 2), dtype=complex), 2, 0),
     ],
     ids=["tokens-nan", "tokens-fraction", "tokens-wrap-u16", "tokens-k-not-power-of-two", "tokens-no-stage",
-         "tokens-text", "audio-complex", "audio-text", "latents-complex", "latents-text", "griffin-lim-complex"],
+         "tokens-text", "audio-complex", "audio-text", "latents-complex", "latents-text", "griffin-lim-complex",
+         "spectrogram-text", "spectrogram-ragged", "training-latents-text", "training-latents-complex",
+         "kmeans-points-text", "kmeans-points-object", "kmeans-points-complex"],
 )
 def test_value_types_hold_only_what_they_represent(call):
     with pytest.raises(InvalidInput):
@@ -163,3 +178,42 @@ def test_check_int_returns_an_int_in_range_or_raises_the_given_error(value, low,
     else:
         with pytest.raises(InvalidConfig, match="x must be an integer"):
             check_int("x", value, low, high, InvalidConfig)
+
+
+_ELEMENTS = {
+    "bool": st.booleans(),
+    "int": st.integers(-(2**53), 2**53),
+    "float": st.floats(),
+    "complex": st.complex_numbers(),
+    "text": st.text(max_size=3),
+    "object": st.just(None),
+}
+
+
+@settings(max_examples=600)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(sorted(_ELEMENTS) + ["ragged"]),
+    shape=st.lists(st.integers(0, 3), max_size=3),
+    ndim=st.integers(0, 3),
+    complex_ok=st.booleans(),
+)
+def test_check_array_returns_a_finite_float_array_or_raises_the_given_error(data, kind, shape, ndim, complex_ok):
+    if kind == "ragged":
+        values, accepted = [[1.0], [1.0, 2.0]], False
+    else:
+        size = int(np.prod(shape))
+        items = data.draw(st.lists(_ELEMENTS[kind], min_size=size, max_size=size))
+        values = np.array(items, dtype=object if kind == "object" else None).reshape(shape)
+        accepted = (
+            values.dtype.kind in ("biufc" if complex_ok else "biuf")
+            and values.ndim == ndim
+            and bool(np.isfinite(values.astype(complex)).all())
+        )
+    if accepted:
+        result = check_array("x", values, ndim, InvalidConfig, complex_ok)
+        assert result.dtype == (np.complex128 if values.dtype.kind == "c" else np.float64)
+        assert result.shape == values.shape and np.array_equal(result, values)
+    else:
+        with pytest.raises(InvalidConfig, match="x"):
+            check_array("x", values, ndim, InvalidConfig, complex_ok)
