@@ -57,14 +57,12 @@ def _unpack_codes(payload: bytes, bits: int, count: int) -> np.ndarray:
 def pack(tokens: TokenStream) -> bytes:
     """Serialize a token stream; size = 19 + ceil(T*q*log2(K)/8) bytes.
 
-    Raises InvalidInput for a q that the header's u8 q field cannot hold, or
-    for a token index >= K.  TokenStream bounds K to the u16 K field.
+    Raises InvalidInput for a q that the header's u8 q field cannot hold.
+    TokenStream bounds K to the u16 K field and every (read-only) index to K.
     """
     k = tokens.codebook_size
     if tokens.n_stages > 0xFF:
         raise InvalidInput(f"the stream header holds q <= 255, got q={tokens.n_stages}")
-    if tokens.frames.size and int(tokens.frames.max()) >= k:
-        raise InvalidInput(f"token index {int(tokens.frames.max())} overflows K={k}")
     bits = k.bit_length() - 1  # log2(K): TokenStream holds a power of two
     head = struct.pack(
         _HEADER_FMT, MAGIC, VERSION, SAMPLE_RATE, FRAME_RATE, k, tokens.n_stages, tokens.n_frames
@@ -76,11 +74,14 @@ def unpack(data: bytes) -> TokenStream:
     """Parse a stream; inverse of :func:`pack`.
 
     Raises:
+        InvalidInput: data is not bytes.
         NotABitstream: bad magic, version, K or q.
         SampleRateMismatch: rates other than 24000 Hz and 75 frames/s.
         Truncated: a length other than the header implies.
         CorruptPadding: nonzero padding bits.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise InvalidInput(f"a stream is bytes, got {type(data).__name__}")
     if len(data) < HEADER_SIZE:
         if len(data) < 4 or data[:4] != MAGIC:
             raise NotABitstream("too short to hold a stream header")

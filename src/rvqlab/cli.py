@@ -16,6 +16,7 @@ from dataclasses import asdict
 from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
 from .errors import InvalidInput, RvqLabError
+from .frontend import GL_ITERATIONS
 from .evalstats import (
     load_mushra_records,
     mushra_summary,
@@ -66,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--stages", type=int, default=None,
                    help="decode only the first q stages (prefix decode)")
     p.add_argument("wav_out")
-    p.add_argument("--gl-iterations", type=int, default=32)
+    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("eval", help="objective metrics over test manifests")
@@ -74,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--test", action="append", required=True, metavar="NAME=MANIFEST",
                    help="named test manifest; repeatable")
     p.add_argument("--q-list", default="32,16,8,4,2,1")
-    p.add_argument("--gl-iterations", type=int, default=32)
+    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--json", action="store_true")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptModel
+from .errors import CorruptModel, InvalidConfig, InvalidInput, check_path
 from .frontend import F_MAX, F_MIN, FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, SAMPLE_RATE
 from .frontend import FrontendModel
 from .rvq import Codebook, RvqConfig, RvqModel
@@ -44,7 +44,16 @@ _SETTINGS = (FFT_SIZE, HOP, SAMPLE_RATE, N_MELS, F_MIN, F_MAX, LOG_FLOOR)
 class ModelContainer:
     frontend: FrontendModel
     rvq: RvqModel
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # str -> str, both UTF-8-encodable
+
+    def __post_init__(self):
+        dims = (self.frontend.latent_dim, self.rvq.config.latent_dim)
+        if dims[0] != dims[1]:
+            raise InvalidConfig(f"frontend latent_dim {dims[0]} != rvq latent_dim {dims[1]}")
+        try:  # join takes str only, and encode takes no lone surrogate
+            "".join(map("".join, self.metadata.items())).encode("utf-8")
+        except (AttributeError, TypeError, UnicodeEncodeError):
+            raise InvalidConfig("metadata must map str to UTF-8-encodable str") from None
 
 
 class _Reader:
@@ -142,8 +151,8 @@ def _unpack_rvq(data: bytes) -> RvqModel:
 def _pack_metadata(metadata: dict) -> bytes:
     parts = [struct.pack("<I", len(metadata))]
     for key in sorted(metadata):
-        kb = str(key).encode("utf-8")
-        vb = str(metadata[key]).encode("utf-8")
+        kb = key.encode("utf-8")
+        vb = metadata[key].encode("utf-8")
         parts.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
     return b"".join(parts)
 
@@ -176,6 +185,8 @@ def to_bytes(container: ModelContainer) -> bytes:
 
 
 def from_bytes(data: bytes) -> ModelContainer:
+    if not isinstance(data, (bytes, bytearray)):
+        raise InvalidInput(f"a model container is bytes, got {type(data).__name__}")
     r = _Reader(data, "container")
     if r.take(4) != MAGIC:
         raise CorruptModel("bad magic: not a model container")
@@ -189,25 +200,21 @@ def from_bytes(data: bytes) -> ModelContainer:
     if r.pos != len(data):
         raise CorruptModel(f"container has {len(data) - r.pos} trailing bytes")
     try:
-        frontend = _unpack_frontend(sections[0])
-        rvq_model = _unpack_rvq(sections[1])
-        metadata = _unpack_metadata(sections[2])
+        return ModelContainer(
+            _unpack_frontend(sections[0]), _unpack_rvq(sections[1]), _unpack_metadata(sections[2])
+        )
     except CorruptModel:
         raise
     except Exception as exc:  # malformed field values surface as CorruptModel
         raise CorruptModel(f"invalid model payload: {exc}") from exc
-    dims = (frontend.latent_dim, rvq_model.config.latent_dim)
-    if dims[0] != dims[1]:
-        raise CorruptModel(f"frontend latent_dim {dims[0]} != rvq latent_dim {dims[1]}")
-    return ModelContainer(frontend=frontend, rvq=rvq_model, metadata=metadata)
 
 
 def save(container: ModelContainer, path) -> None:
     data = to_bytes(container)  # before open: a failed serialisation leaves no file behind
-    with open(path, "wb") as fh:
+    with open(check_path(path), "wb") as fh:
         fh.write(data)
 
 
 def load(path) -> ModelContainer:
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         return from_bytes(fh.read())

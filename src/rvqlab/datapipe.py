@@ -13,7 +13,6 @@ duration.  Sampling is a pure function of (manifest, spec, batch_index).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -26,10 +25,13 @@ from .errors import (
     EmptyCategory,
     EmptyInput,
     InvalidConfig,
+    InvalidInput,
     MissingFile,
     NotDivisible,
     SchemaError,
+    check_float,
     check_int,
+    check_path,
 )
 from .frontend import HOP, SAMPLE_RATE
 from .wavio import read_wav
@@ -74,7 +76,7 @@ class Excerpt:
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse and validate a JSONL manifest; entries must point at real files."""
-    path = Path(path)
+    path = Path(check_path(path))
     if not path.exists():
         raise MissingFile(path)
     try:
@@ -98,7 +100,8 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise TypeError("duration and sample_rate must be numbers, not booleans")
             if isinstance(rate, float) and rate % 1:
                 raise ValueError(f"sample_rate must be a whole number, got {rate}")
-            duration, sample_rate = float(duration), int(rate)
+            duration = float(duration) if isinstance(duration, str) else duration
+            sample_rate = int(rate)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
         if not isinstance(raw_path, str):
@@ -110,12 +113,10 @@ def load_manifest(path) -> list[ManifestEntry]:
                 f"{path}:{lineno}: unknown category {category!r}; "
                 f"expected one of {[c.value for c in QualityCategory]}"
             ) from None
-        if not (math.isfinite(duration) and duration > 0):
-            raise SchemaError(
-                f"{path}:{lineno}: duration must be positive and finite, got {duration}"
-            )
-        if sample_rate <= 0:
-            raise SchemaError(f"{path}:{lineno}: sample_rate must be positive, got {sample_rate}")
+        duration = check_float(f"{path}:{lineno}: duration", duration, SchemaError)
+        if duration <= 0:
+            raise SchemaError(f"{path}:{lineno}: duration must be positive, got {duration}")
+        sample_rate = check_int(f"{path}:{lineno}: sample_rate", sample_rate, 1, error=SchemaError)
         audio_path = Path(raw_path)
         if not audio_path.is_absolute():
             audio_path = path.parent / audio_path
@@ -174,6 +175,8 @@ def sample_batch(
     carry empty buffers (provenance only), which is handy for balance audits.
     """
     batch_index = check_int("batch_index", batch_index, 0)
+    if not isinstance(load_audio, (bool, np.bool_)):
+        raise InvalidInput(f"load_audio must be a bool, got {load_audio!r}")
     by_category = {}
     for entry in manifest:
         by_category.setdefault(entry.category, []).append(entry)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidInput, check_array, check_int
+from .errors import EmptyInput, InvalidConfig, InvalidInput, check_array, check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,12 @@ class MelFilterbank:
     center_freqs: np.ndarray = field(repr=False)
 
 
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+def _hz_to_mel(f):
+    return 2595.0 * np.log10(1.0 + f / 700.0)
 
 
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+def _mel_to_hz(m):
+    return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
 def _frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
@@ -205,7 +205,6 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
 
-@functools.lru_cache(maxsize=32, typed=True)
 def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
     """Build triangular filters with centers equally spaced on the mel scale
     over the full band, 0 Hz to sample_rate/2.
@@ -215,19 +214,22 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterban
         fft_size: FFT size of the magnitude spectrogram it applies to.
         n_mels: number of filters (>= 1).
 
-    Banks are cached on their arguments and shared by every caller, so their
-    weights and center_freqs are read-only.  The cache is typed, so 4.0 never
-    finds the bank of 4 and skips the checks.
+    Banks are cached on their checked arguments and shared by every caller,
+    so their weights and center_freqs are read-only.
 
     Raises:
         InvalidConfig: if an argument is not an integer >= 1 or a filter
             would cover no FFT bin (too many mels for the available resolution).
     """
-    for name, value in (("sample_rate", sample_rate), ("fft_size", fft_size), ("n_mels", n_mels)):
-        check_int(name, value, 1, error=InvalidConfig)
+    args = (("sample_rate", sample_rate), ("fft_size", fft_size), ("n_mels", n_mels))
+    return _mel_filterbank(*(check_int(name, value, 1, error=InvalidConfig) for name, value in args))
+
+
+@functools.lru_cache(maxsize=32)
+def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
     n_bins = fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * (sample_rate / fft_size)
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), n_mels + 2))
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2), n_mels + 2))
     weights = np.zeros((n_mels, n_bins))
     for i in range(n_mels):
         lower = (fft_freqs - edges[i]) / max(edges[i + 1] - edges[i], 1e-12)
@@ -243,6 +245,7 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterban
 
 def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:
     """ln(max(fb @ magnitude, floor)) per frame; shape (T, n_mels)."""
+    floor = check_float("floor", floor, InvalidConfig)
     if floor <= 0:
         raise InvalidConfig(f"floor must be positive, got {floor}")
     mag = spec.frames

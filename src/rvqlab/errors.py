@@ -5,7 +5,10 @@ CLI (and fuzz harnesses) can catch one base class and still report the
 specific condition.
 """
 
+import math
+import numbers
 import operator
+import os
 
 import numpy as np
 
@@ -111,6 +114,31 @@ def check_int(name, value, low, high=None, error=InvalidInput) -> int:
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
     return number
+
+
+def check_float(name, value, error=InvalidInput) -> float:
+    """value as a float if it is a finite Python or numpy real, else error.
+    bool, text, None, complex, nan and inf do not pass."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if not math.isfinite(number):
+        raise error(f"{name} must be a finite real number, got {value!r}")
+    return number
+
+
+def check_path(path):
+    """path if it is a str or os.PathLike that the file system can encode, else
+    InvalidInput: an int is never taken for an open file descriptor."""
+    try:
+        valid = isinstance(path, (str, os.PathLike)) and b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate that surrogateescape does not cover
+        valid = False
+    if not valid:
+        raise InvalidInput(f"path must be a str or os.PathLike naming a file, got {path!r}")
+    return path
 
 
 def check_array(name, values, ndim, error=InvalidInput, complex_ok=False) -> np.ndarray:

@@ -21,7 +21,9 @@ from scipy.stats import t as student_t
 
 from . import codec
 from .container import ModelContainer
-from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError, check_array, check_int
+from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
+from .errors import check_array, check_float, check_int, check_path
+from .frontend import GL_ITERATIONS
 from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
@@ -57,6 +59,7 @@ class MushraRecord:
     score: float
 
     def __post_init__(self):
+        object.__setattr__(self, "score", check_float("MUSHRA score", self.score))
         if not 0.0 <= self.score <= 100.0:
             raise InvalidInput(f"MUSHRA score must be in [0, 100], got {self.score}")
 
@@ -83,7 +86,7 @@ def run_evaluation(
     container: ModelContainer,
     test_manifests: dict,
     q_list,
-    gl_iterations: int = 32,
+    gl_iterations: int = GL_ITERATIONS,
 ) -> MetricReport:
     """Score the codec on every test file at every stage count.
 
@@ -95,7 +98,10 @@ def run_evaluation(
     scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
     recorded in the config.
     """
-    q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
+    try:
+        q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
+    except TypeError:  # not iterable
+        raise InvalidInput(f"q_list must be a sequence of stage counts, got {q_list!r}") from None
     if not q_list:
         raise InvalidInput("q_list must be nonempty")
     if not test_manifests:
@@ -167,7 +173,7 @@ def load_mushra_records(path) -> list[MushraRecord]:
     records = []
     seen = set()
     first = True  # the header may only be the first non-blank, non-comment line
-    with open(path, encoding="utf-8") as fh:
+    with open(check_path(path), encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -266,12 +272,13 @@ def wilcoxon_ranksum(
     enumerated exactly whenever min(len(a), len(b)) <= 10; larger groups
     use the tie-corrected normal approximation with continuity correction.
     """
+    alpha = check_float("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must be in the open interval (0, 1), got {alpha}")
     a, b = check_array("a", a, 1), check_array("b", b, 1)
     if a.size < 1 or b.size < 1:
         raise InvalidInput("both groups need at least one observation")
-    if method not in ("auto", "exact", "normal-approx"):
+    if not isinstance(method, str) or method not in ("auto", "exact", "normal-approx"):
         raise InvalidInput(f"unknown method {method!r}")
     combined = np.concatenate([a, b])
     ranks = rankdata(combined, method="average")
@@ -302,7 +309,7 @@ def _format_value(value) -> str:
 def render_report(report, fmt: str = "markdown") -> str:
     """Deterministic text rendering of a MetricReport or a (MUSHRA summaries,
     significance results) pair."""
-    if fmt not in ("markdown", "csv"):
+    if not isinstance(fmt, str) or fmt not in ("markdown", "csv"):
         raise InvalidInput(f"unknown format {fmt!r}")
     if isinstance(report, MetricReport):
         return _render_metric_report(report, fmt)

@@ -45,6 +45,7 @@ F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
 MAX_SEED = (1 << 63) - 1  # .rvqm stores seeds as int64
+GL_ITERATIONS = 32  # Griffin-Lim iterations of a decode that does not set its own
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,9 @@ def encode_latent(model: FrontendModel, audio: AudioBuffer) -> LatentSequence:
 _MEL_INVERSION_STEPS = 10
 
 
-def decode_latent(model: FrontendModel, latents: LatentSequence, gl_iterations: int = 32) -> AudioBuffer:
+def decode_latent(
+    model: FrontendModel, latents: LatentSequence, gl_iterations: int = GL_ITERATIONS
+) -> AudioBuffer:
     """Invert the latent projection and reconstruct a waveform.
 
     Linear magnitudes start from the clamped filterbank pseudo-inverse and

@@ -13,7 +13,6 @@ LOSS_FLOOR = 1e-5; STOI uses the _STOI_* constants.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import subprocess
@@ -39,6 +38,8 @@ from .errors import (
     InsufficientDuration,
     InvalidInput,
     SampleRateMismatch,
+    check_float,
+    check_path,
 )
 
 
@@ -49,8 +50,7 @@ class MetricValue:
     higher_is_better: bool
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise InvalidInput(f"metric {self.name} is not finite: {self.value}")
+        object.__setattr__(self, "value", check_float(f"metric {self.name}", self.value))
 
 
 # (fft_size, hop, n_mels) of each loss scale, and the log-mel floor.
@@ -209,7 +209,7 @@ def pesq_adapter(
     a conformant score (the last float on stdout is taken).  Returns None
     when tool_path is None or empty; that is an expected state, not an error.
     """
-    if not tool_path:
+    if tool_path is None or not check_path(tool_path):
         return None
     ref, test = _aligned_pair(ref, test)
     ref16 = resample(ref, 16000)

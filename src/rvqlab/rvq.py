@@ -72,7 +72,17 @@ class Codebook:
 class RvqModel:
     config: RvqConfig
     stages: tuple            # Q Codebooks, in quantization order
-    training_stats: np.ndarray = field(repr=False, default=None)  # per-stage MSE
+    training_stats: np.ndarray = field(repr=False)  # per-stage MSE
+
+    def __post_init__(self):
+        cfg = self.config
+        shape = ((cfg.codebook_size, cfg.code_dim), (cfg.code_dim, cfg.latent_dim))  # entries, in_proj
+        if [(s.entries.shape, s.in_proj.shape) for s in self.stages] != [shape] * cfg.n_stages:
+            raise InvalidConfig(f"need {cfg.n_stages} codebooks with (entries, in_proj) shapes {shape}")
+        stats = check_array("training_stats", self.training_stats, 1, InvalidConfig)
+        if stats.shape != (cfg.n_stages,):
+            raise InvalidConfig(f"training_stats must hold {cfg.n_stages} values, got {stats.shape}")
+        object.__setattr__(self, "training_stats", stats)
 
     @property
     def n_stages(self) -> int:
@@ -100,7 +110,9 @@ class TokenStream:
             raise CorruptTokens(
                 f"token index out of range [0, {self.codebook_size})"
             )
-        object.__setattr__(self, "frames", frames.astype(np.uint16))
+        frames = frames.astype(np.uint16)
+        frames.flags.writeable = False  # the range checks above hold for good
+        object.__setattr__(self, "frames", frames)
 
     @property
     def n_frames(self) -> int:
@@ -383,8 +395,6 @@ def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSeq
         raise CorruptTokens(
             f"stream codebook size {tokens.codebook_size} != model {model.config.codebook_size}"
         )
-    if tokens.frames.size and tokens.frames.max() >= model.config.codebook_size:
-        raise CorruptTokens("token index out of range for the model codebooks")
     out = np.zeros((tokens.n_frames, model.config.latent_dim))
     for i in range(n_stages):
         stage = model.stages[i]

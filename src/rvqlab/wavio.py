@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from .dsp import AudioBuffer
-from .errors import WavError, check_int
+from .errors import WavError, check_int, check_path
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -18,7 +18,7 @@ _FMT_FLOAT = 3
 
 def read_wav(path) -> AudioBuffer:
     """Read a mono PCM16 or float32 WAV file into an AudioBuffer."""
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavError(f"{path}: not a RIFF/WAVE file")
@@ -72,22 +72,22 @@ def write_wav(path, audio: AudioBuffer, encoding: str = "float32") -> None:
     encoding: "float32" (IEEE float, lossless for our pipelines) or
     "pcm16" (clipped to [-1, 1] and rounded).
     """
+    if not isinstance(encoding, str) or encoding not in ("float32", "pcm16"):
+        raise WavError(f"unknown encoding {encoding!r}")
     if encoding == "float32":
         payload = audio.samples.astype("<f4").tobytes()
         audio_format, bits = _FMT_FLOAT, 32
-    elif encoding == "pcm16":
+    else:
         clipped = np.clip(audio.samples, -1.0, 1.0)
         payload = (np.round(clipped * 32767.0)).astype("<i2").tobytes()
         audio_format, bits = _FMT_PCM, 16
-    else:
-        raise WavError(f"unknown encoding {encoding!r}")
 
     block_align = bits // 8
     # the rate and the byte rate (rate * block_align) are u32 header fields
     rate = check_int("sample_rate", audio.sample_rate, 1, 0xFFFFFFFF // block_align, WavError)
     fmt_chunk = struct.pack("<HHIIHH", audio_format, 1, rate, rate * block_align, block_align, bits)
     riff_len = 4 + (8 + len(fmt_chunk)) + (8 + len(payload))
-    with open(path, "wb") as fh:
+    with open(check_path(path), "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_len) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
         fh.write(b"data" + struct.pack("<I", len(payload)) + payload)

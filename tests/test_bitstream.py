@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rvqlab.bitstream import HEADER_SIZE, pack, prefix, unpack
 from rvqlab.errors import (
     CorruptPadding,
+    CorruptTokens,
     InvalidInput,
     NotABitstream,
     RvqLabError,
@@ -58,10 +59,10 @@ class TestPack:
             assert len(data) == HEADER_SIZE + (t * q * bits + 7) // 8
 
     def test_index_overflow(self):
-        tokens = _stream([[3]], k=1024)
-        object.__setattr__(tokens, "codebook_size", 2)  # force inconsistency
-        with pytest.raises(InvalidInput):
-            pack(tokens)
+        # pack trusts TokenStream's range check: an index >= K cannot be
+        # built, and the frames cannot be changed after the check.
+        with pytest.raises(CorruptTokens):
+            pack(_stream([[3]], k=2))
 
     @pytest.mark.parametrize(
         "shape, k, message",

@@ -6,7 +6,7 @@ import pytest
 from rvqlab import container as container_module
 from rvqlab.container import ModelContainer, from_bytes, load, save, to_bytes
 from rvqlab.dsp import AudioBuffer
-from rvqlab.errors import CorruptModel, InvalidInput
+from rvqlab.errors import CorruptModel, InvalidConfig, InvalidInput
 from rvqlab.frontend import encode_latent, fit_frontend
 from rvqlab.rvq import RvqConfig, train_rvq
 
@@ -170,6 +170,9 @@ class TestCodecGeometry:
         rvq32 = train_rvq(rng.standard_normal((40, 32)), config)
         frontend = container.frontend
         assert frontend.latent_dim == 16
-        data = to_bytes(ModelContainer(frontend=frontend, rvq=rvq32))
+        with pytest.raises(InvalidConfig, match="latent_dim 16 != rvq latent_dim 32"):
+            ModelContainer(frontend=frontend, rvq=rvq32)
+        sections = _sections(to_bytes(container))
+        sections[1] = container_module._pack_rvq(rvq32)
         with pytest.raises(CorruptModel, match="latent_dim 16 != rvq latent_dim 32"):
-            from_bytes(data)
+            from_bytes(_join(sections))

@@ -16,11 +16,9 @@ from rvqlab.dsp import (
     _overlap_add,
     _project_magnitude,
     griffin_lim,
-    hz_to_mel,
     istft,
     log_mel,
     mel_filterbank,
-    mel_to_hz,
     resample,
     stft,
 )
@@ -192,11 +190,15 @@ class TestTypedErrors:
             (lambda: mel_filterbank(24000, 1024, 0), InvalidConfig),
             (lambda: log_mel(Spectrogram(np.ones((4, 513)), _SPEC_CONFIG, 24000),
                              mel_filterbank(24000, 1024, 80), 0.0), InvalidConfig),
+            *[(lambda floor=floor: log_mel(Spectrogram(np.ones((4, 513)), _SPEC_CONFIG, 24000),
+                                           mel_filterbank(24000, 1024, 80), floor), InvalidConfig)
+              for floor in ("x", math.nan, math.inf)],
             (lambda: griffin_lim(Spectrogram(-np.ones((4, 513)), _SPEC_CONFIG, 24000), 1),
              InvalidInput),
         ],
         ids=["fft-not-power-of-two", "hop-above-fft", "spectrogram-width",
-             "spectrogram-non-finite", "zero-mels", "zero-floor", "negative-magnitude"],
+             "spectrogram-non-finite", "zero-mels", "zero-floor", "text-floor", "nan-floor", "inf-floor",
+             "negative-magnitude"],
     )
     def test_typed_errors(self, call, error):
         with pytest.raises(error):

@@ -91,7 +91,7 @@ class TestWilcoxon:
         assert wilcoxon_ranksum(big_a, big_b).p_value < 1e-5
         assert wilcoxon_ranksum(big_a, big_b).significant
 
-    @pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, float("nan"), "x"])
     def test_alpha_outside_open_unit_interval(self, alpha):
         with pytest.raises(InvalidInput, match="alpha"):
             wilcoxon_ranksum([1, 2, 3], [4, 5, 6], alpha=alpha)

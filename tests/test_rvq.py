@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -403,6 +405,14 @@ class TestDequantize:
         with pytest.raises(CorruptTokens):
             TokenStream(np.array([[999]], dtype=np.int64), model.config.codebook_size)
 
+    def test_frames_are_read_only(self, small_model):
+        # The range check at construction is the only one: pack and
+        # dequantize do not repeat it, so the frames must not change after it.
+        model, _ = small_model
+        tokens = quantize(model, LatentSequence(np.zeros((2, 16))), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            tokens.frames[0, 0] = model.config.codebook_size
+
 
 class TestTypedErrors:
     @pytest.mark.parametrize(
@@ -418,10 +428,17 @@ class TestTypedErrors:
             (lambda m: quantize(m, LatentSequence(np.zeros((2, 15))), 1), InvalidInput),
             (lambda m: dequantize(m, TokenStream(np.zeros((2, m.n_stages + 1)), 16), 1),
              InvalidInput),
+            (lambda m: rvq.RvqModel(m.config, m.stages[:-1], m.training_stats[:-1]), InvalidConfig),
+            (lambda m: rvq.RvqModel(replace(m.config, codebook_size=32), m.stages, m.training_stats),
+             InvalidConfig),
+            (lambda m: rvq.RvqModel(m.config, m.stages, m.training_stats[:-1]), InvalidConfig),
+            (lambda m: rvq.RvqModel(m.config, m.stages, np.full(m.n_stages, np.nan)), InvalidConfig),
+            (lambda m: rvq.RvqModel(m.config, m.stages, ["a"] * m.n_stages), InvalidConfig),
         ],
         ids=["non-unit-entries", "text-entries", "one-d-entries", "projections-not-matrices",
              "out-proj-not-transposed", "one-d-tokens", "training-width", "quantize-width",
-             "stream-deeper-than-model"],
+             "stream-deeper-than-model", "model-missing-a-codebook", "model-codebooks-of-another-k",
+             "model-stats-short", "model-stats-nan", "model-stats-text"],
     )
     def test_typed_errors(self, small_model, call, error):
         model, _ = small_model

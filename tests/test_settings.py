@@ -1,8 +1,13 @@
-"""Every integer setting of the library takes an integer in range, and every
-array a finite numeric array of its dimensions; anything else is the typed
-error of the setting or value, never a TypeError, ValueError or struct.error
-from deeper in the call."""
+"""Every integer setting of the library takes an integer in range, every
+float setting a finite real, every array a finite numeric array of its
+dimensions and every path a str or os.PathLike; the model objects check
+their own fields.  Anything else is the typed error of the setting or value,
+never a TypeError, ValueError, AttributeError or struct.error from deeper in
+the call."""
 
+import math
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,15 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvqlab import container
 from rvqlab.bitstream import pack, prefix, unpack
-from rvqlab.datapipe import BatchSpec, sample_batch
+from rvqlab.datapipe import BatchSpec, load_manifest, sample_batch
 from rvqlab.dsp import AudioBuffer, Spectrogram, StftConfig, griffin_lim, mel_filterbank, resample
-from rvqlab.errors import InvalidConfig, InvalidInput, WavError, check_array, check_int
-from rvqlab.evalstats import run_evaluation
+from rvqlab.errors import InvalidConfig, InvalidInput, WavError, check_array, check_float, check_int, check_path
+from rvqlab.evalstats import MushraRecord, load_mushra_records, run_evaluation
 from rvqlab.frontend import MAX_SEED, STFT_CONFIG, FrontendModel, LatentSequence, fit_frontend
+from rvqlab.metrics import MetricValue
 from rvqlab.rvq import MAX_CODEBOOK_SIZE, RvqConfig, TokenStream, bitrate, dequantize, kmeans_unit, quantize, train_rvq
+from rvqlab.rvq import RvqModel
 from rvqlab.training import train_codec
-from rvqlab.wavio import write_wav
+from rvqlab.wavio import read_wav, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +42,7 @@ def ctx(tmp_path_factory):
         stream=pack(tokens),
         container=SimpleNamespace(rvq=model),
         magnitude=Spectrogram(np.ones((3, 513)), STFT_CONFIG, 24000),
+        frontend=FrontendModel(np.zeros(80), np.eye(4, 80), np.zeros(80), 0),
         points=rng.normal(size=(8, 3)),
         wav=tmp_path_factory.mktemp("wav") / "out.wav",
     )
@@ -149,6 +158,54 @@ def test_value_types_hold_only_what_they_represent(call):
         call()
 
 
+def _on_descriptor(call):
+    """call(fd) on the descriptor of a fresh empty file, which must stay open and empty."""
+    def run(ctx):
+        fd = os.open(ctx.wav.with_name("descriptor.bin"), os.O_RDWR | os.O_CREAT | os.O_TRUNC)
+        try:
+            call(fd)
+        finally:
+            size = os.fstat(fd).st_size  # OSError if the call closed the descriptor
+            os.close(fd)
+            assert size == 0
+    return run
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda c: MushraRecord("a", "b", "c", "x"), InvalidInput),
+        (lambda c: MetricValue("m", "x", True), InvalidInput),
+        (lambda c: read_wav(None), InvalidInput),
+        (lambda c: container.load(None), InvalidInput),
+        (lambda c: load_manifest(None), InvalidInput),
+        (lambda c: load_mushra_records(None), InvalidInput),
+        (_on_descriptor(read_wav), InvalidInput),
+        (_on_descriptor(lambda fd: write_wav(fd, AudioBuffer(np.zeros(4), 24000))), InvalidInput),
+        (lambda c: container.to_bytes(container.ModelContainer(None, RvqModel(RvqConfig(2), (), None))),
+         InvalidConfig),
+        (lambda c: container.ModelContainer(c.frontend, c.model, {"k": "\ud800"}), InvalidConfig),
+    ],
+    ids=["mushra-score-text", "metric-value-text", "read-wav-none", "container-load-none",
+         "load-manifest-none", "load-mushra-records-none", "read-wav-descriptor", "write-wav-descriptor",
+         "rvq-model-without-codebooks", "container-metadata-not-utf8"],
+)
+def test_float_path_and_model_values_raise_the_typed_error(ctx, call, error):
+    with pytest.raises(error):
+        call(ctx)
+
+
+@pytest.mark.parametrize("path", [3, True, None, b"x.wav", 2.5, "a\x00b", "\ud800", Path("a\x00")])
+def test_check_path_refuses_what_cannot_name_a_file(path):
+    with pytest.raises(InvalidInput, match="path must be a str or os.PathLike"):
+        check_path(path)
+
+
+@pytest.mark.parametrize("path", ["x.wav", Path("x.wav"), "\udcff"])  # \udcff: an undecodable byte
+def test_check_path_returns_a_str_or_path_unchanged(path):
+    assert check_path(path) is path
+
+
 def test_wav_rate_beyond_its_u32_header_fields_is_a_wav_error(tmp_path):
     with pytest.raises(WavError, match="sample_rate"):
         write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 2**33))
@@ -178,6 +235,30 @@ def test_check_int_returns_an_int_in_range_or_raises_the_given_error(value, low,
     else:
         with pytest.raises(InvalidConfig, match="x must be an integer"):
             check_int("x", value, low, high, InvalidConfig)
+
+
+@settings(max_examples=600)
+@given(
+    value=st.one_of(
+        st.floats(),
+        st.floats(width=32).map(np.float32),
+        st.integers(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.complex_numbers(),
+        st.text(max_size=4),
+        st.booleans(),
+        st.none(),
+    ),
+)
+def test_check_float_returns_a_finite_float_or_raises_the_given_error(value):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    real = isinstance(value, (float, np.floating)) and math.isfinite(value)
+    if real or integer and abs(int(value)) <= np.finfo(np.float64).max:
+        result = check_float("x", value, InvalidConfig)
+        assert type(result) is float and result == float(value)
+    else:
+        with pytest.raises(InvalidConfig, match="x must be a finite real number"):
+            check_float("x", value, InvalidConfig)
 
 
 _ELEMENTS = {
