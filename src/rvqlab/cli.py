@@ -16,7 +16,7 @@ from dataclasses import asdict
 from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
 from .errors import InvalidInput, RvqLabError
-from .frontend import GL_ITERATIONS
+from .frontend import GL_ITERATIONS, GL_MOMENTUM
 from .evalstats import (
     load_mushra_records,
     mushra_summary,
@@ -27,6 +27,9 @@ from .evalstats import (
 from .rvq import bitrate
 from .training import train_codec
 from .wavio import read_wav, write_wav
+
+
+_GL_HELP = f"Fast Griffin-Lim iterations per decode (momentum {GL_MOMENTUM}; default %(default)s)"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -67,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--stages", type=int, default=None,
                    help="decode only the first q stages (prefix decode)")
     p.add_argument("wav_out")
-    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS)
+    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS, help=_GL_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("eval", help="objective metrics over test manifests")
@@ -75,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--test", action="append", required=True, metavar="NAME=MANIFEST",
                    help="named test manifest; repeatable")
     p.add_argument("--q-list", default="32,16,8,4,2,1")
-    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS)
+    p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS, help=_GL_HELP)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--json", action="store_true")
@@ -156,16 +159,20 @@ def _cmd_decode(args) -> None:
         data = fh.read()
     tokens = bitstream.unpack(data)
     stages = args.stages if args.stages is not None else tokens.n_stages
-    _, audio = codec.decode(model, tokens, stages, args.gl_iterations)
+    sc = []
+    _, audio = codec.decode(model, tokens, stages, args.gl_iterations, lambda i, error: sc.append(error))
     write_wav(args.wav_out, audio, encoding="float32")
     payload = {
         "out": args.wav_out,
         "samples": len(audio),
         "sample_rate": audio.sample_rate,
         "stages_used": stages,
+        "gl_iterations": args.gl_iterations,
+        "gl_sc": sc,
     }
     _emit(args, payload, f"wrote {args.wav_out}: {len(audio)} samples at {audio.sample_rate} Hz "
-                         f"({stages} of {tokens.n_stages} stages)")
+                         f"({stages} of {tokens.n_stages} stages); {args.gl_iterations} Griffin-Lim iterations, "
+                         f"final spectral convergence {sc[-1]:.4f}")
 
 
 def _cmd_eval(args) -> None:

@@ -23,10 +23,11 @@ def encode(model: ModelContainer, audio: AudioBuffer, n_stages: int):
     return audio, latents, quantize(model.rvq, latents, n_stages)
 
 
-def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterations: int):
+def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterations: int, callback=None):
     """(latents, audio) from the first n_stages; the audio is rounded through
-    float32, so it holds exactly the samples of the float32 WAV the CLI writes."""
+    float32, so it holds exactly the samples of the float32 WAV the CLI writes.
+    callback(iteration, sc_error) sees each Griffin-Lim iteration."""
     latents = dequantize(model.rvq, tokens, n_stages)
-    audio = decode_latent(model.frontend, latents, gl_iterations)
+    audio = decode_latent(model.frontend, latents, gl_iterations, callback)
     return latents, AudioBuffer(audio.samples.astype(np.float32).astype(np.float64), audio.sample_rate)
 

@@ -14,10 +14,10 @@ kernel row, tap by tap, from a strided slice of the padded source.  Pairs
 with too few outputs per phase to repay the per-slice overhead gather rows
 and samples for all outputs at once instead.
 
-The vectorized framing, overlap-add, Griffin-Lim phase projection and both
-resampler accumulations are exact: each returns, bit for bit, what the
-plain loop or expression named in its docstring returns, so a faster
-kernel never moves a decoded sample or a token.
+The vectorized framing, overlap-add, Griffin-Lim phase projection and
+momentum step, and both resampler accumulations are exact: each returns,
+bit for bit, what the plain loop or expression named in its docstring
+returns, so a faster kernel never moves a decoded sample or a token.
 """
 
 from __future__ import annotations
@@ -243,6 +243,14 @@ def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterba
     return MelFilterbank(weights, centers)
 
 
+@functools.lru_cache(maxsize=32)
+def _mel_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    """Read-only pseudo-inverse, (n_bins, n_mels), of the cached bank's weights."""
+    pinv = np.linalg.pinv(_mel_filterbank(sample_rate, fft_size, n_mels).weights)
+    pinv.flags.writeable = False
+    return pinv
+
+
 def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:
     """ln(max(fb @ magnitude, floor)) per frame; shape (T, n_mels)."""
     floor = check_float("floor", floor, InvalidConfig)
@@ -256,13 +264,6 @@ def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:
             f"filterbank expects {fb.weights.shape[1]} bins, spectrogram has {mag.shape[1]}"
         )
     return np.log(np.maximum(mag @ fb.weights.T, floor))
-
-
-def _spectral_convergence(estimate_mag: np.ndarray, target_mag: np.ndarray) -> float:
-    denom = np.linalg.norm(target_mag)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(estimate_mag - target_mag) / denom)
 
 
 def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -284,37 +285,60 @@ def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) ->
     return spec
 
 
-def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None) -> AudioBuffer:
+def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None, momentum: float = 0.0) -> AudioBuffer:
     """Reconstruct a waveform from an STFT magnitude by Griffin-Lim iteration.
 
     Starts from zero phase and alternates least-squares synthesis with
-    magnitude replacement, entirely in the padded analysis domain so the
-    per-iteration spectral-convergence error is nonincreasing.
+    magnitude replacement, entirely in the padded analysis domain.  With
+    momentum 0 this is plain Griffin-Lim, whose per-iteration
+    spectral-convergence error is nonincreasing.
 
-    The synthesis divisor is built once per call, and each iteration
-    reuses the analysis magnitudes for the spectral convergence and the
-    phase projection.
+    With momentum a in (0, 1) it is Fast Griffin-Lim (Perraudin, Balazs and
+    Soendergaard, "A fast Griffin-Lim algorithm", WASPAA 2013): each
+    iteration after the first synthesizes c_n + a * (c_n - c_{n-1}) from the
+    projected spectra c_n, computed in c_{n-1}'s buffer with the expression's
+    bits.  It reaches a lower error in fewer iterations, but the error is
+    not monotone.
+
+    The synthesis divisor and the target's norm are computed once per call,
+    and each iteration reuses the analysis magnitudes for the spectral
+    convergence ||mag - target|| / ||target|| (0 for an all-zero target)
+    and the phase projection.
 
     Args:
         magnitude: magnitude spectrogram (nonnegative, real).
         iterations: number of projection cycles, >= 1.
         callback: optional callable(iteration, sc_error) invoked once per
             cycle with the current spectral-convergence error.
+        momentum: a in [0, 1); 0 is plain Griffin-Lim.
     """
     iterations = check_int("iterations", iterations, 1)
+    momentum = check_float("momentum", momentum)
+    if not 0.0 <= momentum < 1.0:
+        raise InvalidInput(f"momentum must be in [0, 1), got {momentum}")
     config = magnitude.config
     if np.iscomplexobj(magnitude.frames) or np.any(magnitude.frames < 0):
         raise InvalidInput("magnitude spectrogram must be real and nonnegative")
     target = magnitude.frames
 
     divisor = _synthesis_divisor(config, len(target))
+    target_norm = np.linalg.norm(target)
     x = _istft_padded(target + 0j, config, divisor)
+    prev = None
     for i in range(iterations):
         spec = _windowed_rfft(x, config)
         mag = np.abs(spec)
         if callback is not None:
-            callback(i, _spectral_convergence(mag, target))
-        x = _istft_padded(_project_magnitude(spec, mag, target), config, divisor)
+            callback(i, float(np.linalg.norm(mag - target) / target_norm) if target_norm else 0.0)
+        projected = step = _project_magnitude(spec, mag, target)
+        if prev is not None:
+            np.subtract(projected, prev, out=prev)
+            prev *= momentum
+            prev += projected
+            step = prev
+        x = _istft_padded(step, config, divisor)
+        if momentum:
+            prev = projected
 
     pad = config.fft_size // 2
     return AudioBuffer(x[pad : len(x) - pad], magnitude.sample_rate)

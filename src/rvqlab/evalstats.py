@@ -23,7 +23,7 @@ from . import codec
 from .container import ModelContainer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
-from .frontend import GL_ITERATIONS
+from .frontend import GL_ITERATIONS, GL_MOMENTUM
 from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
 from .wavio import read_wav
 
@@ -59,6 +59,9 @@ class MushraRecord:
     score: float
 
     def __post_init__(self):
+        for name in ("subject", "stimulus", "system"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidInput(f"MUSHRA {name} must be text, got {getattr(self, name)!r}")
         object.__setattr__(self, "score", check_float("MUSHRA score", self.score))
         if not 0.0 <= self.score <= 100.0:
             raise InvalidInput(f"MUSHRA score must be in [0, 100], got {self.score}")
@@ -159,6 +162,7 @@ def run_evaluation(
         "system": _SYSTEM,
         "q_list": q_list,
         "gl_iterations": gl_iterations,
+        "gl_momentum": GL_MOMENTUM,
         "metric": {"scales": [list(s) for s in LOSS_SCALES], "floor": LOSS_FLOOR},
         "pesq_tool": pesq_tool or "",
     }

@@ -4,8 +4,13 @@ Analysis: 24 kHz audio -> log-mel (fft 1024, hop 320, 80 mels over
 0-12 kHz, floor 1e-5) -> mean removal -> orthonormal projection onto the
 top-D principal components.  Synthesis: inverse projection ->
 mel-to-linear magnitudes via the filterbank pseudo-inverse (clamped at
-zero) -> Griffin-Lim.  This geometry is fixed: the constants below are the
-only copy, and a fitted model holds only its statistics and projection.
+zero) -> Fast Griffin-Lim (Perraudin, Balazs and Soendergaard, WASPAA
+2013) with momentum 0.99, 20 iterations unless the caller sets its own.
+On speech-like held-out sets that scores a lower mel loss and a higher
+STOI than 32 plain iterations, in about two thirds of the time; its
+spectral-convergence error, unlike plain Griffin-Lim's, is not monotone.
+This geometry is fixed: the constants below are the only copy, and a
+fitted model holds only its statistics and projection.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .dsp import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
+    _mel_pinv,
     griffin_lim,
     log_mel,
     mel_filterbank,
@@ -45,7 +51,8 @@ F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
 MAX_SEED = (1 << 63) - 1  # .rvqm stores seeds as int64
-GL_ITERATIONS = 32  # Griffin-Lim iterations of a decode that does not set its own
+GL_ITERATIONS = 20  # Griffin-Lim iterations of a decode that does not set its own
+GL_MOMENTUM = 0.99  # Fast Griffin-Lim momentum of every decode
 
 
 @dataclass(frozen=True)
@@ -185,13 +192,14 @@ _MEL_INVERSION_STEPS = 10
 
 
 def decode_latent(
-    model: FrontendModel, latents: LatentSequence, gl_iterations: int = GL_ITERATIONS
+    model: FrontendModel, latents: LatentSequence, gl_iterations: int = GL_ITERATIONS, callback=None
 ) -> AudioBuffer:
     """Invert the latent projection and reconstruct a waveform.
 
     Linear magnitudes start from the clamped filterbank pseudo-inverse and
-    are sharpened by a few multiplicative nonnegative updates before
-    Griffin-Lim.  Output length is exactly n_frames * hop samples.
+    are sharpened by a few multiplicative nonnegative updates before Fast
+    Griffin-Lim, which calls callback(iteration, sc_error) once per
+    iteration.  Output length is exactly n_frames * hop samples.
     """
     if latents.dim != model.latent_dim:
         raise InvalidInput(
@@ -200,8 +208,7 @@ def decode_latent(
     logmel = latents.frames @ model.basis + model.mean
     mel_amp = np.exp(logmel)
     weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS).weights
-    pinv = np.linalg.pinv(weights)  # (n_bins, n_mels)
-    mags = np.maximum(mel_amp @ pinv.T, 0.0)
+    mags = np.maximum(mel_amp @ _mel_pinv(SAMPLE_RATE, FFT_SIZE, N_MELS).T, 0.0)
     col_sum = np.maximum(weights.sum(axis=0), 1e-12)
     for _ in range(_MEL_INVERSION_STEPS):
         ratio = mel_amp / np.maximum(mags @ weights.T, 1e-12)
@@ -210,4 +217,4 @@ def decode_latent(
     # repeating the last magnitude frame so reconstruction spans T * hop.
     mags = np.vstack([mags, mags[-1:]])
     spec = Spectrogram(mags, STFT_CONFIG, SAMPLE_RATE)
-    return griffin_lim(spec, iterations=gl_iterations)
+    return griffin_lim(spec, iterations=gl_iterations, callback=callback, momentum=GL_MOMENTUM)

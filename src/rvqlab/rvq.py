@@ -238,7 +238,8 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
 
     Raises:
         InvalidConfig: k is not a positive integer or seed not a nonnegative one.
-        InvalidInput: points is not a nonempty N x d array of finite values.
+        InvalidInput: points is not a nonempty N x d array of finite values,
+            or they are so large that a squared distance could overflow.
 
     Returns:
         (centroids, assignments, distortion_history)
@@ -248,10 +249,15 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     points = check_array("points", points, 2)
     if points.size == 0:
         raise InvalidInput(f"points must be a nonempty N x d array, got shape {points.shape}")
+    n, dim = points.shape
+    with np.errstate(over="ignore"):
+        sq_norms = np.sum(points**2, axis=1)
+        # Seeding sums n squared distances, each at most 4 * max |p|^2.
+        bound = 4.0 * n * sq_norms.max()
+    if not np.isfinite(bound):
+        raise InvalidInput("points are too large: their squared distances overflow")
     rng = np.random.default_rng(seed)
     centers = _normalize_rows(_kmeans_pp_init(points, k, rng))
-    sq_norms = np.sum(points**2, axis=1)
-    n, dim = points.shape
     # Cap the sims block at ~32 MB with equal chunks.  A 4096 x 1024 float64
     # block is exactly 32 MiB, which glibc always serves with a fresh mmap
     # (and page faults) per chunk; equal chunks just below the cap are reused

@@ -113,12 +113,13 @@ def train_desk_model(manifest_path):
 
 
 def evaluate_desk_model(model, held_manifest_path):
-    """The held-out eval report of the desk model at q = 1, 2, 4, 8, 16, 32."""
+    """The held-out eval report of the desk model at q = 1, 2, 4, 8, 16, 32, decoded
+    with the shipped Griffin-Lim (GL_ITERATIONS fast iterations)."""
     from rvqlab.datapipe import load_manifest
     from rvqlab.evalstats import run_evaluation
 
     held = load_manifest(held_manifest_path)
-    return run_evaluation(model, {"held": held}, q_list=[1, 2, 4, 8, 16, 32], gl_iterations=32)
+    return run_evaluation(model, {"held": held}, q_list=[1, 2, 4, 8, 16, 32])
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from rvqlab.datapipe import BatchSpec, load_manifest, sample_batch
 from rvqlab.dsp import AudioBuffer, StftConfig, griffin_lim, istft, stft
 from rvqlab.errors import RvqLabError
 from rvqlab.evalstats import PESQ_TOOL_ENV, run_evaluation, wilcoxon_ranksum
-from rvqlab.frontend import FRAME_RATE, LatentSequence, encode_latent
+from rvqlab.frontend import FRAME_RATE, GL_ITERATIONS, LatentSequence, encode_latent
 from rvqlab.metrics import LOSS_SCALES, mel_loss, stft_loss, stoi
 from rvqlab.rvq import RvqConfig, bitrate, dequantize, kmeans_unit, quantize, train_rvq
 
@@ -149,7 +149,7 @@ def test_desk_train_held_self_consistency(desk_run):
     for entry in train_manifest:
         by_category.setdefault(entry.category, entry)
     train_slice = list(by_category.values())
-    train_report = run_evaluation(model, {"train": train_slice}, q_list=[32], gl_iterations=32)
+    train_report = run_evaluation(model, {"train": train_slice}, q_list=[32], gl_iterations=GL_ITERATIONS)
     mel_train = train_report.cell("train", "mel", "rvq", 32)
     mel_held = report.cell("held", "mel", "rvq", 32)
     assert abs(mel_train - mel_held) <= 0.10 * mel_held

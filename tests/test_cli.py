@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rvqlab
-from rvqlab import bitstream, container
+from rvqlab import bitstream, codec, container
 from rvqlab.cli import main
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
@@ -172,6 +172,22 @@ class TestEncodeDecode:
         decoded = read_wav(wav_out)
         assert len(decoded) == 24000
         assert decoded.sample_rate == 24000
+
+    def test_decode_json_reports_the_griffin_lim_trace(self, toy_model, one_second_wav, tmp_path, capsys):
+        model_path, model, _ = toy_model
+        stream = tmp_path / "s.rvqs"
+        _run(capsys, ["encode", "--model", str(model_path), str(one_second_wav), "-q", "4", str(stream)])
+        code, out, _ = _run(
+            capsys,
+            ["decode", "--model", str(model_path), str(stream), str(tmp_path / "o.wav"),
+             "--gl-iterations", "5", "--json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        expected = []
+        codec.decode(model, bitstream.unpack(stream.read_bytes()), 4, 5, lambda i, sc: expected.append(sc))
+        assert payload["gl_iterations"] == 5
+        assert payload["gl_sc"] == expected and len(expected) == 5
 
     def test_corrupt_stream_typed_error(self, toy_model, tmp_path, capsys):
         model_path, _, _ = toy_model

@@ -66,7 +66,7 @@ CONTRACT = {
     "cli.main": {"argv": (ARGV, E("argv"))},
     "codec.encode": {"model": (OBJECT, E("model")), "audio": (OBJECT, E("audio")), "n_stages": (VALUE, 1)},
     "codec.decode": {"model": (OBJECT, E("model")), "tokens": (OBJECT, E("tokens")), "n_stages": (VALUE, 1),
-                     "gl_iterations": (VALUE, 1)},
+                     "gl_iterations": (VALUE, 1), "callback": (OBJECT, None)},
     "container.ModelContainer": {"frontend": (OBJECT, E("frontend")), "rvq": (OBJECT, E("rvq")),
                                  "metadata": (VALUE, {"seed": "3"})},
     "container.to_bytes": {"container": (OBJECT, E("model"))},
@@ -91,7 +91,7 @@ CONTRACT = {
     "dsp.mel_filterbank": {"sample_rate": (VALUE, 24000), "fft_size": (VALUE, 256), "n_mels": (VALUE, 20)},
     "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "fb": (OBJECT, E("fb")), "floor": (VALUE, 1e-5)},
     "dsp.griffin_lim": {"magnitude": (OBJECT, E("magnitude")), "iterations": (VALUE, 1),
-                        "callback": (OBJECT, None)},
+                        "callback": (OBJECT, None), "momentum": (VALUE, 0.5)},
     "dsp.resample": {"audio": (OBJECT, E("audio")), "target_rate": (VALUE, 16000)},
     # The checks themselves: their bounds, error class and flags are the caller's constants.
     "errors.check_int": {"name": (VALUE, "x"), "value": (VALUE, 1), "low": (OBJECT, 0), "high": (OBJECT, 4),
@@ -122,7 +122,7 @@ CONTRACT = {
                               "seed": (VALUE, 0)},
     "frontend.encode_latent": {"model": (OBJECT, E("frontend")), "audio": (OBJECT, E("audio"))},
     "frontend.decode_latent": {"model": (OBJECT, E("frontend")), "latents": (OBJECT, E("latents")),
-                               "gl_iterations": (VALUE, 1)},
+                               "gl_iterations": (VALUE, 1), "callback": (OBJECT, None)},
     "metrics.MetricValue": {"name": (VALUE, "mel"), "value": (VALUE, 0.5), "higher_is_better": (VALUE, False)},
     "metrics.mel_loss": {"ref": (OBJECT, E("audio")), "test": (OBJECT, E("decoded"))},
     "metrics.stft_loss": {"ref": (OBJECT, E("audio")), "test": (OBJECT, E("decoded"))},

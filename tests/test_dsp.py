@@ -13,6 +13,7 @@ from rvqlab.dsp import (
     Spectrogram,
     StftConfig,
     _frame_signal,
+    _mel_pinv,
     _overlap_add,
     _project_magnitude,
     griffin_lim,
@@ -109,12 +110,14 @@ def _per_frame_ola(frames, hop):
     return out
 
 
-def _reference_griffin_lim(magnitude, iterations, callback=None):
+def _reference_griffin_lim(magnitude, iterations, callback=None, momentum=0.0):
     """Oracle: the straightforward Griffin-Lim loop.
 
     Frames are gathered by fancy indexing, overlap-add runs frame by frame,
     every synthesis rebuilds the squared-window envelope, and the phase is
-    projected by complex division.  Returns the trimmed samples.
+    projected by complex division.  With momentum, each iteration after the
+    first synthesizes c + momentum * (c - c_prev) from the projections c
+    (Fast Griffin-Lim).  Returns the trimmed samples.
     """
     config = magnitude.config
     size, hop = config.fft_size, config.hop
@@ -134,13 +137,17 @@ def _reference_griffin_lim(magnitude, iterations, callback=None):
         return np.fft.rfft(x[idx] * window[None, :], axis=1)
 
     x = synthesize(target * np.exp(1j * np.zeros_like(target)))
+    prev = None
     for i in range(iterations):
         spec = analyse(x)
         mag = np.abs(spec)
         if callback is not None:
             callback(i, 0.0 if denom == 0.0 else float(np.linalg.norm(mag - target) / denom))
         unit = np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 1.0)
-        x = synthesize(target * unit)
+        projected = target * unit
+        x = synthesize(projected if prev is None else projected + momentum * (projected - prev))
+        if momentum:
+            prev = projected
     return x[size // 2 : len(x) - size // 2]
 
 
@@ -460,6 +467,53 @@ class TestGriffinLimMatchesReference:
     def test_clamped_case_has_exact_zeros(self):
         magnitude = _clamped_pinv_magnitude(40, 55)
         assert 0 < np.count_nonzero(magnitude == 0.0) < magnitude.size
+
+
+class TestFastGriffinLim:
+    @pytest.mark.parametrize(
+        "size,hop,magnitude",
+        [
+            (1024, 320, _speech_magnitude(1024, 320, 1, 51)),
+            (1024, 320, _speech_magnitude(1024, 320, 40, 53)),
+            (1024, 256, _speech_magnitude(1024, 256, 40, 54)),
+            (1024, 320, _clamped_pinv_magnitude(40, 55)),
+            (1024, 320, np.zeros((40, 513))),
+        ],
+        ids=["T1", "T40", "hop256", "clamped_zeros", "all_zero"],
+    )
+    def test_bit_exact(self, size, hop, magnitude):
+        spec = Spectrogram(magnitude, StftConfig(size, hop), 24000)
+        errors, expected_errors = [], []
+        out = griffin_lim(spec, iterations=8, callback=lambda i, sc: errors.append(sc), momentum=0.99)
+        expected = _reference_griffin_lim(
+            spec, 8, callback=lambda i, sc: expected_errors.append(sc), momentum=0.99
+        )
+        assert out.samples.tobytes() == expected.tobytes()
+        assert errors == expected_errors
+
+    def test_momentum_zero_is_plain(self):
+        spec = Spectrogram(_speech_magnitude(1024, 320, 40, 53), StftConfig(1024, 320), 24000)
+        plain = griffin_lim(spec, iterations=8)
+        assert griffin_lim(spec, iterations=8, momentum=0.0).samples.tobytes() == plain.samples.tobytes()
+        assert griffin_lim(spec, iterations=8, momentum=0.5).samples.tobytes() != plain.samples.tobytes()
+
+    @pytest.mark.parametrize("hop", [256, 320], ids=["criterion-10-framing", "codec-framing"])
+    def test_fast_20_ends_below_plain_32_on_the_criterion_10_signals(self, hop):
+        config = StftConfig(1024, hop)
+        for seed in range(10):
+            mag = stft(AudioBuffer(speech_like(0.6, 24000, 600 + seed), 24000), config).magnitude()
+            plain, fast = [], []
+            griffin_lim(mag, iterations=32, callback=lambda i, sc: plain.append(sc))
+            griffin_lim(mag, iterations=20, callback=lambda i, sc: fast.append(sc), momentum=0.99)
+            assert fast[-1] < plain[-1], seed
+
+
+class TestMelPseudoInverse:
+    def test_cached_equals_fresh_pinv_and_is_shared_read_only(self):
+        cached = _mel_pinv(24000, 1024, 80)
+        assert cached.tobytes() == np.linalg.pinv(mel_filterbank(24000, 1024, 80).weights).tobytes()
+        assert _mel_pinv(24000, 1024, 80) is cached
+        assert not cached.flags.writeable
 
 
 class TestResample:

@@ -207,9 +207,11 @@ class TestKmeansRejects:
             (np.ones(8), 2, 0, InvalidInput),
             (np.where(np.arange(50)[:, None] == 7, np.nan, _unit_points(50, 4, seed=0)), 4, 0,
              InvalidInput),
+            (np.array([[1e308, 1e308], [1.0, 2.0], [3.0, -1e308]]), 2, 0, InvalidInput),
+            (np.array([[1.2e154, 0.0], [-1.2e154, 0.0], [1.0, 1.0]]), 2, 0, InvalidInput),
         ],
         ids=["k-zero", "k-negative", "k-fractional", "seed-negative", "no-points", "one-d",
-             "nan-row"],
+             "nan-row", "norm-overflows", "distance-overflows"],
     )
     def test_typed_errors(self, points, k, seed, error):
         with pytest.raises(error):

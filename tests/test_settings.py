@@ -175,6 +175,9 @@ def _on_descriptor(call):
     "call, error",
     [
         (lambda c: MushraRecord("a", "b", "c", "x"), InvalidInput),
+        (lambda c: MushraRecord(["s"], "a", "x", 50.0), InvalidInput),
+        (lambda c: MushraRecord("s", None, "x", 50.0), InvalidInput),
+        (lambda c: MushraRecord("s", "a", ["x"], 50.0), InvalidInput),
         (lambda c: MetricValue("m", "x", True), InvalidInput),
         (lambda c: read_wav(None), InvalidInput),
         (lambda c: container.load(None), InvalidInput),
@@ -186,13 +189,24 @@ def _on_descriptor(call):
          InvalidConfig),
         (lambda c: container.ModelContainer(c.frontend, c.model, {"k": "\ud800"}), InvalidConfig),
     ],
-    ids=["mushra-score-text", "metric-value-text", "read-wav-none", "container-load-none",
-         "load-manifest-none", "load-mushra-records-none", "read-wav-descriptor", "write-wav-descriptor",
+    ids=["mushra-score-text", "mushra-subject-list", "mushra-stimulus-none", "mushra-system-list",
+         "metric-value-text", "read-wav-none", "container-load-none", "load-manifest-none", "load-mushra-records-none", "read-wav-descriptor", "write-wav-descriptor",
          "rvq-model-without-codebooks", "container-metadata-not-utf8"],
 )
 def test_float_path_and_model_values_raise_the_typed_error(ctx, call, error):
     with pytest.raises(error):
         call(ctx)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, -1e-300, 1.0, 1.5, "0.5", True, None, 0.5j])
+def test_griffin_lim_momentum_is_a_real_in_zero_to_one(ctx, value):
+    with pytest.raises(InvalidInput, match="momentum must be"):
+        griffin_lim(ctx.magnitude, 1, momentum=value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 0.5, np.float32(0.99), 1 - 2**-53])
+def test_griffin_lim_momentum_accepts_zero_to_below_one(ctx, value):
+    assert len(griffin_lim(ctx.magnitude, 2, momentum=value)) == 2 * STFT_CONFIG.hop
 
 
 @pytest.mark.parametrize("path", [3, True, None, b"x.wav", 2.5, "a\x00b", "\ud800", Path("a\x00")])
