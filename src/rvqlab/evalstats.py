@@ -1,9 +1,9 @@
 """Evaluation orchestration and listening-test statistics.
 
-run_evaluation drives the full codec (encode -> quantize at each stage
-count -> dequantize -> decode) over test manifests and aggregates
-per-test-set metric means into a grid with stage counts in descending
-order.  mushra_summary and wilcoxon_ranksum cover the subjective side:
+run_evaluation encodes each file of the test manifests once at the largest
+stage count, decodes each prefix of its tokens, and averages the metrics
+per test set into a grid with stage counts in descending order.
+mushra_summary and wilcoxon_ranksum cover the subjective side:
 t-distribution confidence intervals and a rank-sum test that enumerates
 the exact null distribution for small groups.
 """
@@ -24,7 +24,7 @@ from .container import ModelContainer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
 from .frontend import GL_ITERATIONS, GL_MOMENTUM
-from .metrics import LOSS_FLOOR, LOSS_SCALES, mel_loss, pesq_adapter, stft_loss, stoi
+from .metrics import LOSS_FLOOR, LOSS_SCALES, _spectral_losses, pesq_adapter, stoi
 from .wavio import read_wav
 
 _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
@@ -85,6 +85,15 @@ class SignificanceResult:
     method: str  # "exact" or "normal-approx"
 
 
+def _mean(values):
+    """Mean of the values that are not None, or None if there are none."""
+    total, n = 0.0, 0
+    for value in values:  # left to right: sum() compensates from Python 3.12 on
+        if value is not None:
+            total, n = total + value, n + 1
+    return total / n if n else None
+
+
 def run_evaluation(
     container: ModelContainer,
     test_manifests: dict,
@@ -116,40 +125,27 @@ def run_evaluation(
     failures = []
     total_files = 0
     for set_name in sorted(test_manifests):
-        sums = {(m, q): 0.0 for m in _METRIC_ORDER for q in q_list}
-        counts = {(m, q): 0 for m in _METRIC_ORDER for q in q_list}
+        scored = []  # one {(metric, q): value} table per file that succeeded at every q
         for entry in test_manifests[set_name]:
             total_files += 1
             try:
                 audio, latents, tokens = codec.encode(container, read_wav(entry.path), q_list[0])
-                file_values = {}
+                cells = {}
                 for q in q_list:
                     recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
-                    values = {
-                        "mel": mel_loss(audio, decoded).value,
-                        "stft": stft_loss(audio, decoded).value,
-                        "stoi": stoi(audio, decoded).value,
-                        "latent_mse": float(
-                            np.mean((latents.frames - recon_latents.frames) ** 2)
-                        ),
-                    }
+                    cells["mel", q], cells["stft", q] = _spectral_losses(audio, decoded)
+                    cells["stoi", q] = stoi(audio, decoded).value
+                    cells["latent_mse", q] = float(
+                        np.mean((latents.frames - recon_latents.frames) ** 2)
+                    )
                     pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
-                    values["pesq"] = pesq.value if pesq is not None else None
-                    file_values[q] = values
+                    cells["pesq", q] = pesq.value if pesq is not None else None
             except RvqLabError as exc:
                 failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
                 continue
-            # A file counts at no q unless it succeeded at every q.
-            for q, values in file_values.items():
-                for name, value in values.items():
-                    if value is not None:
-                        sums[(name, q)] += value
-                        counts[(name, q)] += 1
+            scored.append(cells)
         for name in _METRIC_ORDER:
-            rows[(set_name, name, _SYSTEM)] = {
-                q: (sums[(name, q)] / counts[(name, q)] if counts[(name, q)] else None)
-                for q in q_list
-            }
+            rows[(set_name, name, _SYSTEM)] = {q: _mean([c[name, q] for c in scored]) for q in q_list}
 
     if total_files == 0:
         raise InvalidInput("test manifests contain no files")

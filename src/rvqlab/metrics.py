@@ -79,31 +79,36 @@ def _gain_normalized_magnitude(buf: AudioBuffer, config: StftConfig) -> Spectrog
     return Spectrogram(mag, config, buf.sample_rate)
 
 
-def _scale_magnitudes(ref: AudioBuffer, test: AudioBuffer):
-    """Yield (n_mels, |ref|, |test|) gain-normalized magnitudes per loss scale."""
+def _spectral_losses(ref: AudioBuffer, test: AudioBuffer, with_mel: bool = True):
+    """(mel, stft) losses from one magnitude pass, each summed in LOSS_SCALES
+    order.  Without with_mel the mel loss is 0.0 and no filterbank is built."""
     ref, test = _aligned_pair(ref, test)
+    mel = lin = 0.0
     for fft_size, hop, n_mels in LOSS_SCALES:
         config = StftConfig(fft_size, hop)
         a = _gain_normalized_magnitude(ref, config)
         b = _gain_normalized_magnitude(test, config)
-        yield n_mels, a, b
+        lin += float(np.mean(np.abs(a.frames - b.frames)))
+        if with_mel:
+            fb = mel_filterbank(ref.sample_rate, fft_size, n_mels)
+            mel += float(np.mean(np.abs(log_mel(a, fb, LOSS_FLOOR) - log_mel(b, fb, LOSS_FLOOR))))
+    return mel, lin
 
 
 def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
-    """Sum over scales of the mean L1 distance between log-mel spectrograms."""
-    total = 0.0
-    for n_mels, a, b in _scale_magnitudes(ref, test):
-        fb = mel_filterbank(a.sample_rate, a.config.fft_size, n_mels)
-        total += float(np.mean(np.abs(log_mel(a, fb, LOSS_FLOOR) - log_mel(b, fb, LOSS_FLOOR))))
-    return MetricValue("mel", total, higher_is_better=False)
+    """Sum over scales of the mean L1 distance between log-mel spectrograms.
+
+    Raises:
+        InvalidConfig: from 27204 Hz up a loss-scale filterbank has an empty
+            row; resample such signals first.
+    """
+    return MetricValue("mel", _spectral_losses(ref, test)[0], higher_is_better=False)
 
 
 def stft_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     """Sum over scales of the mean L1 distance between linear magnitudes."""
-    total = 0.0
-    for _, a, b in _scale_magnitudes(ref, test):
-        total += float(np.mean(np.abs(a.frames - b.frames)))
-    return MetricValue("stft", total, higher_is_better=False)
+    lin = _spectral_losses(ref, test, with_mel=False)[1]
+    return MetricValue("stft", lin, higher_is_better=False)
 
 
 # --- STOI ------------------------------------------------------------------

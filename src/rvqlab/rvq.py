@@ -227,14 +227,14 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     product in every iteration.  A product entry depends only on its row and
     column, so row and column subsets of the product are bit-equal to it.
     After the first iteration only centroids whose bytes changed in the
-    update ("moved", -0/+0 flips included) are looked at again: a point whose
-    own centroid moved gets its full row recomputed; any other point keeps its
-    stored best similarity, which is the exact maximum over the unmoved
-    columns, and compares it with its row of the moved columns only.  A moved
-    column j replaces the stored best when its value is larger, or equal with
-    j below the stored index, which is argmax's lowest-index tie rule.  A lone
-    row or column of a subset is repeated (_two_or_more), so no subset
-    product goes to gemv.
+    update ("moved", -0/+0 flips included) are looked at again.  Each point
+    updates its stored best with one take rule: column j replaces it when
+    its value is larger, or equal with j below the stored index, which is
+    argmax's lowest-index tie rule.  A point whose own centroid moved starts
+    from -inf and takes its full row, where the rule is plain argmax; any
+    other point's stored best is the exact maximum over the unmoved columns,
+    so it takes its row of the moved columns only.  A lone row or column of
+    a subset is repeated (_two_or_more), so no subset product goes to gemv.
 
     Raises:
         InvalidConfig: k is not a positive integer or seed not a nonnegative one.
@@ -272,22 +272,20 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     for _ in range(_LLOYD_MAX_ITER):
         centers_t = centers.T.copy()
         own_moved = moved[assign]
-        full = np.flatnonzero(own_moved)
-        for start in range(0, full.size, chunk):
-            rows = _two_or_more(full[start : start + chunk], n)
-            assign[rows], best_sim[rows] = _best_columns(points[rows], centers_t)
-        cols = _two_or_more(np.flatnonzero(moved), k)
-        # With no moved column every stored best stands (and full is empty).
-        rest = np.flatnonzero(~own_moved) if cols.size else full
-        moved_t = centers_t[:, cols]
-        for start in range(0, rest.size, chunk):
-            rows = _two_or_more(rest[start : start + chunk], n)
-            local, sim = _best_columns(points[rows], moved_t)
-            cand = cols[local]
-            best = best_sim[rows]
-            take = (sim > best) | ((sim == best) & (cand < assign[rows]))
-            assign[rows[take]] = cand[take]
-            best_sim[rows[take]] = sim[take]
+        best_sim[own_moved] = -np.inf
+        for mask, cols in ((own_moved, np.arange(k)), (~own_moved, np.flatnonzero(moved))):
+            # With no moved column every stored best stands (and no own centroid moved).
+            group = np.flatnonzero(mask) if cols.size else cols
+            cols = _two_or_more(cols, k)
+            cols_t = centers_t[:, cols]
+            for start in range(0, group.size, chunk):
+                rows = _two_or_more(group[start : start + chunk], n)
+                local, sim = _best_columns(points[rows], cols_t)
+                cand = cols[local]
+                best = best_sim[rows]
+                take = (sim > best) | ((sim == best) & (cand < assign[rows]))
+                assign[rows[take]] = cand[take]
+                best_sim[rows[take]] = sim[take]
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)

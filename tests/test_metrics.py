@@ -8,6 +8,7 @@ from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import (
     ExternalToolError,
     InsufficientDuration,
+    InvalidConfig,
     InvalidInput,
     SampleRateMismatch,
 )
@@ -44,23 +45,35 @@ class TestMelLoss:
 
     def test_compositional_oracle(self):
         # Recompute from the dsp primitives, scale by scale, including the
-        # declared window-gain normalization of the magnitudes.
+        # declared window-gain normalization of the magnitudes.  The oracle
+        # does the loss's own arithmetic in its order, so the bits match.
         from rvqlab.dsp import StftConfig, mel_filterbank, stft
 
         rng = np.random.default_rng(3)
-        ref = _buf(0.3 * rng.standard_normal(12000))
-        test = _buf(np.zeros(12000))
-        expected = 0.0
-        for fft_size, hop, n_mels in LOSS_SCALES:
-            fb = mel_filterbank(24000, fft_size, min(n_mels, fft_size // 2))
-            a = np.abs(stft(ref, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
-            b = np.abs(stft(test, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
-            la = np.log(np.maximum(a @ fb.weights.T, LOSS_FLOOR))
-            lb = np.log(np.maximum(b @ fb.weights.T, LOSS_FLOOR))
-            expected += np.mean(np.abs(la - lb))
-        got = mel_loss(ref, test).value
-        assert got == pytest.approx(expected, abs=1e-9)
-        assert got > 1.0
+        x = 0.3 * rng.standard_normal(12000)
+        for sr in (16000, 24000):
+            ref, test = _buf(x, sr), _buf(np.zeros(12000), sr)
+            expected = 0.0
+            for fft_size, hop, n_mels in LOSS_SCALES:
+                fb = mel_filterbank(sr, fft_size, n_mels)
+                a = np.abs(stft(ref, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
+                b = np.abs(stft(test, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
+                la = np.log(np.maximum(a @ fb.weights.T, LOSS_FLOOR))
+                lb = np.log(np.maximum(b @ fb.weights.T, LOSS_FLOOR))
+                expected += float(np.mean(np.abs(la - lb)))
+            got = mel_loss(ref, test).value
+            assert got == expected, sr
+            assert got > 1.0
+
+    @pytest.mark.parametrize("sr", [44100, 48000])
+    def test_high_rate_raises_while_stft_loss_scores(self, sr):
+        # From 27204 Hz up a loss-scale filterbank has an empty row: mel_loss
+        # refuses such signals, and stft_loss, which needs no bank, scores them.
+        a = _buf(speech_like(0.5, sr, 8), sr)
+        b = _buf(speech_like(0.5, sr, 9), sr)
+        with pytest.raises(InvalidConfig, match="empty rows"):
+            mel_loss(a, b)
+        assert 0 < stft_loss(a, b).value < np.inf
 
     def test_symmetric_and_nonnegative(self):
         a = _buf(speech_like(0.5, 24000, 4))
@@ -96,22 +109,21 @@ class TestStftLoss:
         assert stft_loss(a, b).value < 1e-3
 
     def test_compositional_oracle(self):
+        # Gain-normalize, then take the mean L1 distance, scale by scale in
+        # LOSS_SCALES order: the loss's own arithmetic, so the bits match.
+        # Above 27204 Hz, where mel_loss refuses, stft_loss still scores.
         from rvqlab.dsp import StftConfig, stft
 
         rng = np.random.default_rng(7)
-        ref = _buf(0.2 * rng.standard_normal(9600))
-        test = _buf(0.2 * rng.standard_normal(9600))
-        expected = sum(
-            np.mean(
-                np.abs(
-                    np.abs(stft(ref, StftConfig(f, h)).frames)
-                    - np.abs(stft(test, StftConfig(f, h)).frames)
-                )
-            )
-            / (f / 2)
-            for f, h, _ in LOSS_SCALES
-        )
-        assert stft_loss(ref, test).value == pytest.approx(expected, abs=1e-9)
+        x, y = 0.2 * rng.standard_normal((2, 9600))
+        for sr in (16000, 24000, 44100, 48000):
+            ref, test = _buf(x, sr), _buf(y, sr)
+            expected = 0.0
+            for f, h, _ in LOSS_SCALES:
+                a = np.abs(stft(ref, StftConfig(f, h)).frames) / (f / 2)
+                b = np.abs(stft(test, StftConfig(f, h)).frames) / (f / 2)
+                expected += float(np.mean(np.abs(a - b)))
+            assert stft_loss(ref, test).value == expected, sr
 
 
 class TestStoi:

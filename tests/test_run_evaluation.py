@@ -1,13 +1,15 @@
 import stat
+import sys
 
 import numpy as np
 import pytest
 
-from rvqlab import evalstats
+from rvqlab import dsp, evalstats
 from rvqlab.datapipe import load_manifest
 from rvqlab.errors import InvalidInput
 from rvqlab.evalstats import render_report, run_evaluation
 from rvqlab.frontend import GL_MOMENTUM
+from rvqlab.metrics import LOSS_SCALES
 
 from conftest import make_corpus
 
@@ -54,6 +56,27 @@ class TestRunEvaluation:
             "scales": [[256, 64, 40], [512, 128, 80], [1024, 256, 160], [2048, 512, 320]],
             "floor": 1e-05,
         }
+
+    def test_one_loss_pass_per_decoded_file(self, toy_model, test_sets, monkeypatch):
+        # Each file takes one analysis STFT to encode; each decoded (file, q)
+        # pair then takes one STFT of each signal per loss scale, shared by
+        # the mel and STFT losses.
+        _, model, _ = toy_model
+        calls = []
+        real = dsp.stft
+
+        def spy(audio, config):
+            calls.append(config.fft_size)
+            return real(audio, config)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rvqlab" and getattr(module, "stft", None) is real:
+                monkeypatch.setattr(module, "stft", spy)
+        files = test_sets["seta"][:3]
+        q_list = [4, 2, 1]
+        report = run_evaluation(model, {"seta": files}, q_list=q_list, gl_iterations=2)
+        assert not report.failures
+        assert len(calls) == len(files) * (1 + len(q_list) * 2 * len(LOSS_SCALES))
 
     def test_q_exceeding_model_rejected(self, toy_model, test_sets):
         _, model, _ = toy_model
