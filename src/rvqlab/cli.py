@@ -16,7 +16,7 @@ from dataclasses import asdict
 from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
 from .errors import InvalidInput, RvqLabError
-from .frontend import GL_ITERATIONS, GL_MOMENTUM
+from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .evalstats import (
     load_mushra_records,
     mushra_summary,
@@ -29,7 +29,10 @@ from .training import train_codec
 from .wavio import read_wav, write_wav
 
 
-_GL_HELP = f"Fast Griffin-Lim iterations per decode (momentum {GL_MOMENTUM}; default %(default)s)"
+_GL_HELP = (
+    f"Fast Griffin-Lim iterations per decode, started from a phase-gradient phase "
+    f"(momentum {GL_MOMENTUM}; default %(default)s)"
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -168,6 +171,8 @@ def _cmd_decode(args) -> None:
         "sample_rate": audio.sample_rate,
         "stages_used": stages,
         "gl_iterations": args.gl_iterations,
+        "gl_momentum": GL_MOMENTUM,
+        "gl_init": GL_INIT,
         "gl_sc": sc,
     }
     _emit(args, payload, f"wrote {args.wav_out}: {len(audio)} samples at {audio.sample_rate} Hz "

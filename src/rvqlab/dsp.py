@@ -2,11 +2,12 @@
 
 STFT analysis/synthesis with a periodic Hann window and reflect padding,
 mel filterbanks on the 2595*log10(1 + f/700) scale, log-mel analysis,
-Griffin-Lim phase reconstruction, and a polyphase windowed-sinc resampler
-(bandlimited interpolation after J. O. Smith, "Digital Audio Resampling")
-whose kernel table holds one row per exact rational phase and whose
-working memory is linear in the output length.  All functions are pure:
-identical inputs give identical outputs.
+Griffin-Lim phase reconstruction from zero phase or a given start phase
+(such as the magnitudes' own phase-gradient phase), and a polyphase
+windowed-sinc resampler (bandlimited interpolation after J. O. Smith,
+"Digital Audio Resampling") whose kernel table holds one row per exact
+rational phase and whose working memory is linear in the output length.
+All functions are pure: identical inputs give identical outputs.
 
 The resampler uses the polyphase decomposition (Crochiere & Rabiner,
 "Multirate Digital Signal Processing"): all outputs of one phase read one
@@ -285,13 +286,48 @@ def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) ->
     return spec
 
 
-def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None, momentum: float = 0.0) -> AudioBuffer:
+# lambda / N^2 of the Gaussian exp(-pi t^2 / lambda) that best fits an N-point
+# Hann window (Prusa, Balazs and Soendergaard, TASLP 2017).
+_HANN_GAMMA = 0.25645
+
+
+def _phase_gradient_phase(target: np.ndarray, config: StftConfig) -> np.ndarray:
+    """A phase for the (T, n_bins) magnitudes target, from their own gradient.
+
+    Phase Gradient Heap Integration (Prusa, Balazs and Soendergaard, "A
+    noniterative method for reconstruction of phase from STFT magnitude",
+    IEEE/ACM TASLP 2017), integrated along time only.  With L = ln(target),
+    zeros floored at the smallest normal float, bin k of frame t has the
+    frequency w[t, k] = 2 pi k / N + (L[t, k+1] - L[t, k-1]) / (2 gamma / N),
+    gamma = 0.25645 N^2, or 2 pi k / N at the edge bins.  The phase starts at
+    -pi k and advances by hop * (w[t-1, k] + w[t, k]) / 2 per frame.  It is
+    returned reduced to one turn as p - 2 pi floor(p / 2 pi), which lies in
+    [0, 2 pi] up to rounding and costs a fraction of np.mod.
+    """
+    size = config.fft_size
+    log_mag = np.log(np.maximum(target, np.finfo(np.float64).tiny))
+    bins = np.arange(target.shape[1])
+    omega = np.empty_like(log_mag)
+    omega[:] = (2.0 * np.pi / size) * bins
+    omega[:, 1:-1] += (log_mag[:, 2:] - log_mag[:, :-2]) / (2.0 * _HANN_GAMMA * size)
+    phase = np.empty_like(omega)
+    phase[0] = -np.pi * bins
+    np.add(omega[:-1], omega[1:], out=phase[1:])
+    phase[1:] *= config.hop / 2.0
+    np.cumsum(phase, axis=0, out=phase)
+    phase -= (2.0 * np.pi) * np.floor(phase / (2.0 * np.pi))
+    return phase
+
+
+def griffin_lim(
+    magnitude: Spectrogram, iterations: int, callback=None, momentum: float = 0.0, init_phase=None
+) -> AudioBuffer:
     """Reconstruct a waveform from an STFT magnitude by Griffin-Lim iteration.
 
-    Starts from zero phase and alternates least-squares synthesis with
-    magnitude replacement, entirely in the padded analysis domain.  With
-    momentum 0 this is plain Griffin-Lim, whose per-iteration
-    spectral-convergence error is nonincreasing.
+    Starts from zero phase, or from init_phase when given, and alternates
+    least-squares synthesis with magnitude replacement, entirely in the
+    padded analysis domain.  With momentum 0 this is plain Griffin-Lim,
+    whose per-iteration spectral-convergence error is nonincreasing.
 
     With momentum a in (0, 1) it is Fast Griffin-Lim (Perraudin, Balazs and
     Soendergaard, "A fast Griffin-Lim algorithm", WASPAA 2013): each
@@ -311,6 +347,8 @@ def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None, momentum
         callback: optional callable(iteration, sc_error) invoked once per
             cycle with the current spectral-convergence error.
         momentum: a in [0, 1); 0 is plain Griffin-Lim.
+        init_phase: optional finite (T, n_bins) phase in radians; the first
+            synthesis is of target * e^{i init_phase} instead of target.
     """
     iterations = check_int("iterations", iterations, 1)
     momentum = check_float("momentum", momentum)
@@ -320,10 +358,19 @@ def griffin_lim(magnitude: Spectrogram, iterations: int, callback=None, momentum
     if np.iscomplexobj(magnitude.frames) or np.any(magnitude.frames < 0):
         raise InvalidInput("magnitude spectrogram must be real and nonnegative")
     target = magnitude.frames
+    if init_phase is None:
+        start = target + 0j
+    else:
+        init_phase = check_array("init_phase", init_phase, 2)
+        if init_phase.shape != target.shape:
+            raise InvalidInput(f"init_phase must be {target.shape}, got {init_phase.shape}")
+        start = np.empty(target.shape, dtype=np.complex128)
+        np.multiply(target, np.cos(init_phase), out=start.real)
+        np.multiply(target, np.sin(init_phase), out=start.imag)
 
     divisor = _synthesis_divisor(config, len(target))
     target_norm = np.linalg.norm(target)
-    x = _istft_padded(target + 0j, config, divisor)
+    x = _istft_padded(start, config, divisor)
     prev = None
     for i in range(iterations):
         spec = _windowed_rfft(x, config)

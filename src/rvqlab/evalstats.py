@@ -23,7 +23,7 @@ from . import codec
 from .container import ModelContainer
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
-from .frontend import GL_ITERATIONS, GL_MOMENTUM
+from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .metrics import LOSS_FLOOR, LOSS_SCALES, _spectral_losses, pesq_adapter, stoi
 from .wavio import read_wav
 
@@ -159,6 +159,7 @@ def run_evaluation(
         "q_list": q_list,
         "gl_iterations": gl_iterations,
         "gl_momentum": GL_MOMENTUM,
+        "gl_init": GL_INIT,
         "metric": {"scales": [list(s) for s in LOSS_SCALES], "floor": LOSS_FLOOR},
         "pesq_tool": pesq_tool or "",
     }

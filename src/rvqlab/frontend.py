@@ -4,11 +4,14 @@ Analysis: 24 kHz audio -> log-mel (fft 1024, hop 320, 80 mels over
 0-12 kHz, floor 1e-5) -> mean removal -> orthonormal projection onto the
 top-D principal components.  Synthesis: inverse projection ->
 mel-to-linear magnitudes via the filterbank pseudo-inverse (clamped at
-zero) -> Fast Griffin-Lim (Perraudin, Balazs and Soendergaard, WASPAA
-2013) with momentum 0.99, 20 iterations unless the caller sets its own.
+zero) -> a phase integrated along time from the magnitudes' own phase
+gradient (Prusa, Balazs and Soendergaard, IEEE/ACM TASLP 2017) -> Fast
+Griffin-Lim (Perraudin, Balazs and Soendergaard, WASPAA 2013) from that
+phase, with momentum 0.99, 12 iterations unless the caller sets its own.
 On speech-like held-out sets that scores a lower mel loss and a higher
-STOI than 32 plain iterations, in about two thirds of the time; its
-spectral-convergence error, unlike plain Griffin-Lim's, is not monotone.
+STOI at every stage count than 20 fast iterations from zero phase, in
+about 60% of the Griffin-Lim time; its spectral-convergence error, unlike
+plain Griffin-Lim's, is not monotone.
 This geometry is fixed: the constants below are the only copy, and a
 fitted model holds only its statistics and projection.
 """
@@ -25,6 +28,7 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     _mel_pinv,
+    _phase_gradient_phase,
     griffin_lim,
     log_mel,
     mel_filterbank,
@@ -51,8 +55,9 @@ F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
 LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
 MAX_SEED = (1 << 63) - 1  # .rvqm stores seeds as int64
-GL_ITERATIONS = 20  # Griffin-Lim iterations of a decode that does not set its own
+GL_ITERATIONS = 12  # Griffin-Lim iterations of a decode that does not set its own
 GL_MOMENTUM = 0.99  # Fast Griffin-Lim momentum of every decode
+GL_INIT = "phase_gradient"  # Griffin-Lim start phase of every decode
 
 
 @dataclass(frozen=True)
@@ -189,23 +194,27 @@ def encode_latent(model: FrontendModel, audio: AudioBuffer) -> LatentSequence:
 
 
 _MEL_INVERSION_STEPS = 10
+# Full-scale audio reads a log-mel of about 10.  Far above that, decoded
+# samples stop fitting a float32 WAV (near 92) and then float64 (near 700).
+_MAX_LOG_MEL = 80.0
 
 
-def decode_latent(
-    model: FrontendModel, latents: LatentSequence, gl_iterations: int = GL_ITERATIONS, callback=None
-) -> AudioBuffer:
-    """Invert the latent projection and reconstruct a waveform.
+def _decoded_magnitudes(model: FrontendModel, latents: LatentSequence) -> Spectrogram:
+    """The T + 1 linear magnitude frames that decode_latent synthesizes.
 
-    Linear magnitudes start from the clamped filterbank pseudo-inverse and
-    are sharpened by a few multiplicative nonnegative updates before Fast
-    Griffin-Lim, which calls callback(iteration, sc_error) once per
-    iteration.  Output length is exactly n_frames * hop samples.
+    They start from the clamped filterbank pseudo-inverse of the mel
+    amplitudes and are sharpened by a few multiplicative nonnegative
+    updates; the last frame is repeated for the trailing analysis frame
+    that the codec framing drops, so synthesis spans T * hop samples.
     """
     if latents.dim != model.latent_dim:
         raise InvalidInput(
             f"latents have dimension {latents.dim}, model expects {model.latent_dim}"
         )
-    logmel = latents.frames @ model.basis + model.mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        logmel = latents.frames @ model.basis + model.mean
+    if not np.all(logmel <= _MAX_LOG_MEL):  # also false for nan
+        raise InvalidInput(f"latents decode to log-mel values above {_MAX_LOG_MEL}, beyond any audio")
     mel_amp = np.exp(logmel)
     weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS).weights
     mags = np.maximum(mel_amp @ _mel_pinv(SAMPLE_RATE, FFT_SIZE, N_MELS).T, 0.0)
@@ -213,8 +222,24 @@ def decode_latent(
     for _ in range(_MEL_INVERSION_STEPS):
         ratio = mel_amp / np.maximum(mags @ weights.T, 1e-12)
         mags *= (ratio @ weights) / col_sum
-    # The codec framing dropped the trailing analysis frame; synthesize it by
-    # repeating the last magnitude frame so reconstruction spans T * hop.
-    mags = np.vstack([mags, mags[-1:]])
-    spec = Spectrogram(mags, STFT_CONFIG, SAMPLE_RATE)
-    return griffin_lim(spec, iterations=gl_iterations, callback=callback, momentum=GL_MOMENTUM)
+    return Spectrogram(np.vstack([mags, mags[-1:]]), STFT_CONFIG, SAMPLE_RATE)
+
+
+def decode_latent(
+    model: FrontendModel, latents: LatentSequence, gl_iterations: int = GL_ITERATIONS, callback=None
+) -> AudioBuffer:
+    """Invert the latent projection and reconstruct a waveform.
+
+    Fast Griffin-Lim starts from the phase-gradient phase of the decoded
+    magnitudes and calls callback(iteration, sc_error) once per iteration.
+    Output length is exactly n_frames * hop samples.
+
+    Raises:
+        InvalidInput: latents of the wrong dimension, or whose log-mel
+            exceeds 80, far above that of any audio.
+    """
+    spec = _decoded_magnitudes(model, latents)
+    return griffin_lim(
+        spec, iterations=gl_iterations, callback=callback, momentum=GL_MOMENTUM,
+        init_phase=_phase_gradient_phase(spec.frames, STFT_CONFIG),
+    )

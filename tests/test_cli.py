@@ -13,6 +13,7 @@ from rvqlab.cli import main
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.evalstats import run_evaluation
+from rvqlab.frontend import GL_INIT, GL_MOMENTUM
 from rvqlab.metrics import mel_loss, stft_loss, stoi
 from rvqlab.rvq import TokenStream
 from rvqlab.wavio import read_wav, write_wav
@@ -187,6 +188,7 @@ class TestEncodeDecode:
         expected = []
         codec.decode(model, bitstream.unpack(stream.read_bytes()), 4, 5, lambda i, sc: expected.append(sc))
         assert payload["gl_iterations"] == 5
+        assert (payload["gl_momentum"], payload["gl_init"]) == (GL_MOMENTUM, GL_INIT) == (0.99, "phase_gradient")
         assert payload["gl_sc"] == expected and len(expected) == 5
 
     def test_corrupt_stream_typed_error(self, toy_model, tmp_path, capsys):

@@ -91,7 +91,8 @@ CONTRACT = {
     "dsp.mel_filterbank": {"sample_rate": (VALUE, 24000), "fft_size": (VALUE, 256), "n_mels": (VALUE, 20)},
     "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "fb": (OBJECT, E("fb")), "floor": (VALUE, 1e-5)},
     "dsp.griffin_lim": {"magnitude": (OBJECT, E("magnitude")), "iterations": (VALUE, 1),
-                        "callback": (OBJECT, None), "momentum": (VALUE, 0.5)},
+                        "callback": (OBJECT, None), "momentum": (VALUE, 0.5),
+                        "init_phase": (VALUE, E("init_phase"))},
     "dsp.resample": {"audio": (OBJECT, E("audio")), "target_rate": (VALUE, 16000)},
     # The checks themselves: their bounds, error class and flags are the caller's constants.
     "errors.check_int": {"name": (VALUE, "x"), "value": (VALUE, 1), "low": (OBJECT, 0), "high": (OBJECT, 4),
@@ -217,6 +218,7 @@ def env(tmp_path_factory):
         spec=spec,
         spec_frames=spec.frames,
         magnitude=spec.magnitude(),
+        init_phase=np.zeros(spec.frames.shape),
         fb=fb,
         weights=fb.weights,
         center_freqs=fb.center_freqs,

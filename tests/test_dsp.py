@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rvqlab.dsp import (
     _frame_signal,
     _mel_pinv,
     _overlap_add,
+    _phase_gradient_phase,
     _project_magnitude,
     griffin_lim,
     istft,
@@ -110,14 +112,16 @@ def _per_frame_ola(frames, hop):
     return out
 
 
-def _reference_griffin_lim(magnitude, iterations, callback=None, momentum=0.0):
+def _reference_griffin_lim(magnitude, iterations, callback=None, momentum=0.0, init_phase=None):
     """Oracle: the straightforward Griffin-Lim loop.
 
     Frames are gathered by fancy indexing, overlap-add runs frame by frame,
     every synthesis rebuilds the squared-window envelope, and the phase is
     projected by complex division.  With momentum, each iteration after the
     first synthesizes c + momentum * (c - c_prev) from the projections c
-    (Fast Griffin-Lim).  Returns the trimmed samples.
+    (Fast Griffin-Lim).  With init_phase, the first synthesis is of target *
+    (cos + i sin)(init_phase), its parts set one by one.  Returns the
+    trimmed samples.
     """
     config = magnitude.config
     size, hop = config.fft_size, config.hop
@@ -136,7 +140,13 @@ def _reference_griffin_lim(magnitude, iterations, callback=None, momentum=0.0):
         idx = np.arange(size)[None, :] + hop * np.arange(n_frames)[:, None]
         return np.fft.rfft(x[idx] * window[None, :], axis=1)
 
-    x = synthesize(target * np.exp(1j * np.zeros_like(target)))
+    if init_phase is None:
+        start = target * np.exp(1j * np.zeros_like(target))
+    else:
+        start = np.zeros(target.shape, dtype=complex)
+        start.real = target * np.cos(init_phase)
+        start.imag = target * np.sin(init_phase)
+    x = synthesize(start)
     prev = None
     for i in range(iterations):
         spec = analyse(x)
@@ -471,22 +481,30 @@ class TestGriffinLimMatchesReference:
 
 class TestFastGriffinLim:
     @pytest.mark.parametrize(
-        "size,hop,magnitude",
+        "size,hop,magnitude,warm",
         [
-            (1024, 320, _speech_magnitude(1024, 320, 1, 51)),
-            (1024, 320, _speech_magnitude(1024, 320, 40, 53)),
-            (1024, 256, _speech_magnitude(1024, 256, 40, 54)),
-            (1024, 320, _clamped_pinv_magnitude(40, 55)),
-            (1024, 320, np.zeros((40, 513))),
+            (1024, 320, _speech_magnitude(1024, 320, 1, 51), False),
+            (1024, 320, _speech_magnitude(1024, 320, 40, 53), False),
+            (1024, 256, _speech_magnitude(1024, 256, 40, 54), False),
+            (1024, 320, _clamped_pinv_magnitude(40, 55), False),
+            (1024, 320, np.zeros((40, 513)), False),
+            (1024, 320, _speech_magnitude(1024, 320, 1, 51), True),
+            (1024, 320, _speech_magnitude(1024, 320, 40, 53), True),
+            (1024, 320, _clamped_pinv_magnitude(40, 55), True),
+            (1024, 320, np.zeros((40, 513)), True),
         ],
-        ids=["T1", "T40", "hop256", "clamped_zeros", "all_zero"],
+        ids=["T1", "T40", "hop256", "clamped_zeros", "all_zero",
+             "warm_T1", "warm_T40", "warm_clamped_zeros", "warm_all_zero"],
     )
-    def test_bit_exact(self, size, hop, magnitude):
-        spec = Spectrogram(magnitude, StftConfig(size, hop), 24000)
+    def test_bit_exact(self, size, hop, magnitude, warm):
+        config = StftConfig(size, hop)
+        spec = Spectrogram(magnitude, config, 24000)
+        phase = _phase_gradient_phase(magnitude, config) if warm else None
         errors, expected_errors = [], []
-        out = griffin_lim(spec, iterations=8, callback=lambda i, sc: errors.append(sc), momentum=0.99)
+        out = griffin_lim(spec, iterations=8, callback=lambda i, sc: errors.append(sc), momentum=0.99,
+                          init_phase=phase)
         expected = _reference_griffin_lim(
-            spec, 8, callback=lambda i, sc: expected_errors.append(sc), momentum=0.99
+            spec, 8, callback=lambda i, sc: expected_errors.append(sc), momentum=0.99, init_phase=phase
         )
         assert out.samples.tobytes() == expected.tobytes()
         assert errors == expected_errors
@@ -506,6 +524,54 @@ class TestFastGriffinLim:
             griffin_lim(mag, iterations=32, callback=lambda i, sc: plain.append(sc))
             griffin_lim(mag, iterations=20, callback=lambda i, sc: fast.append(sc), momentum=0.99)
             assert fast[-1] < plain[-1], seed
+
+
+class TestPhaseGradientPhase:
+    def test_bin_centre_sinusoid_advances_by_its_bin_frequency(self):
+        config = StftConfig(1024, 320)
+        k = 37  # 867.1875 Hz at 24 kHz: a bin centre, so the window leaks into k - 1 and k + 1 only
+        mag = stft(_sine(k * 24000 / 1024, 1.0, 24000), config).magnitude().frames
+        phase = _phase_gradient_phase(mag, config)
+        interior = slice(2, len(mag) - 2)  # frames that see no reflect padding
+        advance = np.diff(phase[interior, k])
+        expected = 2 * np.pi * k * config.hop / config.fft_size
+        off = (advance - expected + np.pi) % (2 * np.pi) - np.pi
+        assert np.max(np.abs(off)) < 1e-9
+
+    @pytest.mark.parametrize("offset", [0.3, -0.3])
+    def test_off_centre_sinusoid_advance_follows_the_log_magnitude_slope(self, offset):
+        # 0.3 bins off centre the advance is 0.59 rad from the bin frequency's;
+        # the gradient term, with its sign, must recover nearly all of it.
+        config = StftConfig(1024, 320)
+        k = 37
+        freq = (k + offset) * 24000 / 1024
+        mag = stft(_sine(freq, 1.0, 24000), config).magnitude().frames
+        advance = np.diff(_phase_gradient_phase(mag, config)[2 : len(mag) - 2, k])
+        expected = 2 * np.pi * freq * config.hop / 24000
+        off = (advance - expected + np.pi) % (2 * np.pi) - np.pi
+        assert np.max(np.abs(off)) < 0.05
+
+    @pytest.mark.parametrize(
+        "magnitude",
+        [np.zeros((40, 513)), _clamped_pinv_magnitude(40, 55), _speech_magnitude(1024, 320, 1, 51)],
+        ids=["all_zero", "clamped_zeros", "T1"],
+    )
+    def test_finite_warning_free_and_repeatable(self, magnitude):
+        config = StftConfig(1024, 320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = _phase_gradient_phase(magnitude, config)
+            second = _phase_gradient_phase(magnitude, config)
+        assert first.shape == magnitude.shape
+        assert np.all(np.isfinite(first))
+        assert first.tobytes() == second.tobytes()
+
+    def test_starts_at_minus_pi_k_and_stays_within_one_turn(self):
+        config = StftConfig(1024, 320)
+        phase = _phase_gradient_phase(_speech_magnitude(1024, 320, 40, 53), config)
+        off = (phase[0] + np.pi * np.arange(513) + np.pi) % (2 * np.pi) - np.pi
+        assert np.max(np.abs(off)) < 1e-12
+        assert -1e-9 < phase.min() and phase.max() < 2 * np.pi + 1e-9
 
 
 class TestMelPseudoInverse:

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from rvqlab.dsp import AudioBuffer
+from rvqlab.dsp import AudioBuffer, griffin_lim
 from rvqlab.errors import EmptyInput, InsufficientData, InvalidConfig, InvalidInput, SampleRateMismatch
 from rvqlab.frontend import (
+    GL_ITERATIONS,
+    GL_MOMENTUM,
     LOG_FLOOR,
     FrontendModel,
     LatentSequence,
+    _decoded_magnitudes,
     decode_latent,
     encode_latent,
     fit_frontend,
 )
-from rvqlab.metrics import stoi
+from rvqlab.metrics import mel_loss, stoi
 
 from signals import speech_like
 
@@ -179,3 +182,47 @@ class TestDecodeLatent:
     def test_dimension_mismatch(self, model64):
         with pytest.raises(InvalidInput):
             decode_latent(model64, LatentSequence(np.zeros((10, 32))))
+
+    @pytest.mark.parametrize("value", [800.0, 1e308, 81.0], ids=["exp-overflow", "huge", "above-ceiling"])
+    def test_latents_beyond_any_audio_are_refused_without_a_warning(self, value):
+        # 800 used to overflow np.exp, warn, and fail on the spectrogram.
+        model = FrontendModel(np.zeros(80), np.eye(80)[:16], np.zeros(80), 0)
+        latents = np.zeros((5, 16))
+        latents[2, 3] = value
+        with pytest.raises(InvalidInput, match="latents decode to log-mel values above"):
+            decode_latent(model, LatentSequence(latents), gl_iterations=2)
+
+    def test_latents_far_below_the_floor_decode_to_silence(self):
+        model = FrontendModel(np.full(80, -800.0), np.eye(80)[:16], np.zeros(80), 0)
+        out = decode_latent(model, LatentSequence(np.zeros((5, 16))), gl_iterations=2)
+        assert len(out) == 5 * 320 and not np.any(out.samples)
+
+
+class TestWarmStartedGriffinLim:
+    """The shipped decode against 20 fast iterations from zero phase, the
+    decode it replaced, on the criterion-10 signals through the codec's mel
+    inversion (full-rank frontend)."""
+
+    @pytest.fixture(scope="class")
+    def decodes(self):
+        model = FrontendModel(np.zeros(80), np.eye(80), np.zeros(80), 0)
+        out = []
+        for seed in range(10):
+            audio = AudioBuffer(speech_like(0.6, 24000, 600 + seed), 24000)
+            latents = encode_latent(model, audio)
+            spec = _decoded_magnitudes(model, latents)
+            warm_sc, cold_sc = [], []
+            warm = decode_latent(model, latents, callback=lambda i, sc: warm_sc.append(sc))
+            griffin_lim(spec, GL_ITERATIONS, lambda i, sc: cold_sc.append(sc), GL_MOMENTUM)
+            cold20 = griffin_lim(spec, 20, momentum=GL_MOMENTUM)
+            out.append((audio, warm, cold20, warm_sc[-1], cold_sc[-1]))
+        return out
+
+    def test_warm_start_ends_closer_to_the_magnitudes_on_every_signal(self, decodes):
+        for seed, (_, _, _, warm_sc, cold_sc) in enumerate(decodes):
+            assert warm_sc < cold_sc, seed
+
+    def test_warm_decode_has_a_lower_mean_mel_loss_than_20_from_zero_phase(self, decodes):
+        warm = np.mean([mel_loss(audio, w).value for audio, w, _, _, _ in decodes])
+        cold = np.mean([mel_loss(audio, c).value for audio, _, c, _, _ in decodes])
+        assert warm < cold

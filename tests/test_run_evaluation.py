@@ -8,7 +8,7 @@ from rvqlab import dsp, evalstats
 from rvqlab.datapipe import load_manifest
 from rvqlab.errors import InvalidInput
 from rvqlab.evalstats import render_report, run_evaluation
-from rvqlab.frontend import GL_MOMENTUM
+from rvqlab.frontend import GL_INIT, GL_MOMENTUM
 from rvqlab.metrics import LOSS_SCALES
 
 from conftest import make_corpus
@@ -52,6 +52,7 @@ class TestRunEvaluation:
         b = render_report(run_evaluation(model, test_sets, q_list=[1, 4], gl_iterations=4), "csv")
         assert a == b
         assert (report.config["gl_iterations"], report.config["gl_momentum"]) == (4, GL_MOMENTUM)
+        assert report.config["gl_init"] == GL_INIT == "phase_gradient"
         assert report.config["metric"] == {
             "scales": [[256, 64, 40], [512, 128, 80], [1024, 256, 160], [2048, 512, 320]],
             "floor": 1e-05,

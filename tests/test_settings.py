@@ -124,6 +124,7 @@ def test_value_types_store_the_checked_int():
 
 
 _TINY_RVQ = RvqConfig(n_stages=1, codebook_size=2, code_dim=2, latent_dim=4)
+_ONES = Spectrogram(np.ones((3, 513)), STFT_CONFIG, 24000)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +141,10 @@ _TINY_RVQ = RvqConfig(n_stages=1, codebook_size=2, code_dim=2, latent_dim=4)
         lambda: LatentSequence(np.ones((2, 2), dtype=complex)),
         lambda: LatentSequence([["a"]]),
         lambda: griffin_lim(Spectrogram(np.ones((3, 513), dtype=complex), STFT_CONFIG, 24000), 1),
+        lambda: griffin_lim(_ONES, 1, init_phase=np.full((3, 513), np.nan)),
+        lambda: griffin_lim(_ONES, 1, init_phase=np.full((3, 513), np.inf)),
+        lambda: griffin_lim(_ONES, 1, init_phase=np.zeros((3, 512))),
+        lambda: griffin_lim(_ONES, 1, init_phase=np.zeros(513)),
         lambda: Spectrogram([["a"] * 513], STFT_CONFIG, 24000),
         lambda: Spectrogram([[1.0] * 513, [1.0]], STFT_CONFIG, 24000),
         lambda: train_rvq([["a"] * 4] * 40, _TINY_RVQ),
@@ -150,6 +155,8 @@ _TINY_RVQ = RvqConfig(n_stages=1, codebook_size=2, code_dim=2, latent_dim=4)
     ],
     ids=["tokens-nan", "tokens-fraction", "tokens-wrap-u16", "tokens-k-not-power-of-two", "tokens-no-stage",
          "tokens-text", "audio-complex", "audio-text", "latents-complex", "latents-text", "griffin-lim-complex",
+         "griffin-lim-init-phase-nan", "griffin-lim-init-phase-inf", "griffin-lim-init-phase-shape",
+         "griffin-lim-init-phase-1d",
          "spectrogram-text", "spectrogram-ragged", "training-latents-text", "training-latents-complex",
          "kmeans-points-text", "kmeans-points-object", "kmeans-points-complex"],
 )
