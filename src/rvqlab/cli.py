@@ -1,9 +1,11 @@
 """Command-line interface: validate, train, encode, decode, eval, mushra.
 
 Exit codes: 0 on success, 2 on any typed workbench error (bad inputs,
-corrupt files, schema violations) or operating-system error (missing,
-unreadable or directory paths).  Every subcommand honors --json for a
-machine-readable variant carrying the same numbers as the text output.
+corrupt files, schema violations), operating-system error (missing,
+unreadable or directory paths) or MemoryError (settings too large for the
+machine, such as a huge excerpt or batch size).  Every subcommand honors
+--json for a machine-readable variant carrying the same numbers as the
+text output.
 """
 
 from __future__ import annotations
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     return 0
 

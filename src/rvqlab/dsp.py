@@ -63,11 +63,14 @@ class StftConfig:
             raise InvalidConfig(f"fft_size must be a power of two, got {fft_size}")
         check_int("hop", self.hop, 1, fft_size, InvalidConfig)
 
-    @property
+    @functools.cached_property
     def window(self) -> np.ndarray:
         # Periodic Hann: w[n] = 0.5 * (1 - cos(2*pi*n/N)), n = 0..N-1.
+        # Built once per config and read-only, since every caller shares it.
         n = np.arange(self.fft_size)
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / self.fft_size))
+        window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / self.fft_size))
+        window.flags.writeable = False
+        return window
 
     @property
     def n_bins(self) -> int:

@@ -170,11 +170,12 @@ def run_evaluation(
 
 
 def load_mushra_records(path) -> list[MushraRecord]:
-    """Read subject,stimulus,system,score records from delimited text."""
+    """Read subject,stimulus,system,score records from delimited UTF-8 text,
+    with or without the byte-order mark that spreadsheet exports write."""
     records = []
     seen = set()
     first = True  # the header may only be the first non-blank, non-comment line
-    with open(check_path(path), encoding="utf-8") as fh:
+    with open(check_path(path), encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 
@@ -11,24 +12,6 @@ from .datapipe import BatchSpec, sample_batch, summarize_manifest
 from .errors import check_int
 from .frontend import _analysis_log_mel, _fit_log_mel, _project
 from .rvq import RvqConfig, train_rvq
-
-
-def _corpus_hash(excerpts, spec: BatchSpec, n_batches: int) -> str:
-    """Hash of what training consumed: the batch settings and every excerpt's
-    samples in training order.  No file path enters it, so one corpus gives
-    one hash, and one .rvqm, wherever it is stored."""
-    h = hashlib.sha256(repr((spec.batch_size, spec.excerpt_samples, spec.seed, n_batches)).encode())
-    for excerpt in excerpts:
-        h.update(np.ascontiguousarray(excerpt.audio.samples, dtype="<f8"))
-    return h.hexdigest()[:16]
-
-
-def _fit_and_encode(excerpts, latent_dim: int, seed: int):
-    """Fit the frontend on the excerpts and return it with their stacked
-    latents, analysing each excerpt once."""
-    frame_sets = [_analysis_log_mel(e.audio) for e in excerpts]
-    frontend = _fit_log_mel(frame_sets, latent_dim, seed)
-    return frontend, np.vstack([_project(frontend, f).frames for f in frame_sets])
 
 
 def train_codec(
@@ -50,6 +33,11 @@ def train_codec(
     Deterministic given the seed; the container metadata deliberately skips
     wall-clock fields so identical seeds produce identical bytes.  Every
     setting is checked before any audio is read.
+
+    Each excerpt is counted, hashed and analysed as it is drawn, and its
+    audio is dropped at once.  RVQ training holds only the frontend and the
+    at most max_rvq_frames latents it trains on (29 MiB at the defaults):
+    no audio, no log-mel frames and not the full latent matrix.
     """
     n_batches = check_int("n_batches", n_batches, 1)
     max_rvq_frames = check_int("max_rvq_frames", max_rvq_frames, 1)
@@ -61,40 +49,42 @@ def train_codec(
         seed=seed,
     )
     spec = BatchSpec(batch_size=batch_size, excerpt_samples=excerpt_samples, seed=seed)
-    excerpts = []
+    # One pass over the excerpts as they are drawn: count each category, hash
+    # the samples in training order and keep only the log-mel frames.  No file
+    # path enters the hash, so one corpus gives one .rvqm wherever it is stored.
+    balance = Counter()
+    corpus = hashlib.sha256(repr((spec.batch_size, spec.excerpt_samples, spec.seed, n_batches)).encode())
+    frame_sets = []
     for batch_index in range(n_batches):
-        excerpts.extend(sample_batch(manifest, spec, batch_index))
+        for excerpt in sample_batch(manifest, spec, batch_index):
+            balance[excerpt.entry.category.value] += 1
+            corpus.update(np.ascontiguousarray(excerpt.audio.samples, dtype="<f8"))
+            frame_sets.append(_analysis_log_mel(excerpt.audio))
+    frontend = _fit_log_mel(frame_sets, latent_dim, seed)
+    latents = np.vstack([_project(frontend, f).frames for f in frame_sets])
+    del excerpt, frame_sets  # the last excerpt drawn, and frames now projected
+    frames_total = latents.shape[0]
+    if frames_total > max_rvq_frames:
+        keep = np.random.default_rng(seed).choice(frames_total, size=max_rvq_frames, replace=False)
+        latents = latents[np.sort(keep)]
 
-    balance = {}
-    for excerpt in excerpts:
-        balance[excerpt.entry.category.value] = balance.get(excerpt.entry.category.value, 0) + 1
-
-    frontend, latents = _fit_and_encode(excerpts, latent_dim, seed)
-
-    if latents.shape[0] > max_rvq_frames:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(latents.shape[0], size=max_rvq_frames, replace=False))
-        rvq_latents = latents[keep]
-    else:
-        rvq_latents = latents
-
-    rvq_model = train_rvq(rvq_latents, config)
+    rvq_model = train_rvq(latents, config)
 
     container = ModelContainer(
         frontend=frontend,
         rvq=rvq_model,
         metadata={
-            "corpus_hash": _corpus_hash(excerpts, spec, n_batches),
+            "corpus_hash": corpus.hexdigest()[:16],
             "seed": str(seed),
-            "excerpts": str(len(excerpts)),
-            "rvq_frames": str(rvq_latents.shape[0]),
+            "excerpts": str(sum(balance.values())),
+            "rvq_frames": str(latents.shape[0]),
         },
     )
     summary = {
         "balance": dict(sorted(balance.items())),
         "manifest": summarize_manifest(manifest),
-        "frames_total": int(latents.shape[0]),
-        "rvq_frames": int(rvq_latents.shape[0]),
+        "frames_total": frames_total,
+        "rvq_frames": latents.shape[0],
         "explained_variance_top_d": float(
             frontend.explained_variance[:latent_dim].sum()
         ),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rvqlab
-from rvqlab import bitstream, codec, container
+from rvqlab import bitstream, codec, container, datapipe
 from rvqlab.cli import main
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
@@ -118,6 +118,25 @@ class TestTrain:
         assert stdout == "" and not out.exists()
         assert err.startswith("error: EmptyInput:")
         assert "Traceback" not in err
+
+    def test_out_of_memory_exit_2(self, toy_corpus, tmp_path, monkeypatch, capsys):
+        # numpy raises a private MemoryError subclass; no real allocation is tried.
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def no_memory(audio, length, rng):
+            raise _ArrayMemoryError(f"Unable to allocate 2.33 TiB for an array with shape ({length},)")
+
+        monkeypatch.setattr(datapipe, "_excerpt_from", no_memory)
+        out = tmp_path / "m.rvqm"
+        code, stdout, err = _run(
+            capsys,
+            ["train", "--manifest", str(toy_corpus), "--out", str(out),
+             "--excerpt-samples", "320000000000"],
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: MemoryError: Unable to allocate 2.33 TiB")
 
 
 @pytest.fixture(scope="module")

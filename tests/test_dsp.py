@@ -223,6 +223,24 @@ class TestTypedErrors:
 
 
 class TestStft:
+    @pytest.mark.parametrize("fft_size", [2, 256, 1024, 4096])
+    def test_window_is_built_once_read_only_and_exactly_periodic_hann(self, fft_size):
+        config = StftConfig(fft_size, fft_size // 2)
+        window = config.window
+        assert config.window is window
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[0] = 1.0
+        with pytest.raises(AttributeError):
+            config.window = np.ones(fft_size)
+        n = np.arange(fft_size)
+        expected = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / fft_size))
+        assert window.dtype == np.float64
+        assert window.tobytes() == expected.tobytes()
+        # An equal config is an equal key, whatever it has cached.
+        assert config == StftConfig(fft_size, fft_size // 2)
+        assert hash(config) == hash(StftConfig(fft_size, fft_size // 2))
+
     def test_zero_signal_zero_magnitudes(self):
         spec = stft(AudioBuffer(np.zeros(9600), 24000), StftConfig(1024, 320))
         assert np.all(np.abs(spec.frames) == 0.0)

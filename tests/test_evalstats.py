@@ -168,13 +168,15 @@ class TestWilcoxon:
 
 
 class TestMushraFile:
-    def test_load_and_duplicate_detection(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "byte-order-mark"])
+    def test_load_and_duplicate_detection(self, tmp_path, encoding):
         path = tmp_path / "scores.csv"
         path.write_text(
             "subject,stimulus,system,score\n"
             "s1,st1,reference,100\n"
             "s1,st1,codec,80\n"
-            "s2,st1,reference,95\n"
+            "s2,st1,reference,95\n",
+            encoding=encoding,
         )
         records = load_mushra_records(path)
         assert len(records) == 3

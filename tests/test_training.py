@@ -1,10 +1,13 @@
+import gc
 import shutil
 
 import pytest
 
-from rvqlab import container, datapipe
+from rvqlab import container, datapipe, training
 from rvqlab.datapipe import load_manifest
+from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InvalidConfig, InvalidInput
+from rvqlab.rvq import train_rvq
 from rvqlab.training import train_codec
 
 
@@ -52,3 +55,28 @@ def test_same_corpus_elsewhere_gives_same_container_bytes(toy_model, toy_corpus,
     moved = shutil.copytree(toy_corpus.parent, tmp_path / "elsewhere" / "corpus")
     model, _ = train_toy_model(moved / toy_corpus.name)
     assert container.to_bytes(model) == container.to_bytes(toy_model[1])
+
+
+def test_rvq_training_holds_no_excerpt_audio(toy_corpus, monkeypatch):
+    # Excerpts are counted, hashed and analysed as they are drawn, so by the
+    # time k-means runs no excerpt and no excerpt-length buffer is alive, and
+    # k-means sees only the subsampled latents.
+    excerpt_samples = 3520  # a length no other buffer of the test session has
+    seen = {}
+
+    def spy(latents, config):
+        gc.collect()
+        alive = gc.get_objects()
+        seen["excerpts"] = sum(isinstance(o, datapipe.Excerpt) for o in alive)
+        seen["buffers"] = sum(isinstance(o, AudioBuffer) and len(o) == excerpt_samples for o in alive)
+        seen["rows"] = latents.shape[0]
+        return train_rvq(latents, config)
+
+    monkeypatch.setattr(training, "train_rvq", spy)
+    _, summary = train_codec(
+        load_manifest(toy_corpus), n_stages=1, codebook_size=16, latent_dim=8, seed=2,
+        n_batches=4, batch_size=12, excerpt_samples=excerpt_samples, max_rvq_frames=300,
+    )
+    assert summary["frames_total"] == 4 * 12 * excerpt_samples // 320 > 300
+    assert seen == {"excerpts": 0, "buffers": 0, "rows": summary["rvq_frames"]}
+    assert summary["rvq_frames"] == 300
