@@ -189,6 +189,8 @@ def _cmd_eval(args) -> None:
         if "=" not in item:
             raise InvalidInput(f"--test expects NAME=MANIFEST, got {item!r}")
         name, path = item.split("=", 1)
+        if name in manifests:
+            raise InvalidInput(f"--test names the test set {name!r} more than once")
         manifests[name] = load_manifest(path)
     try:
         q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
@@ -199,20 +201,17 @@ def _cmd_eval(args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out}")
-    if args.json:
-        payload = {
-            "q_list": list(report.q_list),
-            "rows": {
-                "|".join(key): {str(q): report.rows[key][q] for q in report.q_list}
-                for key in report.row_keys()
-            },
-            "config": report.config,
-            "failures": [list(f) for f in report.failures],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif not args.out:
-        print(text, end="")
+        text = f"wrote {args.out}"
+    payload = {
+        "q_list": list(report.q_list),
+        "rows": {
+            "|".join(key): {str(q): report.rows[key][q] for q in report.q_list}
+            for key in report.row_keys()
+        },
+        "config": report.config,
+        "failures": [list(f) for f in report.failures],
+    }
+    _emit(args, payload, text)
 
 
 def _cmd_mushra(args) -> None:

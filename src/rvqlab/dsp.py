@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,14 +98,6 @@ class Spectrogram:
 
     def magnitude(self) -> "Spectrogram":
         return Spectrogram(np.abs(self.frames), self.config, self.sample_rate)
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filters: n_mels x (fft_size/2 + 1) nonnegative weights."""
-
-    weights: np.ndarray
-    center_freqs: np.ndarray = field(repr=False)
 
 
 def _hz_to_mel(f):
@@ -209,9 +201,10 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
 
-def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
-    """Build triangular filters with centers equally spaced on the mel scale
-    over the full band, 0 Hz to sample_rate/2.
+def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    """Triangular filters with centers equally spaced on the mel scale over
+    the full band, 0 Hz to sample_rate/2: an (n_mels, fft_size/2 + 1) array
+    of nonnegative weights.
 
     Args:
         sample_rate: Hz of the signals the bank will analyze.
@@ -219,7 +212,7 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterban
         n_mels: number of filters (>= 1).
 
     Banks are cached on their checked arguments and shared by every caller,
-    so their weights and center_freqs are read-only.
+    so the array is read-only.
 
     Raises:
         InvalidConfig: if an argument is not an integer >= 1 or a filter
@@ -230,7 +223,7 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterban
 
 
 @functools.lru_cache(maxsize=32)
-def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterbank:
+def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
     n_bins = fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * (sample_rate / fft_size)
     edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2), n_mels + 2))
@@ -241,33 +234,34 @@ def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> MelFilterba
         weights[i] = np.maximum(0.0, np.minimum(lower, upper))
     if np.any(weights.max(axis=1) <= 0.0):
         raise InvalidConfig(f"{n_mels} mel filters leave empty rows for fft_size {fft_size}")
-    centers = edges[1:-1].copy()
     weights.flags.writeable = False
-    centers.flags.writeable = False
-    return MelFilterbank(weights, centers)
+    return weights
 
 
 @functools.lru_cache(maxsize=32)
 def _mel_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
-    """Read-only pseudo-inverse, (n_bins, n_mels), of the cached bank's weights."""
-    pinv = np.linalg.pinv(_mel_filterbank(sample_rate, fft_size, n_mels).weights)
+    """Read-only pseudo-inverse, (n_bins, n_mels), of the cached bank."""
+    pinv = np.linalg.pinv(_mel_filterbank(sample_rate, fft_size, n_mels))
     pinv.flags.writeable = False
     return pinv
 
 
-def log_mel(spec: Spectrogram, fb: MelFilterbank, floor: float) -> np.ndarray:
-    """ln(max(fb @ magnitude, floor)) per frame; shape (T, n_mels)."""
+def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
+    """ln(max(bank @ magnitude, floor)) per frame; shape (T, n_mels), where
+    bank is mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels).
+
+    Raises:
+        InvalidConfig: floor not finite and positive, or n_mels rejected by
+            mel_filterbank.
+    """
     floor = check_float("floor", floor, InvalidConfig)
     if floor <= 0:
         raise InvalidConfig(f"floor must be positive, got {floor}")
+    weights = mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels)
     mag = spec.frames
     if np.iscomplexobj(mag):
         mag = np.abs(mag)
-    if mag.shape[1] != fb.weights.shape[1]:
-        raise InvalidConfig(
-            f"filterbank expects {fb.weights.shape[1]} bins, spectrogram has {mag.shape[1]}"
-        )
-    return np.log(np.maximum(mag @ fb.weights.T, floor))
+    return np.log(np.maximum(mag @ weights.T, floor))
 
 
 def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -102,7 +102,8 @@ def run_evaluation(
 ) -> MetricReport:
     """Score the codec on every test file at every stage count.
 
-    test_manifests maps a test-set name to its ManifestEntry sequence.
+    test_manifests maps a test-set name to its ManifestEntry sequence; a
+    name is nonempty text without ',', '|', '\\r' or '\\n'.
     Each file runs through codec.encode and codec.decode, the pipeline of
     the CLI's encode and decode, so CLI-side metrics reproduce these
     numbers exactly.  Per-file failures are recorded and skipped; the run
@@ -118,6 +119,12 @@ def run_evaluation(
         raise InvalidInput("q_list must be nonempty")
     if not test_manifests:
         raise InvalidInput("need at least one test manifest")
+    for set_name in test_manifests:
+        # The name is a report cell, a CSV field and part of a "|"-joined row key.
+        if not isinstance(set_name, str) or not set_name or any(c in set_name for c in ",|\r\n"):
+            raise InvalidInput(
+                f"test-set name must be nonempty text without ',', '|' or line breaks, got {set_name!r}"
+            )
     gl_iterations = check_int("gl_iterations", gl_iterations, 1)
     pesq_tool = os.environ.get(PESQ_TOOL_ENV)
 

@@ -121,7 +121,7 @@ def _analysis_log_mel(audio: AudioBuffer) -> np.ndarray:
         samples = np.pad(samples, (0, pad), mode="reflect")
     spec = stft(AudioBuffer(samples, SAMPLE_RATE), STFT_CONFIG)
     kept = Spectrogram(spec.frames[:-1], STFT_CONFIG, SAMPLE_RATE)  # T = len/hop
-    return log_mel(kept, mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS), LOG_FLOOR)
+    return log_mel(kept, N_MELS, LOG_FLOOR)
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +216,7 @@ def _decoded_magnitudes(model: FrontendModel, latents: LatentSequence) -> Spectr
     if not np.all(logmel <= _MAX_LOG_MEL):  # also false for nan
         raise InvalidInput(f"latents decode to log-mel values above {_MAX_LOG_MEL}, beyond any audio")
     mel_amp = np.exp(logmel)
-    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS).weights
+    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS)
     mags = np.maximum(mel_amp @ _mel_pinv(SAMPLE_RATE, FFT_SIZE, N_MELS).T, 0.0)
     col_sum = np.maximum(weights.sum(axis=0), 1e-12)
     for _ in range(_MEL_INVERSION_STEPS):

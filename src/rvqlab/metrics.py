@@ -29,7 +29,6 @@ from .dsp import (
     _frame_signal,
     _overlap_add,
     log_mel,
-    mel_filterbank,
     resample,
     stft,
 )
@@ -90,8 +89,7 @@ def _spectral_losses(ref: AudioBuffer, test: AudioBuffer, with_mel: bool = True)
         b = _gain_normalized_magnitude(test, config)
         lin += float(np.mean(np.abs(a.frames - b.frames)))
         if with_mel:
-            fb = mel_filterbank(ref.sample_rate, fft_size, n_mels)
-            mel += float(np.mean(np.abs(log_mel(a, fb, LOSS_FLOOR) - log_mel(b, fb, LOSS_FLOOR))))
+            mel += float(np.mean(np.abs(log_mel(a, n_mels, LOSS_FLOOR) - log_mel(b, n_mels, LOSS_FLOOR))))
     return mel, lin
 
 

@@ -354,26 +354,6 @@ def train_rvq(latents: np.ndarray, config: RvqConfig) -> RvqModel:
     return RvqModel(config=config, stages=tuple(stages), training_stats=np.array(stats))
 
 
-def _greedy_stages(model: RvqModel, latents: LatentSequence, n_stages: int):
-    """Greedy stage loop of quantize and stage_distortions: yields (indices, residual).
-
-    The residual is one array updated in place: read it before the next
-    stage runs.
-    """
-    if latents.dim != model.config.latent_dim:
-        raise InvalidInput(
-            f"latents have dimension {latents.dim}, model expects {model.config.latent_dim}"
-        )
-    residual = latents.frames.copy()
-    for stage in model.stages[:n_stages]:
-        normalized = _normalize_rows(residual @ stage.in_proj.T)
-        # Unit vectors both sides: nearest by distance == max cosine, and
-        # argmax resolves ties toward the lowest index.
-        idx = np.argmax(normalized @ stage.entries.T, axis=1)
-        residual -= stage.entries[idx] @ stage.out_proj.T
-        yield idx, residual
-
-
 def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenStream:
     """Greedy per-stage quantization of a latent sequence.
 
@@ -382,9 +362,19 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
     continue with the next stage.
     """
     n_stages = check_int("n_stages", n_stages, 1, model.n_stages)
+    if latents.dim != model.config.latent_dim:
+        raise InvalidInput(
+            f"latents have dimension {latents.dim}, model expects {model.config.latent_dim}"
+        )
     tokens = np.empty((latents.n_frames, n_stages), dtype=np.uint16)
-    for i, (idx, _) in enumerate(_greedy_stages(model, latents, n_stages)):
+    residual = latents.frames.copy()
+    for i, stage in enumerate(model.stages[:n_stages]):
+        normalized = _normalize_rows(residual @ stage.in_proj.T)
+        # Unit vectors both sides: nearest by distance == max cosine, and
+        # argmax resolves ties toward the lowest index.
+        idx = np.argmax(normalized @ stage.entries.T, axis=1)
         tokens[:, i] = idx
+        residual -= stage.entries[idx] @ stage.out_proj.T
     return TokenStream(tokens, model.config.codebook_size)
 
 
@@ -412,7 +402,10 @@ def bitrate(config: RvqConfig, n_stages: int) -> int:
 
 
 def stage_distortions(model: RvqModel, latents: LatentSequence) -> np.ndarray:
-    """Mean squared residual after each stage, for all of the model's stages."""
-    return np.array(
-        [float(np.mean(residual**2)) for _, residual in _greedy_stages(model, latents, model.n_stages)]
-    )
+    """Mean squared error of the q-stage reconstruction, for q = 1 to all of
+    the model's stages."""
+    tokens = quantize(model, latents, model.n_stages)
+    return np.array([
+        float(np.mean((latents.frames - dequantize(model, tokens, q).frames) ** 2))
+        for q in range(1, model.n_stages + 1)
+    ])

@@ -343,6 +343,31 @@ class TestEval:
         assert err.startswith("error: InvalidInput:") and "NAME=MANIFEST" in err
         assert "Traceback" not in err
 
+    def test_json_with_out_prints_only_json(self, toy_model, toy_corpus, tmp_path, capsys):
+        model_path, _, _ = toy_model
+        report_path = tmp_path / "report.csv"
+        args = ["eval", "--model", str(model_path), "--test", f"toy={toy_corpus}", "--q-list", "1",
+                "--gl-iterations", "1", "--format", "csv", "--out", str(report_path)]
+        code, out, _ = _run(capsys, args + ["--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["q_list"] == [1]
+        report = report_path.read_text(encoding="utf-8")
+        assert report.startswith("test_set,metric,system,q=1\n")
+        assert f"toy,mel,rvq,{payload['rows']['toy|mel|rvq']['1']:.6g}\n" in report
+
+        code, out, _ = _run(capsys, args)
+        assert code == 0
+        assert out == f"wrote {report_path}\n"
+
+    def test_repeated_test_name_exit_2(self, toy_model, toy_corpus, capsys):
+        model_path, _, _ = toy_model
+        code, out, err = _run(capsys, ["eval", "--model", str(model_path), "--test", f"toy={toy_corpus}",
+                                       "--test", f"toy={toy_corpus}", "--q-list", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvalidInput:") and "'toy'" in err
+
 
 class TestMushra:
     def test_summary_and_significance(self, tmp_path, capsys):

@@ -85,11 +85,10 @@ CONTRACT = {
     "dsp.StftConfig": {"fft_size": (VALUE, 256), "hop": (VALUE, 64)},
     "dsp.Spectrogram": {"frames": (VALUE, E("spec_frames")), "config": (OBJECT, E("stft_config")),
                         "sample_rate": (VALUE, 24000)},
-    "dsp.MelFilterbank": _same("weights", "center_freqs"),
     "dsp.stft": {"audio": (OBJECT, E("audio")), "config": (OBJECT, E("stft_config"))},
     "dsp.istft": {"spec": (OBJECT, E("spec"))},
     "dsp.mel_filterbank": {"sample_rate": (VALUE, 24000), "fft_size": (VALUE, 256), "n_mels": (VALUE, 20)},
-    "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "fb": (OBJECT, E("fb")), "floor": (VALUE, 1e-5)},
+    "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "n_mels": (VALUE, 20), "floor": (VALUE, 1e-5)},
     "dsp.griffin_lim": {"magnitude": (OBJECT, E("magnitude")), "iterations": (VALUE, 1),
                         "callback": (OBJECT, None), "momentum": (VALUE, 0.5),
                         "init_phase": (VALUE, E("init_phase"))},
@@ -195,7 +194,6 @@ def env(tmp_path_factory):
     _, latents, tokens = codec.encode(model, audio, 1)
     stft_config = dsp.StftConfig(256, 64)
     spec = dsp.stft(audio, stft_config)
-    fb = dsp.mel_filterbank(24000, 256, 20)
     stage = model.rvq.stages[0]
     rng = np.random.default_rng(0)
     report_rows = {("t", "mel", "rvq"): {1: 0.5}}
@@ -219,9 +217,6 @@ def env(tmp_path_factory):
         spec_frames=spec.frames,
         magnitude=spec.magnitude(),
         init_phase=np.zeros(spec.frames.shape),
-        fb=fb,
-        weights=fb.weights,
-        center_freqs=fb.center_freqs,
         # model
         model=model,
         model_bytes=container.to_bytes(model),

@@ -94,6 +94,13 @@ class TestRunEvaluation:
         with pytest.raises(InvalidInput, match=match):
             run_evaluation(model, test_sets if manifests is None else manifests, q_list=q_list)
 
+    @pytest.mark.parametrize("name", ["", "a,b", "x|y", "a\nb", "a\rb", 7, None],
+                             ids=["empty", "comma", "bar", "newline", "return", "int", "none"])
+    def test_set_name_that_would_corrupt_the_report_rejected(self, toy_model, test_sets, name):
+        _, model, _ = toy_model
+        with pytest.raises(InvalidInput, match="test-set name"):
+            run_evaluation(model, {name: test_sets["seta"]}, q_list=[1])
+
     def test_q_below_one_rejected_before_any_file(self, toy_model, test_sets):
         _, model, _ = toy_model
         with pytest.raises(InvalidInput):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from rvqlab import container
 from rvqlab.bitstream import pack, prefix, unpack
 from rvqlab.datapipe import BatchSpec, load_manifest, sample_batch
-from rvqlab.dsp import AudioBuffer, Spectrogram, StftConfig, griffin_lim, mel_filterbank, resample
+from rvqlab.dsp import AudioBuffer, Spectrogram, StftConfig, griffin_lim, log_mel, mel_filterbank, resample
 from rvqlab.errors import InvalidConfig, InvalidInput, WavError, check_array, check_float, check_int, check_path
 from rvqlab.evalstats import MushraRecord, load_mushra_records, run_evaluation
 from rvqlab.frontend import MAX_SEED, STFT_CONFIG, FrontendModel, LatentSequence, fit_frontend
@@ -63,6 +63,7 @@ SETTINGS = [
     ("mel_filterbank.sample_rate", lambda c, v: mel_filterbank(v, 1024, 10), 1, None, InvalidConfig),
     ("mel_filterbank.fft_size", lambda c, v: mel_filterbank(24000, v, 10), 1, None, InvalidConfig),
     ("mel_filterbank.n_mels", lambda c, v: mel_filterbank(24000, 1024, v), 1, None, InvalidConfig),
+    ("log_mel.n_mels", lambda c, v: log_mel(c.magnitude, v, 1e-5), 1, None, InvalidConfig),
     ("griffin_lim.iterations", lambda c, v: griffin_lim(c.magnitude, v), 1, None, InvalidInput),
     ("resample.target_rate", lambda c, v: resample(AudioBuffer(np.zeros(8), 16000), v), 1, None, InvalidInput),
     ("RvqConfig.n_stages", lambda c, v: RvqConfig(n_stages=v), 1, 32, InvalidConfig),
