@@ -11,6 +11,7 @@ text output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -37,7 +38,9 @@ _GL_HELP = (
 )
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="rvqlab",
         description="Residual-vector-quantization speech codec workbench",

@@ -128,6 +128,20 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def read_entry_audio(entry: ManifestEntry) -> AudioBuffer:
+    """The audio of a manifest entry, at the rate of its file.
+
+    Raises:
+        SchemaError: the WAV header's sample rate is not the entry's.
+    """
+    audio = read_wav(entry.path)
+    if audio.sample_rate != entry.sample_rate:
+        raise SchemaError(
+            f"{entry.path}: manifest sample_rate {entry.sample_rate} Hz, WAV header {audio.sample_rate} Hz"
+        )
+    return audio
+
+
 def summarize_manifest(entries) -> dict:
     """Per-category clip counts and hours, plus totals."""
     counts = {c.value: 0 for c in QualityCategory}
@@ -207,7 +221,7 @@ def sample_batch(
     batch = []
     for entry in chosen:
         if load_audio:
-            audio = read_wav(entry.path)
+            audio = read_entry_audio(entry)
             if audio.sample_rate != SAMPLE_RATE:
                 audio = resample(audio, SAMPLE_RATE)
             excerpt, offset = _excerpt_from(audio, spec.excerpt_samples, rng_offset)

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import EmptyInput, InvalidConfig, InvalidInput, check_array, check_float, check_int
 
@@ -239,16 +240,22 @@ def _mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _mel_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
-    """Read-only pseudo-inverse, (n_bins, n_mels), of the cached bank."""
-    pinv = np.linalg.pinv(_mel_filterbank(sample_rate, fft_size, n_mels))
-    pinv.flags.writeable = False
-    return pinv
+def _mel_csr(sample_rate: int, fft_size: int, n_mels: int) -> scipy.sparse.csr_array:
+    """The cached bank in CSR form, for the mel products of every caller.
+
+    Row m of bank @ x sums w[m, j] * x[j] over the nonzero bins j of band m
+    in ascending j, starting from zero, in scipy's own loop: no BLAS call,
+    so the bits do not depend on the BLAS thread count.  A mel bin lies in
+    at most two bands, so the product does ~2 * n_bins multiply-adds per
+    column where the dense one does n_mels * n_bins.
+    """
+    return scipy.sparse.csr_array(_mel_filterbank(sample_rate, fft_size, n_mels))
 
 
 def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
     """ln(max(bank @ magnitude, floor)) per frame; shape (T, n_mels), where
     bank is mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels).
+    Each band sums its nonzero bins in ascending order (see _mel_csr).
 
     Raises:
         InvalidConfig: floor not finite and positive, or n_mels rejected by
@@ -257,11 +264,13 @@ def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
     floor = check_float("floor", floor, InvalidConfig)
     if floor <= 0:
         raise InvalidConfig(f"floor must be positive, got {floor}")
-    weights = mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels)
+    args = (spec.sample_rate, spec.config.fft_size, n_mels)
+    mel_filterbank(*args)  # checks n_mels against the spectrogram's resolution
     mag = spec.frames
     if np.iscomplexobj(mag):
         mag = np.abs(mag)
-    return np.log(np.maximum(mag @ weights.T, floor))
+    bands = _mel_csr(*args) @ mag.T  # (n_mels, T)
+    return np.log(np.maximum(bands.T, floor), order="C")
 
 
 def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -281,6 +290,11 @@ def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) ->
     spec[zero] = 1.0
     spec *= target
     return spec
+
+
+def _frobenius_norm(x: np.ndarray) -> float:
+    """sqrt of the sum of squares of a 2-D array, by one einsum reduction."""
+    return math.sqrt(np.einsum("ij,ij->", x, x))
 
 
 # lambda / N^2 of the Gaussian exp(-pi t^2 / lambda) that best fits an N-point
@@ -333,10 +347,12 @@ def griffin_lim(
     bits.  It reaches a lower error in fewer iterations, but the error is
     not monotone.
 
-    The synthesis divisor and the target's norm are computed once per call,
-    and each iteration reuses the analysis magnitudes for the spectral
-    convergence ||mag - target|| / ||target|| (0 for an all-zero target)
-    and the phase projection.
+    The synthesis divisor is computed once per call, and so is the target's
+    norm when a callback is given.  Each iteration reuses the analysis
+    magnitudes for the spectral convergence ||mag - target|| / ||target||
+    (0 for an all-zero target) and the phase projection.  Both norms are
+    einsum reductions, not BLAS ddot, whose split across threads moves the
+    last bit, so the trace is the same at any BLAS thread count.
 
     Args:
         magnitude: magnitude spectrogram (nonnegative, real).
@@ -366,14 +382,14 @@ def griffin_lim(
         np.multiply(target, np.sin(init_phase), out=start.imag)
 
     divisor = _synthesis_divisor(config, len(target))
-    target_norm = np.linalg.norm(target)
+    target_norm = _frobenius_norm(target) if callback is not None else 0.0
     x = _istft_padded(start, config, divisor)
     prev = None
     for i in range(iterations):
         spec = _windowed_rfft(x, config)
         mag = np.abs(spec)
         if callback is not None:
-            callback(i, float(np.linalg.norm(mag - target) / target_norm) if target_norm else 0.0)
+            callback(i, _frobenius_norm(mag - target) / target_norm if target_norm else 0.0)
         projected = step = _project_magnitude(spec, mag, target)
         if prev is not None:
             np.subtract(projected, prev, out=prev)

@@ -142,10 +142,12 @@ def check_path(path):
 
 
 def check_array(name, values, ndim, error=InvalidInput, complex_ok=False) -> np.ndarray:
-    """values as a finite ndim-D float64 array (complex128 if complex and
-    complex_ok), else error.  Text, object, ragged and, unless complex_ok,
-    complex input fail: a cast would raise numpy's own error or drop an
-    imaginary part with only a warning."""
+    """values as a finite, C-contiguous ndim-D float64 array (complex128 if
+    complex and complex_ok), else error.  Text, object, ragged and, unless
+    complex_ok, complex input fail: a cast would raise numpy's own error or
+    drop an imaginary part with only a warning.  One memory layout keeps the
+    einsum reductions of decoding, whose order follows the strides, the same
+    for a model trained in memory and the same model loaded from disk."""
     try:
         array = np.asarray(values)
     except ValueError as exc:
@@ -153,7 +155,7 @@ def check_array(name, values, ndim, error=InvalidInput, complex_ok=False) -> np.
     if array.dtype.kind not in ("biufc" if complex_ok else "biuf") or array.ndim != ndim:
         raise error(f"{name} must be a {ndim}-D {'' if complex_ok else 'real '}numeric array, "
                     f"got {array.dtype} of shape {array.shape}")
-    array = array.astype(np.complex128 if array.dtype.kind == "c" else np.float64, copy=False)
+    array = np.asarray(array, dtype=np.complex128 if array.dtype.kind == "c" else np.float64, order="C")
     if not np.isfinite(array).all():
         raise error(f"non-finite values in {name}")
     return array

@@ -10,9 +10,12 @@ the exact null distribution for small groups.
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import math
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +24,11 @@ from scipy.stats import t as student_t
 
 from . import codec
 from .container import ModelContainer
+from .datapipe import read_entry_audio
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
 from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .metrics import LOSS_FLOOR, LOSS_SCALES, _spectral_losses, pesq_adapter, stoi
-from .wavio import read_wav
 
 _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
 _ABSENT = "—"  # em dash renders unconfigured cells
@@ -94,6 +97,35 @@ def _mean(values):
     return total / n if n else None
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _done(function, arg) -> Future:
+    """A finished future holding function(arg), or the RvqLabError it raised."""
+    done = Future()
+    try:
+        done.set_result(function(arg))
+    except RvqLabError as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _score_cell(container, audio, latents, tokens, q, gl_iterations, pesq_tool) -> dict:
+    """Metric name -> value of one file decoded from its first q stages."""
+    recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
+    cells = dict(zip(("mel", "stft"), _spectral_losses(audio, decoded)))
+    cells["stoi"] = stoi(audio, decoded).value
+    cells["latent_mse"] = float(np.mean((latents.frames - recon_latents.frames) ** 2))
+    pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
+    cells["pesq"] = pesq.value if pesq is not None else None
+    return cells
+
+
 def run_evaluation(
     container: ModelContainer,
     test_manifests: dict,
@@ -110,6 +142,14 @@ def run_evaluation(
     raises EvaluationFailed only if more than 1% of files fail.  PESQ is
     scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
     recorded in the config.
+
+    Each file is read and encoded in the calling thread, and its (file, q)
+    cells are scored concurrently by one worker per CPU this process may
+    use, but no more workers than cells; the calling thread is one of them.
+    At most that many files are in flight at once, so memory does not grow
+    with the test set.  Results are gathered in file and q order, and a
+    file that fails is reported with the error of its first failing q, so
+    the report does not depend on the worker count.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
@@ -128,37 +168,62 @@ def run_evaluation(
     gl_iterations = check_int("gl_iterations", gl_iterations, 1)
     pesq_tool = os.environ.get(PESQ_TOOL_ENV)
 
-    rows = {}
-    failures = []
-    total_files = 0
-    for set_name in sorted(test_manifests):
-        scored = []  # one {(metric, q): value} table per file that succeeded at every q
-        for entry in test_manifests[set_name]:
-            total_files += 1
-            try:
-                audio, latents, tokens = codec.encode(container, read_wav(entry.path), q_list[0])
-                cells = {}
-                for q in q_list:
-                    recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
-                    cells["mel", q], cells["stft", q] = _spectral_losses(audio, decoded)
-                    cells["stoi", q] = stoi(audio, decoded).value
-                    cells["latent_mse", q] = float(
-                        np.mean((latents.frames - recon_latents.frames) ** 2)
-                    )
-                    pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
-                    cells["pesq", q] = pesq.value if pesq is not None else None
-            except RvqLabError as exc:
-                failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
-                continue
-            scored.append(cells)
-        for name in _METRIC_ORDER:
-            rows[(set_name, name, _SYSTEM)] = {q: _mean([c[name, q] for c in scored]) for q in q_list}
-
-    if total_files == 0:
+    files = [(name, entry) for name in sorted(test_manifests) for entry in test_manifests[name]]
+    if not files:
         raise InvalidInput("test manifests contain no files")
-    if len(failures) / total_files > _MAX_FAILURE_RATE:
+    scored = {name: [] for name in test_manifests}  # {(metric, q): value} per file that scored every q
+    failures = []
+    workers = min(_cpu_count(), len(files) * len(q_list))
+    # The calling thread is one of the workers, so the pool has one thread
+    # fewer: each thread keeps its own allocator arena, about a cell's working
+    # set, and the calling thread's is already there.
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    in_flight = collections.deque()  # (set name, entry, score, {q: future}), oldest file first
+
+    def settle_oldest():
+        # Rather than wait, score here every cell no pool thread has started,
+        # newest first, while the pool takes them oldest first.
+        for _, _, score, cells in reversed(in_flight):
+            for q in reversed(cells):
+                if cells[q].cancel():
+                    cells[q] = _done(score, q)
+        set_name, entry, _, cells = in_flight.popleft()
+        try:
+            table = {(name, q): value for q, cell in cells.items() for name, value in cell.result().items()}
+        except RvqLabError as exc:
+            failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
+        else:
+            scored[set_name].append(table)
+
+    try:
+        for set_name, entry in files:
+            if len(in_flight) == workers:
+                settle_oldest()
+            try:
+                audio, latents, tokens = codec.encode(container, read_entry_audio(entry), q_list[0])
+            except RvqLabError as exc:
+                failed = Future()
+                failed.set_exception(exc)
+                in_flight.append((set_name, entry, None, {q_list[0]: failed}))
+                continue
+            score = functools.partial(_score_cell, container, audio, latents, tokens,
+                                      gl_iterations=gl_iterations, pesq_tool=pesq_tool)
+            cells = {q: pool.submit(score, q) if pool else _done(score, q) for q in q_list}
+            in_flight.append((set_name, entry, score, cells))
+        while in_flight:
+            settle_oldest()
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+    rows = {
+        (set_name, name, _SYSTEM): {q: _mean([c[name, q] for c in scored[set_name]]) for q in q_list}
+        for set_name in sorted(test_manifests)
+        for name in _METRIC_ORDER
+    }
+    if len(failures) / len(files) > _MAX_FAILURE_RATE:
         raise EvaluationFailed(
-            f"{len(failures)}/{total_files} files failed (> {_MAX_FAILURE_RATE:.0%}): "
+            f"{len(failures)}/{len(files)} files failed (> {_MAX_FAILURE_RATE:.0%}): "
             + "; ".join(f[2] for f in failures[:3])
         )
     config = {

@@ -4,10 +4,12 @@ Analysis: 24 kHz audio -> log-mel (fft 1024, hop 320, 80 mels over
 0-12 kHz, floor 1e-5) -> mean removal -> orthonormal projection onto the
 top-D principal components.  Synthesis: inverse projection ->
 mel-to-linear magnitudes via the filterbank pseudo-inverse (clamped at
-zero) -> a phase integrated along time from the magnitudes' own phase
-gradient (Prusa, Balazs and Soendergaard, IEEE/ACM TASLP 2017) -> Fast
-Griffin-Lim (Perraudin, Balazs and Soendergaard, WASPAA 2013) from that
-phase, with momentum 0.99, 12 iterations unless the caller sets its own.
+zero) and a few multiplicative updates, in sparse and banded products
+that call no BLAS -> a phase integrated along time from the magnitudes'
+own phase gradient (Prusa, Balazs and Soendergaard, IEEE/ACM TASLP 2017)
+-> Fast Griffin-Lim (Perraudin, Balazs and Soendergaard, WASPAA 2013)
+from that phase, with momentum 0.99, 12 iterations unless the caller sets
+its own.
 On speech-like held-out sets that scores a lower mel loss and a higher
 STOI at every stage count than 20 fast iterations from zero phase, in
 about 60% of the Griffin-Lim time; its spectral-convergence error, unlike
@@ -18,16 +20,19 @@ fitted model holds only its statistics and projection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse
+from scipy.linalg import solveh_banded
 
 from .dsp import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
-    _mel_pinv,
+    _mel_csr,
     _phase_gradient_phase,
     griffin_lim,
     log_mel,
@@ -199,6 +204,25 @@ _MEL_INVERSION_STEPS = 10
 _MAX_LOG_MEL = 80.0
 
 
+@functools.cache
+def _mel_inversion():
+    """(bank, bank_t, update, gram): the codec mel bank W (80 x 513) as CSR
+    arrays W, W^T and W^T with row j divided by column sum j of W (floored at
+    1e-12), and W W^T in solveh_banded's upper form.
+
+    Neighbouring triangles are the only ones that share a bin, so W W^T is
+    tridiagonal; it is positive definite (condition number ~50), and
+    pinv(W) = W^T (W W^T)^-1.  Its two diagonals are summed with einsum.
+    """
+    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS)
+    gram = np.zeros((2, N_MELS))
+    gram[0, 1:] = np.einsum("ij,ij->i", weights[:-1], weights[1:])
+    gram[1] = np.einsum("ij,ij->i", weights, weights)
+    col_sum = np.maximum(weights.sum(axis=0), 1e-12)
+    update = scipy.sparse.csr_array(weights.T / col_sum[:, None])
+    return _mel_csr(SAMPLE_RATE, FFT_SIZE, N_MELS), scipy.sparse.csr_array(weights.T), update, gram
+
+
 def _decoded_magnitudes(model: FrontendModel, latents: LatentSequence) -> Spectrogram:
     """The T + 1 linear magnitude frames that decode_latent synthesizes.
 
@@ -206,23 +230,25 @@ def _decoded_magnitudes(model: FrontendModel, latents: LatentSequence) -> Spectr
     amplitudes and are sharpened by a few multiplicative nonnegative
     updates; the last frame is repeated for the trailing analysis frame
     that the codec framing drops, so synthesis spans T * hop samples.
+
+    The work runs in (bins, T) layout through einsum, a LAPACK tridiagonal
+    solve and CSR products (see _mel_inversion), none of which calls BLAS,
+    so the magnitudes do not depend on the BLAS thread count.
     """
     if latents.dim != model.latent_dim:
         raise InvalidInput(
             f"latents have dimension {latents.dim}, model expects {model.latent_dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        logmel = latents.frames @ model.basis + model.mean
+        logmel = np.einsum("td,dm->mt", latents.frames, model.basis) + model.mean[:, None]
     if not np.all(logmel <= _MAX_LOG_MEL):  # also false for nan
         raise InvalidInput(f"latents decode to log-mel values above {_MAX_LOG_MEL}, beyond any audio")
     mel_amp = np.exp(logmel)
-    weights = mel_filterbank(SAMPLE_RATE, FFT_SIZE, N_MELS)
-    mags = np.maximum(mel_amp @ _mel_pinv(SAMPLE_RATE, FFT_SIZE, N_MELS).T, 0.0)
-    col_sum = np.maximum(weights.sum(axis=0), 1e-12)
+    bank, bank_t, update, gram = _mel_inversion()
+    mags = np.maximum(bank_t @ solveh_banded(gram, mel_amp, check_finite=False), 0.0)
     for _ in range(_MEL_INVERSION_STEPS):
-        ratio = mel_amp / np.maximum(mags @ weights.T, 1e-12)
-        mags *= (ratio @ weights) / col_sum
-    return Spectrogram(np.vstack([mags, mags[-1:]]), STFT_CONFIG, SAMPLE_RATE)
+        mags *= update @ (mel_amp / np.maximum(bank @ mags, 1e-12))
+    return Spectrogram(np.hstack([mags, mags[:, -1:]]).T.copy(), STFT_CONFIG, SAMPLE_RATE)
 
 
 def decode_latent(

@@ -379,7 +379,11 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
 
 
 def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSequence:
-    """Sum the first n_stages codeword reconstructions per frame."""
+    """Sum the first n_stages codeword reconstructions per frame.
+
+    The products are einsum reductions, which call no BLAS, so the latents
+    do not depend on the BLAS thread count.
+    """
     n_stages = check_int("n_stages", n_stages, 1, tokens.n_stages)
     if tokens.n_stages > model.n_stages:
         raise InvalidInput(
@@ -392,7 +396,7 @@ def dequantize(model: RvqModel, tokens: TokenStream, n_stages: int) -> LatentSeq
     out = np.zeros((tokens.n_frames, model.config.latent_dim))
     for i in range(n_stages):
         stage = model.stages[i]
-        out += stage.entries[tokens.frames[:, i]] @ stage.out_proj.T
+        out += np.einsum("tc,dc->td", stage.entries[tokens.frames[:, i]], stage.out_proj)
     return LatentSequence(out)
 
 

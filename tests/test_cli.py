@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -118,6 +119,22 @@ class TestTrain:
         assert stdout == "" and not out.exists()
         assert err.startswith("error: EmptyInput:")
         assert "Traceback" not in err
+
+    def test_manifest_rate_that_is_not_the_files_exit_2(self, tmp_path, capsys):
+        write_wav(tmp_path / "a.wav", AudioBuffer(speech_like(0.5, 24000, 3), 24000))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            json.dumps({"path": "a.wav", "category": "HQ1", "duration": 0.5, "sample_rate": 8000})
+        )
+        out = tmp_path / "m.rvqm"
+        code, stdout, err = _run(
+            capsys,
+            ["train", "--manifest", str(manifest), "--out", str(out), "--batches", "1",
+             "--batch-size", "1"],
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: SchemaError:") and "8000 Hz" in err and "24000 Hz" in err
 
     def test_out_of_memory_exit_2(self, toy_corpus, tmp_path, monkeypatch, capsys):
         # numpy raises a private MemoryError subclass; no real allocation is tried.
@@ -437,6 +454,20 @@ class TestMushra:
         assert code == 2
         assert out == ""
         assert "alpha" in err
+
+
+def test_main_builds_its_parser_once(toy_corpus, monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert _run(capsys, ["validate", str(toy_corpus)])[0] == 0
+    assert _run(capsys, ["validate", str(toy_corpus), "--json"])[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_module_entrypoint_smoke(toy_corpus):

@@ -79,6 +79,7 @@ CONTRACT = {
     "datapipe.Excerpt": {"audio": (OBJECT, E("audio")), "entry": (OBJECT, E("entry")), "offset": (VALUE, 0)},
     "datapipe.load_manifest": {"path": (PATH, E("manifest_path"))},
     "datapipe.summarize_manifest": {"entries": (OBJECT, E("entries"))},
+    "datapipe.read_entry_audio": {"entry": (OBJECT, E("entry"))},
     "datapipe.sample_batch": {"manifest": (OBJECT, E("entries")), "spec": (OBJECT, E("spec_batch")),
                               "batch_index": (VALUE, 0), "load_audio": (VALUE, True)},
     "dsp.AudioBuffer": {"samples": (VALUE, E("samples")), "sample_rate": (VALUE, 24000)},

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
-from rvqlab.dsp import AudioBuffer, griffin_lim
+from rvqlab.dsp import AudioBuffer, griffin_lim, mel_filterbank
 from rvqlab.errors import EmptyInput, InsufficientData, InvalidConfig, InvalidInput, SampleRateMismatch
 from rvqlab.frontend import (
     GL_ITERATIONS,
@@ -10,6 +11,7 @@ from rvqlab.frontend import (
     FrontendModel,
     LatentSequence,
     _decoded_magnitudes,
+    _mel_inversion,
     decode_latent,
     encode_latent,
     fit_frontend,
@@ -196,6 +198,33 @@ class TestDecodeLatent:
         model = FrontendModel(np.full(80, -800.0), np.eye(80)[:16], np.zeros(80), 0)
         out = decode_latent(model, LatentSequence(np.zeros((5, 16))), gl_iterations=2)
         assert len(out) == 5 * 320 and not np.any(out.samples)
+
+
+class TestMelInversion:
+    def test_gram_is_the_tridiagonal_of_w_wt(self):
+        weights = mel_filterbank(24000, 1024, 80)
+        _, _, _, gram = _mel_inversion()
+        full = weights @ weights.T
+        assert np.all(np.triu(full, 2) == 0.0)
+        np.testing.assert_allclose(gram[1], np.diag(full), rtol=1e-14)
+        np.testing.assert_allclose(gram[0, 1:], np.diag(full, 1), rtol=1e-14)
+
+    def test_banded_pseudo_inverse_matches_the_dense_one(self):
+        # W^T (W W^T)^-1 and numpy's SVD pseudo-inverse agree to rounding.
+        weights = mel_filterbank(24000, 1024, 80)
+        _, bank_t, _, gram = _mel_inversion()
+        mel_amp = np.exp(np.random.default_rng(58).normal(0.0, 2.0, (80, 300)))
+        banded = bank_t @ solveh_banded(gram, mel_amp)
+        dense = np.linalg.pinv(weights) @ mel_amp
+        assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_frames_decode_alike_in_any_batch(self, model64):
+        # Every product of the inversion works frame by frame, so a frame's
+        # magnitudes do not depend on the frames decoded with it.
+        latents = encode_latent(model64, AudioBuffer(speech_like(1.0, 24000, 59), 24000))
+        whole = _decoded_magnitudes(model64, latents).frames
+        head = _decoded_magnitudes(model64, LatentSequence(latents.frames[:10])).frames
+        assert whole[:10].tobytes() == head[:10].tobytes()
 
 
 class TestWarmStartedGriffinLim:

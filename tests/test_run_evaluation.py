@@ -1,17 +1,22 @@
 import stat
 import sys
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from rvqlab import dsp, evalstats
-from rvqlab.datapipe import load_manifest
+from rvqlab import codec, dsp, evalstats
+from rvqlab.datapipe import ManifestEntry, QualityCategory, load_manifest
+from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InvalidInput
 from rvqlab.evalstats import render_report, run_evaluation
 from rvqlab.frontend import GL_INIT, GL_MOMENTUM
 from rvqlab.metrics import LOSS_SCALES
+from rvqlab.wavio import write_wav
 
 from conftest import make_corpus
+from signals import speech_like
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +24,79 @@ def test_sets(tmp_path_factory):
     seta = make_corpus(tmp_path_factory.mktemp("eval_a"), per_category=1, duration=1.0, base_seed=400)
     setb = make_corpus(tmp_path_factory.mktemp("eval_b"), per_category=1, duration=1.0, base_seed=500)
     return {"seta": load_manifest(seta), "setb": load_manifest(setb)}
+
+
+@pytest.fixture(scope="module")
+def mixed_set(tmp_path_factory, test_sets):
+    """seta with three more files: a clip too short for STOI (it fails at
+    every q), one whose 0.9 s (68 frames) no other file has, and one whose
+    manifest rate is not its file's (it fails to read)."""
+    root = tmp_path_factory.mktemp("eval_mixed")
+    write_wav(root / "short.wav", AudioBuffer(speech_like(0.2, 24000, 41), 24000))
+    write_wav(root / "cut.wav", AudioBuffer(speech_like(0.9, 24000, 42), 24000))
+    seta = list(test_sets["seta"])
+    return seta[:2] + [
+        ManifestEntry(root / "short.wav", QualityCategory.MQ1, 0.2, 24000),
+        ManifestEntry(root / "cut.wav", QualityCategory.MQ2, 0.9, 24000),
+        seta[2],
+        ManifestEntry(seta[3].path, QualityCategory.UQ, 1.0, 16000),
+    ] + seta[4:]
+
+
+class TestConcurrentCells:
+    """The cells of the grid run on a thread pool; the report must not show it."""
+
+    def test_one_worker_and_four_give_the_same_report(self, toy_model, mixed_set, monkeypatch):
+        _, model, _ = toy_model
+        monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
+        # A decode fault at q=2 and q=1 of the 68-frame file: the report must
+        # name the q=2 error, first in q order, whichever cell fails first.
+        real = codec.decode
+
+        def decode(model, tokens, n_stages, gl_iterations, callback=None):
+            if tokens.n_frames == 68 and n_stages < 4:
+                raise InvalidInput(f"injected fault at q={n_stages}")
+            return real(model, tokens, n_stages, gl_iterations, callback)
+
+        monkeypatch.setattr(codec, "decode", decode)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+        try:
+            for workers in (1, 4):
+                monkeypatch.setattr(evalstats, "_cpu_count", lambda: workers)
+                reports.append(run_evaluation(model, {"mixed": mixed_set, "seta": mixed_set[:2]},
+                                              q_list=[1, 2, 4], gl_iterations=2))
+        finally:
+            sys.setswitchinterval(interval)
+        one, four = reports
+        assert list(one.rows.items()) == list(four.rows.items())
+        assert one.config == four.config
+        assert one.failures == four.failures
+        assert [(f[1], f[2].split(":")[0]) for f in four.failures] == [
+            (str(mixed_set[2].path), "InsufficientDuration"),
+            (str(mixed_set[3].path), "InvalidInput"),
+            (str(mixed_set[5].path), "SchemaError"),
+        ]
+        assert four.failures[1][2].endswith("injected fault at q=2")
+        assert "16000 Hz" in four.failures[2][2] and "24000 Hz" in four.failures[2][2]
+        assert render_report(one, "csv") == render_report(four, "csv")
+
+    def test_workers_follow_the_cpus_and_the_cells(self, toy_model, test_sets, monkeypatch):
+        _, model, _ = toy_model
+        started = []
+        real = ThreadPoolExecutor.__init__
+
+        def spy(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            real(self, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy)
+        for cpus in (64, 3, 1):
+            monkeypatch.setattr(evalstats, "_cpu_count", lambda: cpus)
+            run_evaluation(model, {"pair": test_sets["seta"][:2]}, q_list=[2, 1], gl_iterations=1)
+        # 2 files x 2 q = 4 cells; the calling thread is one of the workers.
+        assert started == [3, 2]
 
 
 class TestRunEvaluation:
@@ -126,6 +204,8 @@ class TestRunEvaluation:
         # The fake tool prints its call count as the score and fails on its
         # 2nd call: file 0 scores 1 at q=2, then fails at q=1; file 1 scores
         # 3 at q=2 and 4 at q=1.  File 0 must be left out of both columns.
+        # The count is the order of the calls, so the cells run one at a time.
+        monkeypatch.setattr(evalstats, "_cpu_count", lambda: 1)
         tool = tmp_path / "fake_pesq.sh"
         tool.write_text(
             "#!/bin/sh\n"

@@ -300,14 +300,19 @@ _ELEMENTS = {
     shape=st.lists(st.integers(0, 3), max_size=3),
     ndim=st.integers(0, 3),
     complex_ok=st.booleans(),
+    transposed=st.booleans(),
 )
-def test_check_array_returns_a_finite_float_array_or_raises_the_given_error(data, kind, shape, ndim, complex_ok):
+def test_check_array_returns_a_finite_float_array_or_raises_the_given_error(
+    data, kind, shape, ndim, complex_ok, transposed
+):
     if kind == "ragged":
         values, accepted = [[1.0], [1.0, 2.0]], False
     else:
         size = int(np.prod(shape))
         items = data.draw(st.lists(_ELEMENTS[kind], min_size=size, max_size=size))
         values = np.array(items, dtype=object if kind == "object" else None).reshape(shape)
+        if transposed:  # a strided view: the result is C-contiguous all the same
+            values = values.T
         accepted = (
             values.dtype.kind in ("biufc" if complex_ok else "biuf")
             and values.ndim == ndim
@@ -317,6 +322,7 @@ def test_check_array_returns_a_finite_float_array_or_raises_the_given_error(data
         result = check_array("x", values, ndim, InvalidConfig, complex_ok)
         assert result.dtype == (np.complex128 if values.dtype.kind == "c" else np.float64)
         assert result.shape == values.shape and np.array_equal(result, values)
+        assert result.flags.c_contiguous
     else:
         with pytest.raises(InvalidConfig, match="x"):
             check_array("x", values, ndim, InvalidConfig, complex_ok)
