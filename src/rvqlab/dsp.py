@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import _workers
 from .errors import EmptyInput, InvalidConfig, InvalidInput, check_array, check_float, check_int
 
 
@@ -135,13 +136,8 @@ def stft(audio: AudioBuffer, config: StftConfig) -> Spectrogram:
     if len(audio) == 0:
         raise EmptyInput("cannot compute STFT of empty audio")
     x = np.pad(audio.samples, config.fft_size // 2, mode="reflect")
-    return Spectrogram(_windowed_rfft(x, config), config, audio.sample_rate)
-
-
-def _windowed_rfft(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """rfft of each Hann-windowed frame of an already padded signal; (T, n_bins)."""
     frames = _frame_signal(x, config.fft_size, config.hop)
-    return np.fft.rfft(frames * config.window[None, :], axis=1)
+    return Spectrogram(np.fft.rfft(frames * config.window, axis=1), config, audio.sample_rate)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -180,24 +176,18 @@ def _synthesis_divisor(config: StftConfig, n_frames: int) -> np.ndarray:
     return np.where(env > 1e-12, env, 1.0)
 
 
-def _istft_padded(frames: np.ndarray, config: StftConfig, divisor: np.ndarray) -> np.ndarray:
-    """Least-squares inverse STFT of the padded-domain frames (no trimming),
-    given the frames' :func:`_synthesis_divisor`."""
-    frames_td = np.fft.irfft(frames, n=config.fft_size, axis=1)
-    frames_td *= config.window
-    out = _overlap_add(frames_td, config.hop)
-    out /= divisor
-    return out
-
-
 def istft(spec: Spectrogram) -> AudioBuffer:
-    """Invert an STFT produced by :func:`stft`.
+    """Invert an STFT produced by :func:`stft`: the least-squares overlap-add
+    of the windowed frames, divided by the squared-window envelope.
 
     Returns the unpadded interior, (T - 1) * hop samples: for x of length
     that is a hop multiple, istft(stft(x)) == x to machine precision.
     """
     config = spec.config
-    y = _istft_padded(spec.frames, config, _synthesis_divisor(config, spec.n_frames))
+    frames = np.fft.irfft(spec.frames, n=config.fft_size, axis=1)
+    frames *= config.window
+    y = _overlap_add(frames, config.hop)
+    y /= _synthesis_divisor(config, spec.n_frames)
     pad = config.fft_size // 2
     return AudioBuffer(y[pad : len(y) - pad], spec.sample_rate)
 
@@ -354,11 +344,21 @@ def griffin_lim(
     einsum reductions, not BLAS ddot, whose split across threads moves the
     last bit, so the trace is the same at any BLAS thread count.
 
+    Everything a frame row needs, from the start spectrum's cos/sin to
+    framing, rfft, magnitude, residual, projection, momentum and windowed
+    irfft, works on that row alone, so it runs in row chunks on the calling
+    thread and on every idle helper (rvqlab._workers.map_rows).  Overlap-add,
+    the divide and the norms run whole, so the output and the callback's
+    errors are the same, to the bit, at any CPU count.  The work is done in
+    per-call buffers: two spectra, one magnitude, one residual (with a
+    callback) and one frame array, each T rows.
+
     Args:
         magnitude: magnitude spectrogram (nonnegative, real).
         iterations: number of projection cycles, >= 1.
         callback: optional callable(iteration, sc_error) invoked once per
-            cycle with the current spectral-convergence error.
+            cycle with the current spectral-convergence error, in the
+            calling thread.
         momentum: a in [0, 1); 0 is plain Griffin-Lim.
         init_phase: optional finite (T, n_bins) phase in radians; the first
             synthesis is of target * e^{i init_phase} instead of target.
@@ -371,36 +371,67 @@ def griffin_lim(
     if np.iscomplexobj(magnitude.frames) or np.any(magnitude.frames < 0):
         raise InvalidInput("magnitude spectrogram must be real and nonnegative")
     target = magnitude.frames
-    if init_phase is None:
-        start = target + 0j
-    else:
+    if init_phase is not None:
         init_phase = check_array("init_phase", init_phase, 2)
         if init_phase.shape != target.shape:
             raise InvalidInput(f"init_phase must be {target.shape}, got {init_phase.shape}")
-        start = np.empty(target.shape, dtype=np.complex128)
-        np.multiply(target, np.cos(init_phase), out=start.real)
-        np.multiply(target, np.sin(init_phase), out=start.imag)
 
+    size, window = config.fft_size, config.window
     divisor = _synthesis_divisor(config, len(target))
     target_norm = _frobenius_norm(target) if callback is not None else 0.0
-    x = _istft_padded(start, config, divisor)
-    prev = None
-    for i in range(iterations):
-        spec = _windowed_rfft(x, config)
-        mag = np.abs(spec)
-        if callback is not None:
-            callback(i, _frobenius_norm(mag - target) / target_norm if target_norm else 0.0)
-        projected = step = _project_magnitude(spec, mag, target)
-        if prev is not None:
-            np.subtract(projected, prev, out=prev)
-            prev *= momentum
-            prev += projected
-            step = prev
-        x = _istft_padded(step, config, divisor)
-        if momentum:
-            prev = projected
+    spec = np.empty(target.shape, dtype=np.complex128)  # this iteration's spectra
+    prev = np.empty_like(spec) if momentum else spec  # the last projection
+    mag = np.empty(target.shape)
+    residual = np.empty(target.shape) if callback is not None else None
+    frames = np.empty((len(target), size))
+    framed = None  # frame view of the current signal
+    first = True  # no projection before this iteration's
 
-    pad = config.fft_size // 2
+    def start(lo, hi):  # the start spectra of rows lo:hi, synthesized
+        s, m, t = spec[lo:hi], mag[lo:hi], target[lo:hi]
+        if init_phase is None:
+            np.add(t, 0j, out=s)
+        else:
+            np.multiply(t, np.cos(init_phase[lo:hi], out=m), out=s.real)
+            np.multiply(t, np.sin(init_phase[lo:hi], out=m), out=s.imag)
+        synthesize(s, lo, hi)
+
+    def iterate(lo, hi):  # one projection cycle of rows lo:hi
+        s, m, t = spec[lo:hi], mag[lo:hi], target[lo:hi]
+        np.multiply(framed[lo:hi], window, out=frames[lo:hi])
+        np.fft.rfft(frames[lo:hi], axis=1, out=s)
+        np.abs(s, out=m)
+        if residual is not None:
+            np.subtract(m, t, out=residual[lo:hi])
+        step = _project_magnitude(s, m, t)
+        if momentum and not first:
+            step = prev[lo:hi]
+            np.subtract(s, step, out=step)
+            step *= momentum
+            step += s
+        synthesize(step, lo, hi)
+
+    def synthesize(step, lo, hi):
+        np.fft.irfft(step, n=size, axis=1, out=frames[lo:hi])
+        frames[lo:hi] *= window
+
+    def signal():  # the padded signal of the synthesized frames
+        x = _overlap_add(frames, config.hop)
+        x /= divisor
+        return x
+
+    _workers.map_rows(start, len(target))
+    for i in range(iterations):
+        framed = _frame_signal(signal(), size, config.hop)
+        _workers.map_rows(iterate, len(target))
+        if callback is not None:
+            callback(i, _frobenius_norm(residual) / target_norm if target_norm else 0.0)
+        if momentum:
+            spec, prev = prev, spec
+        first = False
+
+    x = signal()
+    pad = size // 2
     return AudioBuffer(x[pad : len(x) - pad], magnitude.sample_rate)
 
 

@@ -15,14 +15,14 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 from scipy.stats import t as student_t
 
-from . import codec
+from . import _workers, codec
 from .container import ModelContainer
 from .datapipe import read_entry_audio
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
@@ -97,14 +97,6 @@ def _mean(values):
     return total / n if n else None
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _done(function, arg) -> Future:
     """A finished future holding function(arg), or the RvqLabError it raised."""
     done = Future()
@@ -144,12 +136,13 @@ def run_evaluation(
     recorded in the config.
 
     Each file is read and encoded in the calling thread, and its (file, q)
-    cells are scored concurrently by one worker per CPU this process may
-    use, but no more workers than cells; the calling thread is one of them.
-    At most that many files are in flight at once, so memory does not grow
-    with the test set.  Results are gathered in file and q order, and a
-    file that fails is reported with the error of its first failing q, so
-    the report does not depend on the worker count.
+    cells are scored concurrently by the calling thread and the shared
+    helper threads (rvqlab._workers), one thread per CPU this process may
+    use.  At most that many files, and no more than there are cells, are
+    in flight at once, so memory does not grow with the test set.  Results
+    are gathered in file and q order, and a file that fails is reported
+    with the error of its first failing q, so the report does not depend
+    on the worker count.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
@@ -173,16 +166,12 @@ def run_evaluation(
         raise InvalidInput("test manifests contain no files")
     scored = {name: [] for name in test_manifests}  # {(metric, q): value} per file that scored every q
     failures = []
-    workers = min(_cpu_count(), len(files) * len(q_list))
-    # The calling thread is one of the workers, so the pool has one thread
-    # fewer: each thread keeps its own allocator arena, about a cell's working
-    # set, and the calling thread's is already there.
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    workers = min(_workers._cpu_count(), len(files) * len(q_list))
     in_flight = collections.deque()  # (set name, entry, score, {q: future}), oldest file first
 
     def settle_oldest():
-        # Rather than wait, score here every cell no pool thread has started,
-        # newest first, while the pool takes them oldest first.
+        # Rather than wait, score here every cell no helper has started,
+        # newest first, while the helpers take them oldest first.
         for _, _, score, cells in reversed(in_flight):
             for q in reversed(cells):
                 if cells[q].cancel():
@@ -208,13 +197,14 @@ def run_evaluation(
                 continue
             score = functools.partial(_score_cell, container, audio, latents, tokens,
                                       gl_iterations=gl_iterations, pesq_tool=pesq_tool)
-            cells = {q: pool.submit(score, q) if pool else _done(score, q) for q in q_list}
+            cells = {q: _workers.submit(score, q) if workers > 1 else _done(score, q) for q in q_list}
             in_flight.append((set_name, entry, score, cells))
         while in_flight:
             settle_oldest()
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    finally:  # after an error, leave no cell queued
+        for _, _, _, cells in in_flight:
+            for cell in cells.values():
+                cell.cancel()
 
     rows = {
         (set_name, name, _SYSTEM): {q: _mean([c[name, q] for c in scored[set_name]]) for q in q_list}

@@ -144,10 +144,8 @@ def compute_digests(model_path, summary, corpus_manifest, workdir) -> dict:
         _cli(["encode", *model, str(wav), "-q", str(FULL_Q), str(stream)])
         digests[f"rvqs_{rate // 1000}k"] = _sha256(stream.read_bytes())
 
-    for q in (FULL_Q, PREFIX_Q):
-        wav = workdir / f"decoded_q{q}.wav"
-        _cli(["decode", *model, str(workdir / "clip_24000.rvqs"), "-q", str(q), str(wav)])
-        digests[f"wav_q{q}"] = _sha256(wav.read_bytes())
+    decoded = decode_outputs(model_path, workdir / "clip_24000.rvqs", workdir)
+    digests.update((name, digest) for name, digest in decoded.items() if name.startswith("wav_"))
 
     test = ["--test", f"toy={corpus_manifest}", *EVAL_ARGS]
     csv = workdir / "report.csv"
@@ -160,6 +158,22 @@ def compute_digests(model_path, summary, corpus_manifest, workdir) -> dict:
     scores = workdir / "mushra.csv"
     _write_mushra_scores(scores)
     digests["mushra_json"] = _sha256(_cli(["mushra", str(scores), "--json"]).encode())
+    return digests
+
+
+def decode_outputs(model_path, stream, workdir) -> dict:
+    """Digest name -> SHA-256 of the float32 WAV (wav_q*) and of the --json
+    line less its output path (decode_json_q*) of decoding stream at full
+    and prefix q into workdir."""
+    workdir = Path(workdir)
+    digests = {}
+    for q in (FULL_Q, PREFIX_Q):
+        wav = workdir / f"decoded_q{q}.wav"
+        stdout = _cli(["decode", "--model", str(model_path), str(stream), "-q", str(q), str(wav), "--json"])
+        payload = json.loads(stdout.splitlines()[-1])
+        del payload["out"]
+        digests[f"wav_q{q}"] = _sha256(wav.read_bytes())
+        digests[f"decode_json_q{q}"] = _sha256(json.dumps(payload, sort_keys=True).encode())
     return digests
 
 

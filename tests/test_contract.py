@@ -160,6 +160,8 @@ def _callable(name):
 def _public_callables():
     found = set()
     for info in pkgutil.iter_modules(rvqlab.__path__):
+        if info.name.startswith("_"):  # a private module, such as _workers, is no entry point
+            continue
         module = importlib.import_module(f"rvqlab.{info.name}")
         for attr, obj in vars(module).items():
             if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
+from rvqlab import _workers
 from rvqlab.dsp import (
     _STRIDED_MIN_OUTPUTS_PER_PHASE,
     AudioBuffer,
@@ -544,6 +546,67 @@ class TestFastGriffinLim:
             griffin_lim(mag, iterations=32, callback=lambda i, sc: plain.append(sc))
             griffin_lim(mag, iterations=20, callback=lambda i, sc: fast.append(sc), momentum=0.99)
             assert fast[-1] < plain[-1], seed
+
+
+def _long_speech_magnitude(n_frames, seed):
+    x = speech_like(n_frames * 320 / 24000, 24000, seed)
+    return np.abs(stft(AudioBuffer(x, 24000), StftConfig(1024, 320)).frames[:n_frames])
+
+
+class TestGriffinLimRowChunks:
+    """Each iteration runs in row chunks shared with the idle helpers; the bytes must not show it."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 226, 901])
+    def test_any_split_equals_the_reference(self, n_frames, monkeypatch):
+        config = StftConfig(1024, 320)
+        magnitude = _long_speech_magnitude(n_frames, 57)
+        magnitude[::7] = _clamped_pinv_magnitude(len(magnitude[::7]), 58)  # exact zeros too
+        spec = Spectrogram(magnitude, config, 24000)
+        phase = _phase_gradient_phase(magnitude, config)
+        iterations = 4
+        helper_tasks = []
+        real_enqueue = _workers._enqueue
+
+        def enqueue(fn, args):
+            helper_tasks.append(fn)
+            return real_enqueue(fn, args)
+
+        monkeypatch.setattr(_workers, "_enqueue", enqueue)
+        for momentum in (0.0, 0.99):
+            for init_phase in (None, phase):
+                expected_errors = []
+                expected = _reference_griffin_lim(
+                    spec, iterations, lambda i, sc: expected_errors.append(sc), momentum, init_phase
+                )
+                for cpus in (1, 2, 4):  # 0, 1 and 3 idle helpers
+                    monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+                    helper_tasks.clear()
+                    errors = []
+                    out = griffin_lim(spec, iterations, lambda i, sc: errors.append(sc), momentum, init_phase)
+                    assert out.samples.tobytes() == expected.tobytes(), (momentum, init_phase is None, cpus)
+                    assert errors == expected_errors
+                    # The start synthesis and every iteration hand one task to
+                    # each idle helper, never more helpers than frames less one.
+                    assert len(helper_tasks) == (iterations + 1) * (min(cpus, n_frames) - 1)
+
+    def test_peak_memory_of_one_call_is_bounded(self):
+        # A 3 s decode's Griffin-Lim: its per-call buffers hold two spectra,
+        # a magnitude, a residual and a frame array, about 4 (T, 513) complex
+        # arrays; with the signal, the divisor and the temporaries, the peak
+        # stays under 5.5 of them.
+        n_frames = 226
+        config = StftConfig(1024, 320)
+        magnitude = _long_speech_magnitude(n_frames, 59)
+        spec = Spectrogram(magnitude, config, 24000)
+        phase = _phase_gradient_phase(magnitude, config)
+        complex_array = n_frames * config.n_bins * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            griffin_lim(spec, 12, lambda i, sc: None, 0.99, phase)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * complex_array, peak / complex_array
 
 
 class TestPhaseGradientPhase:

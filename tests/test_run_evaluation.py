@@ -1,12 +1,11 @@
 import stat
 import sys
-
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 
-from rvqlab import codec, dsp, evalstats
+from rvqlab import _workers, codec, dsp, evalstats
 from rvqlab.datapipe import ManifestEntry, QualityCategory, load_manifest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InvalidInput
@@ -64,7 +63,7 @@ class TestConcurrentCells:
         sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
         try:
             for workers in (1, 4):
-                monkeypatch.setattr(evalstats, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(_workers, "_cpu_count", lambda: workers)
                 reports.append(run_evaluation(model, {"mixed": mixed_set, "seta": mixed_set[:2]},
                                               q_list=[1, 2, 4], gl_iterations=2))
         finally:
@@ -82,21 +81,23 @@ class TestConcurrentCells:
         assert "16000 Hz" in four.failures[2][2] and "24000 Hz" in four.failures[2][2]
         assert render_report(one, "csv") == render_report(four, "csv")
 
-    def test_workers_follow_the_cpus_and_the_cells(self, toy_model, test_sets, monkeypatch):
+    def test_cells_run_on_the_caller_and_the_active_helpers(self, toy_model, test_sets, monkeypatch):
         _, model, _ = toy_model
-        started = []
-        real = ThreadPoolExecutor.__init__
+        threads = []
+        real = evalstats._score_cell
 
-        def spy(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            real(self, max_workers, *args, **kwargs)
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy)
-        for cpus in (64, 3, 1):
-            monkeypatch.setattr(evalstats, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(evalstats, "_score_cell", spy)
+        for cpus in (3, 1):
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+            threads.clear()
             run_evaluation(model, {"pair": test_sets["seta"][:2]}, q_list=[2, 1], gl_iterations=1)
-        # 2 files x 2 q = 4 cells; the calling thread is one of the workers.
-        assert started == [3, 2]
+            # 2 files x 2 q = 4 cells, on the calling thread or the cpus - 1 active helpers.
+            assert len(threads) == 4
+            assert set(threads) <= {threading.current_thread(), *_workers._helpers[: cpus - 1]}
 
 
 class TestRunEvaluation:
@@ -205,7 +206,7 @@ class TestRunEvaluation:
         # 2nd call: file 0 scores 1 at q=2, then fails at q=1; file 1 scores
         # 3 at q=2 and 4 at q=1.  File 0 must be left out of both columns.
         # The count is the order of the calls, so the cells run one at a time.
-        monkeypatch.setattr(evalstats, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
         tool = tmp_path / "fake_pesq.sh"
         tool.write_text(
             "#!/bin/sh\n"
