@@ -1,22 +1,20 @@
-"""One process-wide set of helper threads, shared by every concurrent kernel.
+"""One process-wide set of helper threads, shared by every row split.
 
 There are _cpu_count() - 1 active helpers, so that with the calling
 thread there is one thread per CPU this process may run on; the count is
-read again at each submission.  Two kinds of work share them:
+read again at each split.  map_rows(fn, n_rows) calls fn(lo, hi) on
+consecutive row chunks, which the calling thread and each helper that is
+idle now (with no chunk task running or queued for it) take in turn.
+Under a full load it is the single call fn(0, n_rows).  Decode's
+Griffin-Lim splits its frame rows, and eval its (file, q) cells, whose
+Griffin-Lim splits again over whatever helpers are idle then.
 
-- submit(fn, *args) queues a task, which the first free helper takes, and
-  returns its Future.  A caller that would wait on a task no helper has
-  started cancels it and runs it itself instead.
-- map_rows(fn, n_rows) calls fn(lo, hi) on consecutive row chunks, which
-  the calling thread and each helper that is idle now (with no task
-  running or queued for it) take in turn.  Under a full load it is the
-  single call fn(0, n_rows).
-
-No thread ever waits on a task that has not started, so a thread waits
-only on a task running on another thread, one submitted after its own
-task started.  Waits therefore never form a cycle, and a task may submit
-and wait on tasks of its own.  Tasks run in a copy of the submitter's
-context, so numpy's error state applies to them as to the caller.
+A split waits only on chunk tasks that a helper has started; it takes
+back the ones no helper has started.  A thread therefore waits only on a
+task running on another thread, one queued after its own task started,
+so waits never form a cycle and a chunk may split rows of its own.  Tasks
+run in a copy of the caller's context, so numpy's error state applies to
+them as to the caller.
 """
 
 from __future__ import annotations
@@ -28,13 +26,14 @@ import threading
 from concurrent.futures import Future, wait
 
 _cond = threading.Condition()
-_queue = collections.deque()  # (future, context, fn, args), oldest first
+_queue = collections.deque()  # (future, context, fn), oldest first
 _helpers = []  # started threads; the first _active of them take tasks
 _active = 0
-_pending = 0  # tasks submitted and neither finished nor cancelled
+_pending = 0  # tasks queued and neither finished nor cancelled
 # Chunks per thread of a split: a few, so that a thread that loses its CPU
 # delays a split by at most about a chunk, and not so many that per-chunk
-# call overhead shows on short inputs.
+# call overhead shows on short inputs.  run_evaluation groups as many
+# files per CPU.
 _CHUNKS_PER_THREAD = 4
 
 
@@ -56,19 +55,20 @@ def _serve(index: int) -> None:
         del task  # an idle helper must not keep a finished task's buffers alive
 
 
-def _run(future, context, fn, args) -> None:
+def _run(future, context, fn) -> None:
     global _pending
     if not future.set_running_or_notify_cancel():
         return  # cancelled, and no longer pending
     try:
-        result, error = context.run(fn, *args), None
+        context.run(fn)
+        error = None
     except BaseException as exc:  # handed to the waiter, whose result() raises it
-        result, error = None, exc
+        error = exc
     # Free before the waiter wakes, so that its next map_rows counts this helper idle.
     with _cond:
         _pending -= 1
     if error is None:
-        future.set_result(result)
+        future.set_result(None)
     else:
         future.set_exception(error)
 
@@ -92,22 +92,15 @@ def _idle_helpers() -> int:
     return max(_active - _pending, 0)
 
 
-def _enqueue(fn, args) -> Future:
-    """Queue fn(*args) for the helpers; _cond held."""
+def _enqueue(fn) -> Future:
+    """Queue fn() for the helpers; _cond held."""
     global _pending
     future = Future()
     _pending += 1
     future.add_done_callback(_forget_if_cancelled)
-    _queue.append((future, contextvars.copy_context(), fn, args))
+    _queue.append((future, contextvars.copy_context(), fn))
     _cond.notify_all()
     return future
-
-
-def submit(fn, *args) -> Future:
-    """Queue fn(*args) for the next free helper and return its Future."""
-    with _cond:
-        _idle_helpers()
-        return _enqueue(fn, args)
 
 
 def map_rows(fn, n_rows: int) -> None:
@@ -134,7 +127,7 @@ def map_rows(fn, n_rows: int) -> None:
         n_chunks = min(n_rows, _CHUNKS_PER_THREAD * n_threads) if n_threads > 1 else 1
         bounds = [n_rows * k // n_chunks for k in range(n_chunks + 1)]
         chunks = iter(list(zip(bounds, bounds[1:])))
-        helpers = [_enqueue(drain, ()) for _ in range(n_threads - 1)]
+        helpers = [_enqueue(drain) for _ in range(n_threads - 1)]
     try:
         drain()
     finally:  # after an error, leave the others no chunk; then wait for those running

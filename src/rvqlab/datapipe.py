@@ -71,7 +71,6 @@ class BatchSpec:
 class Excerpt:
     audio: AudioBuffer
     entry: ManifestEntry
-    offset: int  # start sample in the (resampled) source
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -132,9 +131,14 @@ def read_entry_audio(entry: ManifestEntry) -> AudioBuffer:
     """The audio of a manifest entry, at the rate of its file.
 
     Raises:
+        MissingFile: the file is gone, as when it was removed after the
+            manifest was loaded.
         SchemaError: the WAV header's sample rate is not the entry's.
     """
-    audio = read_wav(entry.path)
+    try:
+        audio = read_wav(entry.path)
+    except FileNotFoundError:
+        raise MissingFile(entry.path) from None
     if audio.sample_rate != entry.sample_rate:
         raise SchemaError(
             f"{entry.path}: manifest sample_rate {entry.sample_rate} Hz, WAV header {audio.sample_rate} Hz"
@@ -164,15 +168,15 @@ def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
     if n == 0:
         raise EmptyInput("cannot cut an excerpt from empty audio")
     if n == length:
-        return audio, 0
+        return audio
     if n > length:
         offset = int(rng.integers(0, n - length + 1))
         # copy: a view would pin the whole source file in memory
         samples = audio.samples[offset : offset + length].copy()
-        return AudioBuffer(samples, audio.sample_rate), offset
+        return AudioBuffer(samples, audio.sample_rate)
     # Shorter sources are reflect-padded out to the excerpt length.
     padded = np.pad(audio.samples, (0, length - n), mode="reflect")
-    return AudioBuffer(padded, audio.sample_rate), 0
+    return AudioBuffer(padded, audio.sample_rate)
 
 
 def sample_batch(
@@ -224,8 +228,8 @@ def sample_batch(
             audio = read_entry_audio(entry)
             if audio.sample_rate != SAMPLE_RATE:
                 audio = resample(audio, SAMPLE_RATE)
-            excerpt, offset = _excerpt_from(audio, spec.excerpt_samples, rng_offset)
+            excerpt = _excerpt_from(audio, spec.excerpt_samples, rng_offset)
         else:
-            excerpt, offset = AudioBuffer(np.zeros(0), SAMPLE_RATE), 0
-        batch.append(Excerpt(excerpt, entry, offset))
+            excerpt = AudioBuffer(np.zeros(0), SAMPLE_RATE)
+        batch.append(Excerpt(excerpt, entry))
     return batch

@@ -10,12 +10,9 @@ the exact null distribution for small groups.
 
 from __future__ import annotations
 
-import collections
-import functools
 import json
 import math
 import os
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,16 +94,6 @@ def _mean(values):
     return total / n if n else None
 
 
-def _done(function, arg) -> Future:
-    """A finished future holding function(arg), or the RvqLabError it raised."""
-    done = Future()
-    try:
-        done.set_result(function(arg))
-    except RvqLabError as exc:
-        done.set_exception(exc)
-    return done
-
-
 def _score_cell(container, audio, latents, tokens, q, gl_iterations, pesq_tool) -> dict:
     """Metric name -> value of one file decoded from its first q stages."""
     recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
@@ -116,6 +103,41 @@ def _score_cell(container, audio, latents, tokens, q, gl_iterations, pesq_tool) 
     pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
     cells["pesq"] = pesq.value if pesq is not None else None
     return cells
+
+
+def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
+    """Per entry, {(metric, q): value} over every q, or the text of the error
+    of its encode or of its first failing q."""
+    # The encodes run back to back, before any cell.  Each encode's BLAS
+    # products likely leave an OpenBLAS worker spinning on a CPU that the
+    # cells need, and fewer bursts of encodes leave less of that spin: one
+    # split per file, or groups of one file per CPU, ran slower than these
+    # groups, and all three tie under OPENBLAS_NUM_THREADS=1.
+    encoded = []
+    for entry in entries:
+        try:
+            encoded.append(codec.encode(container, read_entry_audio(entry), q_list[0]))
+        except RvqLabError as exc:
+            encoded.append(f"{type(exc).__name__}: {exc}")
+    cells = [(*coded, q) for coded in encoded if not isinstance(coded, str) for q in q_list]
+    scores = [None] * len(cells)
+
+    def score(lo, hi):
+        for k in range(lo, hi):
+            try:
+                scores[k] = _score_cell(container, *cells[k], gl_iterations, pesq_tool)
+            except RvqLabError as exc:
+                scores[k] = f"{type(exc).__name__}: {exc}"
+
+    _workers.map_rows(score, len(cells))
+    scores = iter(scores)
+    outcomes = []
+    for coded in encoded:
+        file_scores = [coded] if isinstance(coded, str) else [next(scores) for _ in q_list]
+        errors = [s for s in file_scores if isinstance(s, str)]
+        outcomes.append(errors[0] if errors else
+                        {(name, q): value for q, s in zip(q_list, file_scores) for name, value in s.items()})
+    return outcomes
 
 
 def run_evaluation(
@@ -135,14 +157,14 @@ def run_evaluation(
     scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
     recorded in the config.
 
-    Each file is read and encoded in the calling thread, and its (file, q)
-    cells are scored concurrently by the calling thread and the shared
-    helper threads (rvqlab._workers), one thread per CPU this process may
-    use.  At most that many files, and no more than there are cells, are
-    in flight at once, so memory does not grow with the test set.  Results
-    are gathered in file and q order, and a file that fails is reported
-    with the error of its first failing q, so the report does not depend
-    on the worker count.
+    The files go in groups of _workers._CHUNKS_PER_THREAD per CPU this
+    process may use, so memory does not grow with the test set.  The
+    calling thread reads and encodes every file of a group, then one
+    _workers.map_rows call scores the group's (file, q) cells on the
+    calling thread and the idle shared helpers.  Results are gathered in
+    file and q order, and a file that fails is reported with the error of
+    its encode or of its first failing q, so the report does not depend on
+    the CPU count.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
@@ -166,45 +188,15 @@ def run_evaluation(
         raise InvalidInput("test manifests contain no files")
     scored = {name: [] for name in test_manifests}  # {(metric, q): value} per file that scored every q
     failures = []
-    workers = min(_workers._cpu_count(), len(files) * len(q_list))
-    in_flight = collections.deque()  # (set name, entry, score, {q: future}), oldest file first
-
-    def settle_oldest():
-        # Rather than wait, score here every cell no helper has started,
-        # newest first, while the helpers take them oldest first.
-        for _, _, score, cells in reversed(in_flight):
-            for q in reversed(cells):
-                if cells[q].cancel():
-                    cells[q] = _done(score, q)
-        set_name, entry, _, cells = in_flight.popleft()
-        try:
-            table = {(name, q): value for q, cell in cells.items() for name, value in cell.result().items()}
-        except RvqLabError as exc:
-            failures.append((set_name, str(entry.path), f"{type(exc).__name__}: {exc}"))
-        else:
-            scored[set_name].append(table)
-
-    try:
-        for set_name, entry in files:
-            if len(in_flight) == workers:
-                settle_oldest()
-            try:
-                audio, latents, tokens = codec.encode(container, read_entry_audio(entry), q_list[0])
-            except RvqLabError as exc:
-                failed = Future()
-                failed.set_exception(exc)
-                in_flight.append((set_name, entry, None, {q_list[0]: failed}))
-                continue
-            score = functools.partial(_score_cell, container, audio, latents, tokens,
-                                      gl_iterations=gl_iterations, pesq_tool=pesq_tool)
-            cells = {q: _workers.submit(score, q) if workers > 1 else _done(score, q) for q in q_list}
-            in_flight.append((set_name, entry, score, cells))
-        while in_flight:
-            settle_oldest()
-    finally:  # after an error, leave no cell queued
-        for _, _, _, cells in in_flight:
-            for cell in cells.values():
-                cell.cancel()
+    group_size = _workers._CHUNKS_PER_THREAD * _workers._cpu_count()
+    for start in range(0, len(files), group_size):
+        group = files[start : start + group_size]
+        outcomes = _score_files(container, [entry for _, entry in group], q_list, gl_iterations, pesq_tool)
+        for (set_name, entry), outcome in zip(group, outcomes):
+            if isinstance(outcome, str):
+                failures.append((set_name, str(entry.path), outcome))
+            else:
+                scored[set_name].append(outcome)
 
     rows = {
         (set_name, name, _SYSTEM): {q: _mean([c[name, q] for c in scored[set_name]]) for q in q_list}

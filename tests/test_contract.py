@@ -76,7 +76,7 @@ CONTRACT = {
     "datapipe.ManifestEntry": {"path": (VALUE, E("clip_path")), "category": (VALUE, QualityCategory.HQ1),
                                "duration": (VALUE, 0.5), "sample_rate": (VALUE, 24000)},
     "datapipe.BatchSpec": {"batch_size": (VALUE, 4), "excerpt_samples": (VALUE, 3200), "seed": (VALUE, 0)},
-    "datapipe.Excerpt": {"audio": (OBJECT, E("audio")), "entry": (OBJECT, E("entry")), "offset": (VALUE, 0)},
+    "datapipe.Excerpt": {"audio": (OBJECT, E("audio")), "entry": (OBJECT, E("entry"))},
     "datapipe.load_manifest": {"path": (PATH, E("manifest_path"))},
     "datapipe.summarize_manifest": {"entries": (OBJECT, E("entries"))},
     "datapipe.read_entry_audio": {"entry": (OBJECT, E("entry"))},

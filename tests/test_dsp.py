@@ -567,9 +567,9 @@ class TestGriffinLimRowChunks:
         helper_tasks = []
         real_enqueue = _workers._enqueue
 
-        def enqueue(fn, args):
+        def enqueue(fn):
             helper_tasks.append(fn)
-            return real_enqueue(fn, args)
+            return real_enqueue(fn)
 
         monkeypatch.setattr(_workers, "_enqueue", enqueue)
         for momentum in (0.0, 0.99):

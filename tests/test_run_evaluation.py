@@ -1,6 +1,7 @@
 import stat
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +99,42 @@ class TestConcurrentCells:
             # 2 files x 2 q = 4 cells, on the calling thread or the cpus - 1 active helpers.
             assert len(threads) == 4
             assert set(threads) <= {threading.current_thread(), *_workers._helpers[: cpus - 1]}
+
+    def test_at_most_four_files_per_cpu_are_in_flight(self, toy_model, test_sets, monkeypatch):
+        # A file is in flight from its encode until its scores are gathered,
+        # and its encoded tokens live exactly that long.
+        _, model, _ = toy_model
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
+        tokens, in_flight = [], []
+        real = codec.encode
+
+        def encode(*args):
+            audio, latents, stream = real(*args)
+            tokens.append(weakref.ref(stream))
+            in_flight.append(sum(ref() is not None for ref in tokens))
+            return audio, latents, stream
+
+        monkeypatch.setattr(codec, "encode", encode)
+        report = run_evaluation(model, test_sets, q_list=[1], gl_iterations=1)
+        assert not report.failures
+        assert len(in_flight) == 12
+        assert max(in_flight) == 4  # groups of four files on one CPU
+
+    def test_error_outside_the_contract_propagates_and_frees_the_helpers(self, toy_model, test_sets,
+                                                                         monkeypatch):
+        _, model, _ = toy_model
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 4)
+        real = evalstats._score_cell
+
+        def score(container, audio, latents, tokens, q, *args):
+            if q == 1:
+                raise RuntimeError("not an RvqLabError")
+            return real(container, audio, latents, tokens, q, *args)
+
+        monkeypatch.setattr(evalstats, "_score_cell", score)
+        with pytest.raises(RuntimeError, match="not an RvqLabError"):
+            run_evaluation(model, {"pair": test_sets["seta"][:2]}, q_list=[2, 1], gl_iterations=1)
+        assert _workers._pending == 0
 
 
 class TestRunEvaluation:
@@ -248,3 +285,15 @@ class TestRunEvaluation:
         report = run_evaluation(model, {"broken": manifest}, q_list=[1], gl_iterations=4)
         assert len(report.failures) == 1
         assert "WavError" in report.failures[0][2]
+
+    def test_file_removed_after_loading_recorded_as_missing(self, toy_model, test_sets, tmp_path, monkeypatch):
+        _, model, _ = toy_model
+        import shutil
+
+        shutil.copytree(test_sets["seta"][0].path.parent, tmp_path / "copy")
+        manifest = load_manifest(tmp_path / "copy" / "manifest.jsonl")[:2]
+        manifest[0].path.unlink()
+        monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
+        report = run_evaluation(model, {"gone": manifest}, q_list=[1], gl_iterations=1)
+        assert [f[1] for f in report.failures] == [str(manifest[0].path)]
+        assert report.failures[0][2].startswith("MissingFile: ")

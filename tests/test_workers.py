@@ -19,19 +19,31 @@ def set_cpus(monkeypatch):
     return set_cpus
 
 
-def _blocker(set_cpus, cpus):
-    """Occupy every one of the cpus - 1 helpers until the returned event is set."""
-    set_cpus(cpus)
-    release, started = threading.Event(), threading.Semaphore(0)
+@pytest.fixture
+def blocker(set_cpus):
+    """blocker(cpus) occupies every one of the cpus - 1 helpers until the
+    test ends: a plain thread splits cpus rows whose chunks block."""
+    release, threads = threading.Event(), []
 
-    def block():
-        started.release()
-        release.wait(TIMEOUT)
+    def blocker(cpus):
+        set_cpus(cpus)
+        started = threading.Semaphore(0)
 
-    futures = [_workers.submit(block) for _ in range(cpus - 1)]
-    for _ in futures:
-        assert started.acquire(timeout=TIMEOUT)
-    return release, futures
+        def block(lo, hi):
+            started.release()
+            release.wait(TIMEOUT)
+
+        thread = threading.Thread(target=_workers.map_rows, args=(block, cpus))
+        thread.start()
+        threads.append(thread)
+        for _ in range(cpus):  # one chunk each on the thread and on every helper
+            assert started.acquire(timeout=TIMEOUT)
+
+    yield blocker
+    release.set()
+    for thread in threads:
+        thread.join(TIMEOUT)
+        assert not thread.is_alive()
 
 
 class TestMapRows:
@@ -66,16 +78,11 @@ class TestMapRows:
         _workers.map_rows(chunk, 10)
         assert len(ran) == 8 and ran.count(caller) == 7
 
-    def test_busy_helpers_take_no_chunk(self, set_cpus):
-        release, futures = _blocker(set_cpus, 3)
-        try:
-            threads = []
-            _workers.map_rows(lambda lo, hi: threads.append((lo, hi, threading.current_thread())), 10)
-            assert threads == [(0, 10, threading.current_thread())]
-        finally:
-            release.set()
-        for future in futures:
-            future.result(TIMEOUT)
+    def test_busy_helpers_take_no_chunk(self, blocker):
+        blocker(3)
+        threads = []
+        _workers.map_rows(lambda lo, hi: threads.append((lo, hi, threading.current_thread())), 10)
+        assert threads == [(0, 10, threading.current_thread())]
 
     def test_chunk_error_reaches_the_caller(self, set_cpus):
         set_cpus(2)
@@ -92,59 +99,62 @@ class TestMapRows:
         assert len(chunks) == 8
 
 
+def _one_chunk_each(on_helper):
+    """A chunk function for a split of two rows between the calling thread
+    and one helper.  The caller's chunk waits for the helper's, which calls
+    on_helper() once the caller holds its chunk, so each takes exactly one."""
+    caller = threading.current_thread()
+    caller_in, helper_done = threading.Event(), threading.Event()
+
+    def chunk(lo, hi):
+        if threading.current_thread() is caller:
+            caller_in.set()
+            assert helper_done.wait(TIMEOUT)
+        else:
+            assert caller_in.wait(TIMEOUT)
+            on_helper()
+            helper_done.set()
+
+    return chunk
+
+
 class TestNesting:
-    def test_work_submitted_from_a_helper_while_every_helper_is_busy_runs_in_that_helper(self, set_cpus):
-        release, blocked = _blocker(set_cpus, 2)  # helper 0 of 2 blocks until release
+    def test_rows_split_in_a_chunk_while_every_helper_is_busy_run_in_that_chunk(self, set_cpus, blocker):
+        blocker(2)  # helper 0 of 2 blocks until the test ends
         set_cpus(3)
-        ran = {}
+        chunks = []
 
-        def outer():
-            ran["outer"] = threading.current_thread()
-            # Both helpers are busy now: helper 0 blocks, helper 1 runs outer.
-            _workers.map_rows(lambda lo, hi: ran.setdefault("chunks", []).append(threading.current_thread()), 10)
-            inner = _workers.submit(lambda: "inner on a helper")
-            if inner.cancel():  # no helper started it: run it here, as run_evaluation does
-                return "inner here"
-            return inner.result()
+        def outer():  # both helpers are busy now: helper 0 blocks, helper 1 runs this
+            _workers.map_rows(lambda lo, hi: chunks.append((lo, hi, threading.current_thread())), 10)
 
-        try:
-            assert _workers.submit(outer).result(TIMEOUT) == "inner here"
-        finally:
-            release.set()
-        for future in blocked:
-            future.result(TIMEOUT)
-        assert ran["outer"] in _workers._helpers[:2]
-        assert ran["chunks"] == [ran["outer"]]
+        _workers.map_rows(_one_chunk_each(outer), 2)
+        assert chunks == [(0, 10, _workers._helpers[1])]
 
     def test_rows_split_from_a_helper_use_the_idle_ones(self, set_cpus):
         set_cpus(3)
         chunks = []
 
-        def outer():
+        def outer():  # one helper runs this and splits with the other, the idle one
             _workers.map_rows(lambda lo, hi: chunks.append((lo, hi)), 10)
-            return threading.current_thread()
 
-        assert _workers.submit(outer).result(TIMEOUT) in _workers._helpers[:2]
+        _workers.map_rows(_one_chunk_each(outer), 2)
         assert sorted(chunks) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (6, 7), (7, 8), (8, 10)]
 
 
 class TestHelpers:
     def test_active_helpers_follow_the_cpu_count(self, set_cpus):
+        caller = threading.current_thread()
         for cpus in (3, 2, 1):
             set_cpus(cpus)
             threads = set()
             release = threading.Barrier(cpus, timeout=TIMEOUT)  # every active helper at once
 
-            def task():
+            def chunk(lo, hi):
                 threads.add(threading.current_thread())
                 release.wait()
 
-            futures = [_workers.submit(task) for _ in range(cpus - 1)]
-            if futures:
-                release.wait()
-            for future in futures:
-                future.result(TIMEOUT)
-            assert threads == set(_workers._helpers[: cpus - 1])
+            _workers.map_rows(chunk, cpus)
+            assert threads - {caller} == set(_workers._helpers[: cpus - 1])
 
     def test_cpu_count_is_the_affinity(self):
         expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -152,7 +162,7 @@ class TestHelpers:
 
 
 def test_nested_splits_under_load_cover_every_row_and_free_every_helper(set_cpus):
-    # More threads than cores, switching often: outer tasks on the helpers
+    # More threads than cores, switching often: outer chunks on the helpers
     # and the caller split rows at once.  Each call must see every row once,
     # and a lost update of the pending count would leave helpers marked busy.
     set_cpus(4)
@@ -171,10 +181,15 @@ def test_nested_splits_under_load_cover_every_row_and_free_every_helper(set_cpus
                 _workers.map_rows(bump, n_rows)
             return counts
 
-        futures = [_workers.submit(outer, n) for n in (1, 7, 64, 300)]
-        assert outer(50) == [20] * 50
-        for future, n in zip(futures, (1, 7, 64, 300)):
-            assert future.result(TIMEOUT) == [20] * n
+        sizes = (1, 7, 64, 300, 50)
+        counts = [None] * len(sizes)
+
+        def run_outer(lo, hi):
+            for k in range(lo, hi):
+                counts[k] = outer(sizes[k])
+
+        _workers.map_rows(run_outer, len(sizes))
+        assert counts == [[20] * n for n in sizes]
     finally:
         sys.setswitchinterval(interval)
     assert _workers._pending == 0
@@ -190,7 +205,8 @@ def test_an_idle_helper_keeps_no_finished_task_alive(set_cpus):
 
     buffers = Buffers()
     ref = weakref.ref(buffers)
-    assert _workers.submit(len, [buffers]).result(TIMEOUT) == 1
+    chunk = _one_chunk_each(lambda: None)
+    _workers.map_rows(lambda lo, hi, buffers=buffers: chunk(lo, hi), 2)
     del buffers
     deadline = time.monotonic() + TIMEOUT
     while ref() is not None and time.monotonic() < deadline:
