@@ -32,8 +32,7 @@ _active = 0
 _pending = 0  # tasks queued and neither finished nor cancelled
 # Chunks per thread of a split: a few, so that a thread that loses its CPU
 # delays a split by at most about a chunk, and not so many that per-chunk
-# call overhead shows on short inputs.  run_evaluation groups as many
-# files per CPU.
+# call overhead shows on short inputs.
 _CHUNKS_PER_THREAD = 4
 
 

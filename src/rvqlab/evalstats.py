@@ -32,6 +32,11 @@ _ABSENT = "—"  # em dash renders unconfigured cells
 _SYSTEM = "rvq"  # the system column of every evaluation row
 PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
 _MAX_FAILURE_RATE = 0.01  # share of files that may fail before a run does
+# Files read, encoded and scored together.  This bounds a run's memory and
+# the stretch in which the calling thread encodes while the helpers wait,
+# at any CPU count; when a group has fewer cells than CPUs, the cells'
+# Griffin-Lim splits take the idle helpers.
+_GROUP_FILES = 8
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,10 @@ def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
     of its encode or of its first failing q."""
     # The encodes run back to back, before any cell.  Each encode's BLAS
     # products likely leave an OpenBLAS worker spinning on a CPU that the
-    # cells need, and fewer bursts of encodes leave less of that spin: one
-    # split per file, or groups of one file per CPU, ran slower than these
-    # groups, and all three tie under OPENBLAS_NUM_THREADS=1.
+    # cells need, and fewer bursts of encodes leave less of that spin: on
+    # 3 files and 2 CPUs, one split per file and groups of 2 files ran
+    # slower than one group of all 3, and all three tie under
+    # OPENBLAS_NUM_THREADS=1.
     encoded = []
     for entry in entries:
         try:
@@ -157,14 +163,13 @@ def run_evaluation(
     scored only when $RVQLAB_PESQ_TOOL names a tool, and the tool used is
     recorded in the config.
 
-    The files go in groups of _workers._CHUNKS_PER_THREAD per CPU this
-    process may use, so memory does not grow with the test set.  The
-    calling thread reads and encodes every file of a group, then one
-    _workers.map_rows call scores the group's (file, q) cells on the
-    calling thread and the idle shared helpers.  Results are gathered in
-    file and q order, and a file that fails is reported with the error of
-    its encode or of its first failing q, so the report does not depend on
-    the CPU count.
+    The files go in groups of _GROUP_FILES, so memory grows with neither
+    the test set nor the CPU count.  The calling thread reads and encodes
+    every file of a group, then one _workers.map_rows call scores the
+    group's (file, q) cells on the calling thread and the idle shared
+    helpers.  Results are gathered in file and q order, and a file that
+    fails is reported with the error of its encode or of its first failing
+    q, so the report does not depend on the CPU count.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
@@ -188,9 +193,8 @@ def run_evaluation(
         raise InvalidInput("test manifests contain no files")
     scored = {name: [] for name in test_manifests}  # {(metric, q): value} per file that scored every q
     failures = []
-    group_size = _workers._CHUNKS_PER_THREAD * _workers._cpu_count()
-    for start in range(0, len(files), group_size):
-        group = files[start : start + group_size]
+    for start in range(0, len(files), _GROUP_FILES):
+        group = files[start : start + _GROUP_FILES]
         outcomes = _score_files(container, [entry for _, entry in group], q_list, gl_iterations, pesq_tool)
         for (set_name, entry), outcome in zip(group, outcomes):
             if isinstance(outcome, str):

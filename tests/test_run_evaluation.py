@@ -100,11 +100,10 @@ class TestConcurrentCells:
             assert len(threads) == 4
             assert set(threads) <= {threading.current_thread(), *_workers._helpers[: cpus - 1]}
 
-    def test_at_most_four_files_per_cpu_are_in_flight(self, toy_model, test_sets, monkeypatch):
+    def test_at_most_eight_files_are_in_flight_at_any_cpu_count(self, toy_model, test_sets, monkeypatch):
         # A file is in flight from its encode until its scores are gathered,
         # and its encoded tokens live exactly that long.
         _, model, _ = toy_model
-        monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
         tokens, in_flight = [], []
         real = codec.encode
 
@@ -115,10 +114,14 @@ class TestConcurrentCells:
             return audio, latents, stream
 
         monkeypatch.setattr(codec, "encode", encode)
-        report = run_evaluation(model, test_sets, q_list=[1], gl_iterations=1)
-        assert not report.failures
-        assert len(in_flight) == 12
-        assert max(in_flight) == 4  # groups of four files on one CPU
+        for cpus in (1, 4):
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+            tokens.clear()
+            in_flight.clear()
+            report = run_evaluation(model, test_sets, q_list=[1], gl_iterations=1)
+            assert not report.failures
+            assert len(in_flight) == 12
+            assert max(in_flight) == 8  # a group of 8 files, then one of 4
 
     def test_error_outside_the_contract_propagates_and_frees_the_helpers(self, toy_model, test_sets,
                                                                          monkeypatch):
