@@ -329,8 +329,10 @@ def wilcoxon_ranksum(
     """Two-sided Wilcoxon rank-sum test of samples a vs b.
 
     Ties get mid-ranks.  With method="auto" the null distribution is
-    enumerated exactly whenever min(len(a), len(b)) <= 10; larger groups
-    use the tie-corrected normal approximation with continuity correction.
+    enumerated exactly whenever min(len(a), len(b)) <= 10, over subsets
+    the size of the smaller group (the two-sided p is the same for either);
+    larger groups use the tie-corrected normal approximation with
+    continuity correction.
     """
     alpha = check_float("alpha", alpha)
     if not 0.0 < alpha < 1.0:
@@ -346,8 +348,8 @@ def wilcoxon_ranksum(
     use_exact = method == "exact" or (method == "auto" and min(a.size, b.size) <= 10)
     if use_exact:
         ranks2 = np.round(2.0 * ranks).astype(np.int64)  # mid-ranks doubled: integers
-        w2 = int(round(2.0 * w_obs))
-        p = _exact_ranksum_p(ranks2, a.size, w2)
+        small = ranks2[a.size :] if b.size < a.size else ranks2[: a.size]
+        p = _exact_ranksum_p(ranks2, small.size, int(small.sum()))
         used = "exact"
     else:
         p = _normal_ranksum_p(ranks, a.size, b.size, w_obs)

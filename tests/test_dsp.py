@@ -565,13 +565,13 @@ class TestGriffinLimRowChunks:
         phase = _phase_gradient_phase(magnitude, config)
         iterations = 4
         helper_tasks = []
-        real_enqueue = _workers._enqueue
+        real_task = _workers._Task
 
-        def enqueue(fn):
+        def task(fn):
             helper_tasks.append(fn)
-            return real_enqueue(fn)
+            return real_task(fn)
 
-        monkeypatch.setattr(_workers, "_enqueue", enqueue)
+        monkeypatch.setattr(_workers, "_Task", task)
         for momentum in (0.0, 0.99):
             for init_phase in (None, phase):
                 expected_errors = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from rvqlab import evalstats
 from rvqlab.errors import InsufficientData, InvalidInput
 from rvqlab.evalstats import (
     MetricReport,
@@ -147,6 +148,25 @@ class TestWilcoxon:
         result = wilcoxon_ranksum(a, b)
         assert result.method == "exact"
         assert 0.0 <= result.p_value <= 1.0
+
+    def test_exact_enumerates_the_smaller_group_when_it_comes_second(self, monkeypatch):
+        # 300 against 5: the table must have 5 + 1 rows, not 300 + 1.
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 100, 300).astype(float)
+        b = rng.integers(0, 100, 5).astype(float) + 20.0
+        table_rows = []
+        real = evalstats._exact_ranksum_p
+
+        def spy(ranks2, n_a, w2_obs):
+            table_rows.append(n_a + 1)
+            return real(ranks2, n_a, w2_obs)
+
+        monkeypatch.setattr(evalstats, "_exact_ranksum_p", spy)
+        result = wilcoxon_ranksum(a, b)
+        swapped = wilcoxon_ranksum(b, a)
+        assert result.method == swapped.method == "exact"
+        assert result.p_value == pytest.approx(swapped.p_value, abs=1e-12)
+        assert max(table_rows) <= 6
 
     def test_empty_group_rejected(self):
         with pytest.raises(InvalidInput):

@@ -137,7 +137,7 @@ class TestConcurrentCells:
         monkeypatch.setattr(evalstats, "_score_cell", score)
         with pytest.raises(RuntimeError, match="not an RvqLabError"):
             run_evaluation(model, {"pair": test_sets["seta"][:2]}, q_list=[2, 1], gl_iterations=1)
-        assert _workers._pending == 0
+        assert all(task is None for task in _workers._tasks)
 
 
 class TestRunEvaluation:

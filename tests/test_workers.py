@@ -78,6 +78,36 @@ class TestMapRows:
         _workers.map_rows(chunk, 10)
         assert len(ran) == 8 and ran.count(caller) == 7
 
+    def test_a_handed_out_task_is_waited_on_never_taken_back(self, set_cpus, monkeypatch):
+        # The helper's task starts only once the caller has run every chunk:
+        # it finds none left, and the split still waits for it to finish.
+        set_cpus(2)
+        caller = threading.current_thread()
+        ran, events, caller_done = [], [], threading.Event()
+        real_task = _workers._Task
+
+        def late_task(fn):
+            def late():
+                assert caller_done.wait(TIMEOUT)
+                time.sleep(0.05)  # long enough for the caller to be waiting
+                fn()
+                events.append("helper task finished")
+
+            return real_task(late)
+
+        monkeypatch.setattr(_workers, "_Task", late_task)
+
+        def chunk(lo, hi):
+            ran.append(threading.current_thread())
+            if len(ran) == 8:
+                caller_done.set()
+
+        _workers.map_rows(chunk, 8)
+        events.append("map_rows returned")
+        assert ran == [caller] * 8
+        assert events == ["helper task finished", "map_rows returned"]
+        assert all(task is None for task in _workers._tasks)
+
     def test_busy_helpers_take_no_chunk(self, blocker):
         blocker(3)
         threads = []
@@ -97,6 +127,21 @@ class TestMapRows:
         chunks = []
         _workers.map_rows(lambda lo, hi: chunks.append(lo), 10)
         assert len(chunks) == 8
+
+    def test_an_error_in_the_helper_alone_reaches_the_caller(self, set_cpus):
+        set_cpus(2)
+        caller, helper_failed = threading.current_thread(), threading.Event()
+
+        def chunk(lo, hi):  # the caller's chunks all succeed, after the helper's first one failed
+            if threading.current_thread() is caller:
+                assert helper_failed.wait(TIMEOUT)
+            else:
+                helper_failed.set()
+                raise ValueError("helper chunk")
+
+        with pytest.raises(ValueError, match="helper chunk"):
+            _workers.map_rows(chunk, 10)
+        assert all(task is None for task in _workers._tasks)
 
 
 def _one_chunk_each(on_helper):
@@ -164,7 +209,7 @@ class TestHelpers:
 def test_nested_splits_under_load_cover_every_row_and_free_every_helper(set_cpus):
     # More threads than cores, switching often: outer chunks on the helpers
     # and the caller split rows at once.  Each call must see every row once,
-    # and a lost update of the pending count would leave helpers marked busy.
+    # and a lost update of a task slot would leave its helper marked busy.
     set_cpus(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -192,7 +237,7 @@ def test_nested_splits_under_load_cover_every_row_and_free_every_helper(set_cpus
         assert counts == [[20] * n for n in sizes]
     finally:
         sys.setswitchinterval(interval)
-    assert _workers._pending == 0
+    assert all(task is None for task in _workers._tasks)
 
 
 def test_an_idle_helper_keeps_no_finished_task_alive(set_cpus):
