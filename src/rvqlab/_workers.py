@@ -16,7 +16,9 @@ that helper work before then, so each task it waits on is free to run at
 once: waits never form a cycle, and a chunk may split rows of its own.
 A helper that starts its task late finds no chunk left and returns.
 Tasks run in a copy of the caller's context, so numpy's error state
-applies to them as to the caller.
+applies to them as to the caller.  A forked child has none of its
+parent's helper threads, so it starts with a fresh lock and no helpers,
+and its first split starts its own.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ def _idle_helpers() -> list:
         thread.start()
         _helpers.append(thread)
     return [i for i in range(active) if _tasks[i] is None]
+
+
+def _forget_helpers() -> None:
+    """In a forked child: drop the parent's helpers, whose threads did not
+    survive the fork, and the lock, which one of them may have held."""
+    global _cond, _helpers, _tasks
+    _cond, _helpers, _tasks = threading.Condition(), [], []
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def map_rows(fn, n_rows: int) -> None:

@@ -24,18 +24,30 @@ from .container import ModelContainer
 from .datapipe import read_entry_audio
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
-from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
-from .metrics import LOSS_FLOOR, LOSS_SCALES, _spectral_losses, pesq_adapter, stoi
+from .dsp import AudioBuffer
+from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM, HOP
+from .metrics import (
+    LOSS_FLOOR,
+    LOSS_SCALES,
+    _loss_reference,
+    _losses_against,
+    _stoi_against,
+    _stoi_reference,
+    pesq_adapter,
+)
 
 _METRIC_ORDER = ("mel", "stft", "pesq", "stoi", "latent_mse")
 _ABSENT = "—"  # em dash renders unconfigured cells
 _SYSTEM = "rvq"  # the system column of every evaluation row
 PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
 _MAX_FAILURE_RATE = 0.01  # share of files that may fail before a run does
-# Files read, encoded and scored together.  This bounds a run's memory and
-# the stretch in which the calling thread encodes while the helpers wait,
-# at any CPU count; when a group has fewer cells than CPUs, the cells'
-# Griffin-Lim splits take the idle helpers.
+# Files read, encoded, analysed and scored together.  This bounds a run's
+# memory and the stretch in which the calling thread encodes while the
+# helpers wait, at any CPU count.  Each file in flight holds its audio
+# (about 0.2 MB per audio-second) and its reference analysis (about 2 MB
+# per audio-second), built once by the group's analysis split.  When a
+# group has fewer cells than CPUs, the cells' Griffin-Lim splits take the
+# idle helpers.
 _GROUP_FILES = 8
 
 
@@ -99,11 +111,12 @@ def _mean(values):
     return total / n if n else None
 
 
-def _score_cell(container, audio, latents, tokens, q, gl_iterations, pesq_tool) -> dict:
+def _score_cell(container, audio, latents, tokens, q, reference, gl_iterations, pesq_tool) -> dict:
     """Metric name -> value of one file decoded from its first q stages."""
     recon_latents, decoded = codec.decode(container, tokens, q, gl_iterations)
-    cells = dict(zip(("mel", "stft"), _spectral_losses(audio, decoded)))
-    cells["stoi"] = stoi(audio, decoded).value
+    loss_half, stoi_half = reference
+    cells = dict(zip(("mel", "stft"), _losses_against(loss_half, decoded)))
+    cells["stoi"] = _stoi_against(stoi_half, decoded).value
     cells["latent_mse"] = float(np.mean((latents.frames - recon_latents.frames) ** 2))
     pesq = pesq_adapter(audio, decoded, tool_path=pesq_tool)
     cells["pesq"] = pesq.value if pesq is not None else None
@@ -125,7 +138,20 @@ def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
             encoded.append(codec.encode(container, read_entry_audio(entry), q_list[0]))
         except RvqLabError as exc:
             encoded.append(f"{type(exc).__name__}: {exc}")
-    cells = [(*coded, q) for coded in encoded if not isinstance(coded, str) for q in q_list]
+    files = [coded for coded in encoded if not isinstance(coded, str)]
+    references = [None] * len(files)
+
+    def analyse(lo, hi):  # the reference halves, of the audio aligned to its decodes
+        for k in range(lo, hi):
+            audio, _, tokens = files[k]
+            n = min(len(audio), tokens.n_frames * HOP)  # a decode has tokens.n_frames * HOP samples
+            ref = AudioBuffer(audio.samples[:n], audio.sample_rate)
+            references[k] = _loss_reference(ref), _stoi_reference(ref)
+
+    # Built beside each encode instead, the analyses would lengthen the
+    # stretch in which only the calling thread works.
+    _workers.map_rows(analyse, len(files))
+    cells = [(*coded, q, reference) for coded, reference in zip(files, references) for q in q_list]
     scores = [None] * len(cells)
 
     def score(lo, hi):
@@ -165,11 +191,16 @@ def run_evaluation(
 
     The files go in groups of _GROUP_FILES, so memory grows with neither
     the test set nor the CPU count.  The calling thread reads and encodes
-    every file of a group, then one _workers.map_rows call scores the
-    group's (file, q) cells on the calling thread and the idle shared
+    every file of a group.  Then one _workers.map_rows call builds each
+    encoded file's reference analysis, the reference half of the losses
+    and of STOI (about 2 MB per audio-second), once per file rather than
+    once per q.  Then a second map_rows call scores the group's (file, q)
+    cells against them, on the calling thread and the idle shared
     helpers.  Results are gathered in file and q order, and a file that
     fails is reported with the error of its encode or of its first failing
-    q, so the report does not depend on the CPU count.
+    q, so the report does not depend on the CPU count.  A reference too
+    short for STOI raises in each cell after its decode and losses, as
+    stoi() would.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)

@@ -9,6 +9,15 @@ losses use the four (fft_size, hop, n_mels) scales of LOSS_SCALES,
 (256, 64, 40), (512, 128, 80), (1024, 256, 160) and (2048, 512, 320), with
 magnitudes divided by the Hann window gain, and the log-mel floor
 LOSS_FLOOR = 1e-5; STOI uses the _STOI_* constants.
+
+The losses and STOI each run in two private halves.  The reference half
+(_loss_reference, _stoi_reference) analyses the aligned reference: its
+four loss-scale magnitudes and log-mels, and STOI's 10 kHz resample,
+energy gate and band envelopes.  It holds about 2 MB per audio-second at
+24 kHz, against about 0.2 MB for the audio itself.  The test half
+(_losses_against, _stoi_against) scores one signal against it.  The public
+functions run both halves on one pair; run_evaluation builds the reference
+half once per file and runs the test half at every stage count.
 """
 
 from __future__ import annotations
@@ -80,19 +89,56 @@ def _gain_normalized_magnitude(buf: AudioBuffer, config: StftConfig) -> Spectrog
     return Spectrogram(mag, config, buf.sample_rate)
 
 
+@dataclass(frozen=True)
+class _LossReference:
+    """The reference half of the spectral losses for one aligned reference of
+    n samples: per LOSS_SCALES entry, its gain-normalized magnitude frames
+    and their log-mel (None when built without the mel loss)."""
+
+    n: int
+    sample_rate: int
+    scales: tuple
+
+
+def _loss_reference(ref: AudioBuffer, with_mel: bool = True) -> _LossReference:
+    scales = []
+    for fft_size, hop, n_mels in LOSS_SCALES:
+        a = _gain_normalized_magnitude(ref, StftConfig(fft_size, hop))
+        scales.append((a.frames, log_mel(a, n_mels, LOSS_FLOOR) if with_mel else None))
+    return _LossReference(len(ref), ref.sample_rate, tuple(scales))
+
+
+def _cut_to(reference, test: AudioBuffer) -> AudioBuffer:
+    """test cut to the n samples its reference analysis was built from."""
+    if test.sample_rate != reference.sample_rate:
+        raise SampleRateMismatch(
+            f"reference at {reference.sample_rate} Hz, test at {test.sample_rate} Hz"
+        )
+    if len(test) < reference.n:
+        raise InvalidInput(
+            f"test signal of {len(test)} samples is shorter than its reference ({reference.n})"
+        )
+    return AudioBuffer(test.samples[: reference.n], test.sample_rate)
+
+
+def _losses_against(reference: _LossReference, test: AudioBuffer):
+    """(mel, stft) losses of test against a reference half, each summed in
+    LOSS_SCALES order; the mel loss is 0.0 if the reference has no log-mel."""
+    test = _cut_to(reference, test)
+    mel = lin = 0.0
+    for (fft_size, hop, n_mels), (a, a_mel) in zip(LOSS_SCALES, reference.scales):
+        b = _gain_normalized_magnitude(test, StftConfig(fft_size, hop))
+        lin += float(np.mean(np.abs(a - b.frames)))
+        if a_mel is not None:
+            mel += float(np.mean(np.abs(a_mel - log_mel(b, n_mels, LOSS_FLOOR))))
+    return mel, lin
+
+
 def _spectral_losses(ref: AudioBuffer, test: AudioBuffer, with_mel: bool = True):
     """(mel, stft) losses from one magnitude pass, each summed in LOSS_SCALES
     order.  Without with_mel the mel loss is 0.0 and no filterbank is built."""
     ref, test = _aligned_pair(ref, test)
-    mel = lin = 0.0
-    for fft_size, hop, n_mels in LOSS_SCALES:
-        config = StftConfig(fft_size, hop)
-        a = _gain_normalized_magnitude(ref, config)
-        b = _gain_normalized_magnitude(test, config)
-        lin += float(np.mean(np.abs(a.frames - b.frames)))
-        if with_mel:
-            mel += float(np.mean(np.abs(log_mel(a, n_mels, LOSS_FLOOR) - log_mel(b, n_mels, LOSS_FLOOR))))
-    return mel, lin
+    return _losses_against(_loss_reference(ref, with_mel), test)
 
 
 def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
@@ -147,45 +193,57 @@ def _third_octave_matrix() -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array(matrix)
 
 
-def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
-    """Short-time objective intelligibility of `test` against `ref`.
+@dataclass(frozen=True)
+class _StoiReference:
+    """The reference half of STOI for one aligned reference of n samples:
+    the mask of its speech-active 10 kHz frames and their one-third-octave
+    envelopes, or the InsufficientDuration message that scoring raises."""
 
-    Both signals are resampled to 10 kHz; frames more than 40 dB below the
-    loudest reference frame are discarded; one-third-octave envelopes are
-    compared by correlation over 384 ms segments after clipped gain
-    normalization.  The score is the plain mean of those correlations.
+    n: int
+    sample_rate: int
+    keep: np.ndarray | None = None
+    env: np.ndarray | None = None  # (bands, frames)
+    error: str | None = None
 
-    Raises:
-        InsufficientDuration: fewer than 30 speech-active frames survive.
-    """
-    ref, test = _aligned_pair(ref, test)
-    x = resample(ref, _STOI_FS).samples
-    y = resample(test, _STOI_FS).samples
 
-    w = _stoi_window()
-    xf = _frame_signal(x, _STOI_FRAME, _STOI_HOP) * w
-    yf = _frame_signal(y, _STOI_FRAME, _STOI_HOP) * w
+def _stoi_frames(x: np.ndarray) -> np.ndarray:
+    return _frame_signal(x, _STOI_FRAME, _STOI_HOP) * _stoi_window()
+
+
+def _stoi_envelopes(frames: np.ndarray) -> np.ndarray:
+    """(bands, frames) one-third-octave envelopes of the signal the kept frames overlap-add to."""
+    spec = np.fft.rfft(_stoi_frames(_overlap_add(frames, _STOI_HOP)), n=_STOI_NFFT, axis=1)
+    return np.sqrt(_third_octave_matrix() @ (np.abs(spec) ** 2).T)
+
+
+def _stoi_reference(ref: AudioBuffer) -> _StoiReference:
+    """Never raises InsufficientDuration: it records the message instead."""
+    n, sample_rate = len(ref), ref.sample_rate
+    xf = _stoi_frames(resample(ref, _STOI_FS).samples)
     if xf.shape[0] == 0:
-        raise InsufficientDuration("signal shorter than one analysis frame")
+        return _StoiReference(n, sample_rate, error="signal shorter than one analysis frame")
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
     keep = energies.max() - _STOI_DYN_RANGE - energies < 0
     # empty only if the frame energies overflow; the _STOI_SEG check below catches it
-    xf, yf = xf[keep], yf[keep]
-    x_active = _overlap_add(xf, _STOI_HOP)
-    y_active = _overlap_add(yf, _STOI_HOP)
-
-    spec_x = np.fft.rfft(_frame_signal(x_active, _STOI_FRAME, _STOI_HOP) * w, n=_STOI_NFFT, axis=1)
-    spec_y = np.fft.rfft(_frame_signal(y_active, _STOI_FRAME, _STOI_HOP) * w, n=_STOI_NFFT, axis=1)
-    obm = _third_octave_matrix()
-    env_x = np.sqrt(obm @ (np.abs(spec_x) ** 2).T)  # (bands, frames)
-    env_y = np.sqrt(obm @ (np.abs(spec_y) ** 2).T)
-    n_frames = env_x.shape[1]
+    env = _stoi_envelopes(xf[keep])
+    n_frames = env.shape[1]
     if n_frames < _STOI_SEG:
-        raise InsufficientDuration(
-            f"need at least {_STOI_SEG} speech-active frames (384 ms), got {n_frames}"
+        return _StoiReference(
+            n, sample_rate, error=f"need at least {_STOI_SEG} speech-active frames (384 ms), got {n_frames}"
         )
+    return _StoiReference(n, sample_rate, keep, env)
 
-    seg_starts = np.arange(n_frames - _STOI_SEG + 1)
+
+def _stoi_against(reference: _StoiReference, test: AudioBuffer) -> MetricValue:
+    """STOI of test against a reference half; raises the reference's
+    InsufficientDuration, if it has one, before any work on test."""
+    test = _cut_to(reference, test)
+    if reference.error is not None:
+        raise InsufficientDuration(reference.error)
+    env_x = reference.env
+    env_y = _stoi_envelopes(_stoi_frames(resample(test, _STOI_FS).samples)[reference.keep])
+
+    seg_starts = np.arange(env_x.shape[1] - _STOI_SEG + 1)
     idx = seg_starts[:, None] + np.arange(_STOI_SEG)[None, :]
     xs = env_x[:, idx]  # (bands, segments, 30)
     ys = env_y[:, idx]
@@ -199,6 +257,21 @@ def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     denom = np.linalg.norm(xc, axis=2) * np.linalg.norm(yc, axis=2)
     corr = np.where(denom > 0, np.sum(xc * yc, axis=2) / np.where(denom > 0, denom, 1.0), 0.0)
     return MetricValue("stoi", float(corr.mean()), higher_is_better=True)
+
+
+def stoi(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
+    """Short-time objective intelligibility of `test` against `ref`.
+
+    Both signals are resampled to 10 kHz; frames more than 40 dB below the
+    loudest reference frame are discarded; one-third-octave envelopes are
+    compared by correlation over 384 ms segments after clipped gain
+    normalization.  The score is the plain mean of those correlations.
+
+    Raises:
+        InsufficientDuration: fewer than 30 speech-active frames survive.
+    """
+    ref, test = _aligned_pair(ref, test)
+    return _stoi_against(_stoi_reference(ref), test)
 
 
 # --- PESQ adapter ----------------------------------------------------------

@@ -15,6 +15,10 @@ from rvqlab.errors import (
 from rvqlab.metrics import (
     LOSS_FLOOR,
     LOSS_SCALES,
+    _loss_reference,
+    _losses_against,
+    _stoi_against,
+    _stoi_reference,
     mel_loss,
     pesq_adapter,
     stft_loss,
@@ -187,6 +191,27 @@ class TestStoi:
         x = _buf(speech_like(500 / 24000, 24000, 9))
         with pytest.raises(InsufficientDuration):
             stoi(x, x)
+
+
+class TestReferenceHalves:
+    """Eval builds each reference half once per file, from the reference cut
+    to its decodes' length, and scores every decode against it: the public
+    metrics must read the same, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "test_len", [36700, 35300, 36000], ids=["test-longer", "test-shorter", "same-length"]
+    )
+    def test_public_metrics_equal_one_reference_scored_twice(self, test_len):
+        ref = speech_like(1.5, 24000, 5)  # 36000 samples
+        reference = _buf(ref[: min(len(ref), test_len)])
+        losses, stoi_half = _loss_reference(reference), _stoi_reference(reference)
+        rng = np.random.default_rng(6)
+        for noise in (0.05, 0.2):
+            test = _buf(np.resize(ref, test_len) + noise * rng.standard_normal(test_len))
+            mel, lin = _losses_against(losses, test)
+            assert mel == mel_loss(_buf(ref), test).value
+            assert lin == stft_loss(_buf(ref), test).value
+            assert _stoi_against(stoi_half, test).value == stoi(_buf(ref), test).value
 
 
 class TestPesqAdapter:

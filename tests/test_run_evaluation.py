@@ -82,6 +82,29 @@ class TestConcurrentCells:
         assert "16000 Hz" in four.failures[2][2] and "24000 Hz" in four.failures[2][2]
         assert render_report(one, "csv") == render_report(four, "csv")
 
+    def test_decode_fault_before_a_reference_only_error_is_the_one_reported(self, toy_model, mixed_set,
+                                                                            monkeypatch):
+        # short.wav (15 frames) is too short for STOI, which only its
+        # reference shows.  Scoring raises that at each q after the decode,
+        # so a decode fault at the top q is its file's first error.
+        _, model, _ = toy_model
+        monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        real = codec.decode
+
+        def decode(model, tokens, n_stages, gl_iterations, callback=None):
+            if tokens.n_frames == 15 and n_stages == 4:
+                raise InvalidInput(f"injected fault at q={n_stages}")
+            return real(model, tokens, n_stages, gl_iterations, callback)
+
+        monkeypatch.setattr(codec, "decode", decode)
+        report = run_evaluation(model, {"mixed": mixed_set}, q_list=[1, 2, 4], gl_iterations=1)
+        assert [(f[1], f[2].split(":")[0]) for f in report.failures] == [
+            (str(mixed_set[2].path), "InvalidInput"),
+            (str(mixed_set[5].path), "SchemaError"),
+        ]
+        assert report.failures[0][2] == "InvalidInput: injected fault at q=4"
+
     def test_cells_run_on_the_caller_and_the_active_helpers(self, toy_model, test_sets, monkeypatch):
         _, model, _ = toy_model
         threads = []
@@ -178,25 +201,34 @@ class TestRunEvaluation:
         }
 
     def test_one_loss_pass_per_decoded_file(self, toy_model, test_sets, monkeypatch):
-        # Each file takes one analysis STFT to encode; each decoded (file, q)
-        # pair then takes one STFT of each signal per loss scale, shared by
-        # the mel and STFT losses.
+        # Each file takes one analysis STFT to encode and one reference STFT
+        # per loss scale; each decoded (file, q) pair then takes one STFT per
+        # loss scale, shared by the mel and STFT losses.  STOI resamples each
+        # reference to 10 kHz once and each decoded pair once.
         _, model, _ = toy_model
-        calls = []
-        real = dsp.stft
+        stfts, resamples = [], []
+        real_stft, real_resample = dsp.stft, dsp.resample
 
-        def spy(audio, config):
-            calls.append(config.fft_size)
-            return real(audio, config)
+        def stft_spy(audio, config):
+            stfts.append(config.fft_size)
+            return real_stft(audio, config)
 
+        def resample_spy(audio, target_rate):
+            resamples.append(target_rate)
+            return real_resample(audio, target_rate)
+
+        spies = (("stft", real_stft, stft_spy), ("resample", real_resample, resample_spy))
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "rvqlab" and getattr(module, "stft", None) is real:
-                monkeypatch.setattr(module, "stft", spy)
+            if name.split(".")[0] == "rvqlab":
+                for attr, real, spy in spies:
+                    if getattr(module, attr, None) is real:
+                        monkeypatch.setattr(module, attr, spy)
         files = test_sets["seta"][:3]
         q_list = [4, 2, 1]
         report = run_evaluation(model, {"seta": files}, q_list=q_list, gl_iterations=2)
         assert not report.failures
-        assert len(calls) == len(files) * (1 + len(q_list) * 2 * len(LOSS_SCALES))
+        assert len(stfts) == len(files) * (1 + len(LOSS_SCALES) + len(q_list) * len(LOSS_SCALES))
+        assert resamples.count(10000) == len(files) * (1 + len(q_list))
 
     def test_q_exceeding_model_rejected(self, toy_model, test_sets):
         _, model, _ = toy_model

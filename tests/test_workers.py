@@ -1,12 +1,19 @@
 import os
+import signal
 import sys
 import threading
 import time
+import traceback
 import weakref
 
 import pytest
 
+import golden
 from rvqlab import _workers
+from rvqlab.dsp import AudioBuffer
+from rvqlab.wavio import write_wav
+
+from signals import speech_like
 
 TIMEOUT = 30  # seconds; a deadlock fails the test instead of hanging it
 
@@ -257,3 +264,64 @@ def test_an_idle_helper_keeps_no_finished_task_alive(set_cpus):
     while ref() is not None and time.monotonic() < deadline:
         time.sleep(0.001)
     assert ref() is None
+
+
+@pytest.fixture
+def toy_stream(toy_model, tmp_path):
+    """(model path, .rvqs path) of the golden clip encoded with the toy
+    model, decoded in this process into tmp_path / "parent"."""
+    model_path = toy_model[0]
+    wav, stream = tmp_path / "clip.wav", tmp_path / "clip.rvqs"
+    write_wav(wav, AudioBuffer(speech_like(golden.CLIP_SECONDS, 24000, golden.CLIP_SEED), 24000))
+    golden._cli(["encode", "--model", str(model_path), str(wav), "-q", str(golden.FULL_Q), str(stream)])
+    (tmp_path / "parent").mkdir()
+    golden.decode_outputs(model_path, stream, tmp_path / "parent")
+    return model_path, stream
+
+
+def _decode_in_a_child(model_path, stream, out_dir) -> None:
+    """Fork; the child decodes stream into out_dir and exits, and the parent
+    kills it if it has not exited by the deadline."""
+    out_dir.mkdir()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test run
+        code = 1
+        try:
+            golden.decode_outputs(model_path, stream, out_dir)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + TIMEOUT
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child's decode had not finished after {TIMEOUT} s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+class TestFork:
+    """A forked child has none of its parent's helper threads; its splits
+    must still run, and decode the bytes the parent does."""
+
+    def _check_child_decode(self, toy_stream, tmp_path):
+        model_path, stream = toy_stream
+        _decode_in_a_child(model_path, stream, tmp_path / "child")
+        for q in (golden.FULL_Q, golden.PREFIX_Q):
+            wav = f"decoded_q{q}.wav"
+            assert (tmp_path / "child" / wav).read_bytes() == (tmp_path / "parent" / wav).read_bytes()
+
+    def test_child_decodes_after_a_split(self, set_cpus, toy_stream, tmp_path):
+        set_cpus(2)
+        _workers.map_rows(lambda lo, hi: None, 8)  # the helper is started, and idle at the fork
+        self._check_child_decode(toy_stream, tmp_path)
+
+    def test_child_decodes_while_a_helper_is_blocked_in_a_task(self, set_cpus, blocker, toy_stream, tmp_path):
+        blocker(2)  # helper 0 is inside a task until the test ends
+        set_cpus(3)
+        _workers.map_rows(lambda lo, hi: None, 8)  # helper 1 starts, and is idle at the fork
+        self._check_child_decode(toy_stream, tmp_path)
