@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _workers
 from .container import ModelContainer
 from .dsp import AudioBuffer, resample
 from .frontend import SAMPLE_RATE, decode_latent, encode_latent
@@ -16,11 +17,15 @@ from .rvq import TokenStream, dequantize, quantize
 
 
 def encode(model: ModelContainer, audio: AudioBuffer, n_stages: int):
-    """(24 kHz audio, latents, tokens); resamples only when the audio is at another rate."""
-    if audio.sample_rate != SAMPLE_RATE:
-        audio = resample(audio, SAMPLE_RATE)
-    latents = encode_latent(model.frontend, audio)
-    return audio, latents, quantize(model.rvq, latents, n_stages)
+    """(24 kHz audio, latents, tokens); resamples only when the audio is at another rate.
+
+    BLAS runs on the calling thread alone meanwhile (_workers.blas_on_caller),
+    and the frame splits use the other CPUs."""
+    with _workers.blas_on_caller():
+        if audio.sample_rate != SAMPLE_RATE:
+            audio = resample(audio, SAMPLE_RATE)
+        latents = encode_latent(model.frontend, audio)
+        return audio, latents, quantize(model.rvq, latents, n_stages)
 
 
 def decode(model: ModelContainer, tokens: TokenStream, n_stages: int, gl_iterations: int, callback=None):

@@ -132,12 +132,22 @@ def stft(audio: AudioBuffer, config: StftConfig) -> Spectrogram:
     Returns:
         Complex spectrogram with T = (len + fft_size - fft_size)//hop + 1
         frames over the padded signal, i.e. len//hop + 1 frames.
+
+    The frames are transformed in row chunks on the calling thread and the
+    idle helpers (rvqlab._workers.map_frames); each row's transform does
+    not depend on the chunk it is in.
     """
     if len(audio) == 0:
         raise EmptyInput("cannot compute STFT of empty audio")
     x = np.pad(audio.samples, config.fft_size // 2, mode="reflect")
     frames = _frame_signal(x, config.fft_size, config.hop)
-    return Spectrogram(np.fft.rfft(frames * config.window, axis=1), config, audio.sample_rate)
+    out = np.empty((len(frames), config.n_bins), dtype=np.complex128)
+
+    def analyse(lo, hi):
+        np.fft.rfft(frames[lo:hi] * config.window, axis=1, out=out[lo:hi])
+
+    _workers.map_frames(analyse, len(frames))
+    return Spectrogram(out, config, audio.sample_rate)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -245,7 +255,9 @@ def _mel_csr(sample_rate: int, fft_size: int, n_mels: int) -> scipy.sparse.csr_a
 def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
     """ln(max(bank @ magnitude, floor)) per frame; shape (T, n_mels), where
     bank is mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels).
-    Each band sums its nonzero bins in ascending order (see _mel_csr).
+    Each band sums its nonzero bins in ascending order (see _mel_csr), in
+    row chunks on the calling thread and the idle helpers
+    (rvqlab._workers.map_frames).
 
     Raises:
         InvalidConfig: floor not finite and positive, or n_mels rejected by
@@ -256,11 +268,18 @@ def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
         raise InvalidConfig(f"floor must be positive, got {floor}")
     args = (spec.sample_rate, spec.config.fft_size, n_mels)
     mel_filterbank(*args)  # checks n_mels against the spectrogram's resolution
-    mag = spec.frames
-    if np.iscomplexobj(mag):
-        mag = np.abs(mag)
-    bands = _mel_csr(*args) @ mag.T  # (n_mels, T)
-    return np.log(np.maximum(bands.T, floor), order="C")
+    bank = _mel_csr(*args)
+    out = np.empty((spec.n_frames, n_mels))
+
+    def analyse(lo, hi):
+        mag = spec.frames[lo:hi]
+        if np.iscomplexobj(mag):
+            mag = np.abs(mag)
+        bands = (bank @ mag.T).T  # (hi - lo, n_mels)
+        np.log(np.maximum(bands, floor, out=out[lo:hi]), out=out[lo:hi])
+
+    _workers.map_frames(analyse, spec.n_frames)
+    return out
 
 
 def _project_magnitude(spec: np.ndarray, mag: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -126,12 +126,8 @@ def _score_cell(container, audio, latents, tokens, q, reference, gl_iterations, 
 def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
     """Per entry, {(metric, q): value} over every q, or the text of the error
     of its encode or of its first failing q."""
-    # The encodes run back to back, before any cell.  Each encode's BLAS
-    # products likely leave an OpenBLAS worker spinning on a CPU that the
-    # cells need, and fewer bursts of encodes leave less of that spin: on
-    # 3 files and 2 CPUs, one split per file and groups of 2 files ran
-    # slower than one group of all 3, and all three tie under
-    # OPENBLAS_NUM_THREADS=1.
+    # The encodes run back to back on the calling thread, before any cell;
+    # each splits its own frame rows over the idle helpers.
     encoded = []
     for entry in entries:
         try:

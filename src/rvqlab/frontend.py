@@ -125,8 +125,7 @@ def _analysis_log_mel(audio: AudioBuffer) -> np.ndarray:
         pad = HOP - remainder
         samples = np.pad(samples, (0, pad), mode="reflect")
     spec = stft(AudioBuffer(samples, SAMPLE_RATE), STFT_CONFIG)
-    kept = Spectrogram(spec.frames[:-1], STFT_CONFIG, SAMPLE_RATE)  # T = len/hop
-    return log_mel(kept, N_MELS, LOG_FLOOR)
+    return log_mel(spec, N_MELS, LOG_FLOOR)[:-1]  # T = len/hop
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

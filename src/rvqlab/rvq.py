@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _workers
 from .errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput, check_array, check_int
 from .frontend import FRAME_RATE, MAX_SEED, N_MELS, LatentSequence, _principal_basis
 
@@ -101,11 +102,15 @@ class TokenStream:
         if k & (k - 1):
             raise InvalidInput(f"codebook_size must be a power of two, got {k}")
         object.__setattr__(self, "codebook_size", k)
-        frames = check_array("token frames", self.frames, 2)
+        frames = self.frames
+        # Integer and bool matrices hold whole numbers already: they are
+        # range-checked as they are, without a float copy.
+        if not (isinstance(frames, np.ndarray) and frames.dtype.kind in "biu" and frames.ndim == 2):
+            frames = check_array("token frames", frames, 2)
+            if not np.array_equal(frames, np.trunc(frames)):
+                raise InvalidInput("token frames must hold integer values")
         if frames.shape[1] < 1:
             raise InvalidInput(f"token frames must be T x q with q >= 1, got shape {frames.shape}")
-        if not np.array_equal(frames, np.trunc(frames)):
-            raise InvalidInput("token frames must hold integer values")
         if frames.size and (frames.min() < 0 or frames.max() >= self.codebook_size):
             raise CorruptTokens(
                 f"token index out of range [0, {self.codebook_size})"
@@ -360,6 +365,14 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
     Per frame and stage: project the residual, L2-normalize, pick the
     nearest entry (lowest index on ties), subtract its reconstruction, and
     continue with the next stage.
+
+    Each stage's nearest entries are picked in row chunks on the calling
+    thread and the idle helpers (rvqlab._workers.map_frames); the rest of
+    the stage is one product over every frame.  OpenBLAS picks its kernel
+    by a product's shape, and its kernels round the projection's D-term
+    sums differently for few rows and many, while the similarities'
+    code_dim-term sums came out the same for every row count from two up,
+    so tokens do not depend on the chunks (tests/test_rvq.py checks both).
     """
     n_stages = check_int("n_stages", n_stages, 1, model.n_stages)
     if latents.dim != model.config.latent_dim:
@@ -368,13 +381,16 @@ def quantize(model: RvqModel, latents: LatentSequence, n_stages: int) -> TokenSt
         )
     tokens = np.empty((latents.n_frames, n_stages), dtype=np.uint16)
     residual = latents.frames.copy()
-    for i, stage in enumerate(model.stages[:n_stages]):
-        normalized = _normalize_rows(residual @ stage.in_proj.T)
+
+    def pick(lo, hi):  # stage i's tokens of rows lo:hi
         # Unit vectors both sides: nearest by distance == max cosine, and
         # argmax resolves ties toward the lowest index.
-        idx = np.argmax(normalized @ stage.entries.T, axis=1)
-        tokens[:, i] = idx
-        residual -= stage.entries[idx] @ stage.out_proj.T
+        tokens[lo:hi, i] = np.argmax(normalized[lo:hi] @ stage.entries.T, axis=1)
+
+    for i, stage in enumerate(model.stages[:n_stages]):
+        normalized = _normalize_rows(residual @ stage.in_proj.T)
+        _workers.map_frames(pick, latents.n_frames)
+        residual -= stage.entries[tokens[:, i]] @ stage.out_proj.T
     return TokenStream(tokens, model.config.codebook_size)
 
 

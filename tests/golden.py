@@ -137,12 +137,8 @@ def compute_digests(model_path, summary, corpus_manifest, workdir) -> dict:
         "toy_summary": _sha256(json.dumps(summary, sort_keys=True).encode()),
     }
 
-    for rate in INPUT_RATES:
-        wav = workdir / f"clip_{rate}.wav"
-        write_wav(wav, AudioBuffer(speech_like(CLIP_SECONDS, rate, CLIP_SEED), rate))
-        stream = workdir / f"clip_{rate}.rvqs"
-        _cli(["encode", *model, str(wav), "-q", str(FULL_Q), str(stream)])
-        digests[f"rvqs_{rate // 1000}k"] = _sha256(stream.read_bytes())
+    encoded = encode_outputs(model_path, workdir)
+    digests.update((name, digest) for name, digest in encoded.items() if name.startswith("rvqs_"))
 
     decoded = decode_outputs(model_path, workdir / "clip_24000.rvqs", workdir)
     digests.update((name, digest) for name, digest in decoded.items() if name.startswith("wav_"))
@@ -158,6 +154,24 @@ def compute_digests(model_path, summary, corpus_manifest, workdir) -> dict:
     scores = workdir / "mushra.csv"
     _write_mushra_scores(scores)
     digests["mushra_json"] = _sha256(_cli(["mushra", str(scores), "--json"]).encode())
+    return digests
+
+
+def encode_outputs(model_path, workdir) -> dict:
+    """Digest name -> SHA-256 of the .rvqs stream (rvqs_*k) and of the --json
+    line less its output path (encode_json_*k) of encoding the golden clip
+    at each input rate into workdir, as clip_<rate>.rvqs."""
+    workdir = Path(workdir)
+    digests = {}
+    for rate in INPUT_RATES:
+        wav = workdir / f"clip_{rate}.wav"
+        write_wav(wav, AudioBuffer(speech_like(CLIP_SECONDS, rate, CLIP_SEED), rate))
+        stream = workdir / f"clip_{rate}.rvqs"
+        stdout = _cli(["encode", "--model", str(model_path), str(wav), "-q", str(FULL_Q), str(stream), "--json"])
+        payload = json.loads(stdout.splitlines()[-1])
+        del payload["out"]
+        digests[f"rvqs_{rate // 1000}k"] = _sha256(stream.read_bytes())
+        digests[f"encode_json_{rate // 1000}k"] = _sha256(json.dumps(payload, sort_keys=True).encode())
     return digests
 
 

@@ -27,6 +27,7 @@ from rvqlab.dsp import (
     stft,
 )
 from rvqlab.errors import EmptyInput, InvalidConfig, InvalidInput
+from rvqlab.frontend import _analysis_log_mel
 
 from signals import speech_like
 
@@ -607,6 +608,65 @@ class TestGriffinLimRowChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * complex_array, peak / complex_array
+
+
+# A training excerpt, frame counts around the split floor (one ending in an
+# odd frame), and inputs long enough for chunks far smaller than the whole.
+_FLOOR = _workers._MIN_SPLIT_FRAMES
+_SPLIT_FRAME_COUNTS = [29, _FLOOR - 1, _FLOOR, _FLOOR + 1, _FLOOR + 2, 151, 751]
+
+
+@pytest.fixture
+def spy_tasks(monkeypatch):
+    """The functions the splits hand to helpers, in order."""
+    tasks = []
+    real_task = _workers._Task
+
+    def task(fn):
+        tasks.append(fn)
+        return real_task(fn)
+
+    monkeypatch.setattr(_workers, "_Task", task)
+    return tasks
+
+
+class TestAnalysisRowChunks:
+    """stft and log_mel split their frame rows over the idle helpers; any
+    split must give the bytes of the one whole-array expression."""
+
+    @pytest.mark.parametrize("n_frames", _SPLIT_FRAME_COUNTS)
+    def test_stft_of_any_split_equals_one_transform(self, n_frames, monkeypatch):
+        config = StftConfig(1024, 320)
+        x = speech_like((n_frames - 1) * 320 / 24000, 24000, n_frames)
+        frames = _frame_signal(np.pad(x, 512, mode="reflect"), 1024, 320)
+        expected = np.fft.rfft(frames * config.window, axis=1)
+        assert len(expected) == n_frames
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+            out = stft(AudioBuffer(x, 24000), config).frames
+            assert out.tobytes() == expected.tobytes(), cpus
+
+    @pytest.mark.parametrize("n_frames", _SPLIT_FRAME_COUNTS)
+    def test_log_mel_of_any_split_equals_one_product(self, n_frames, monkeypatch):
+        config = StftConfig(1024, 320)
+        x = speech_like((n_frames - 1) * 320 / 24000, 24000, n_frames + 1)
+        complex_spec = stft(AudioBuffer(x, 24000), config)
+        for spec in (complex_spec, complex_spec.magnitude()):
+            bands = _mel_csr(24000, 1024, 80) @ np.abs(spec.frames).T
+            expected = np.log(np.maximum(bands.T, 1e-5), order="C")
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+                out = log_mel(spec, 80, 1e-5)
+                assert out.tobytes() == expected.tobytes(), cpus
+                assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_frames, split", [(29, False), (_FLOOR, True)])
+    def test_a_training_excerpt_is_analysed_whole(self, n_frames, split, monkeypatch, spy_tasks):
+        # Training analyses 29-frame excerpts: below the floor, no helper
+        # is woken for them, while an input at the floor is split.
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 4)
+        _analysis_log_mel(AudioBuffer(speech_like(n_frames * 320 / 24000, 24000, 3), 24000))
+        assert bool(spy_tasks) == split
 
 
 class TestPhaseGradientPhase:

@@ -67,3 +67,27 @@ def test_toy_decode_does_not_depend_on_the_cpu_count(toy_model, tmp_path):
     assert golden.differing(default, one_cpu) == []
     if not golden.platform_mismatch():
         assert not golden.moved({k: v for k, v in default.items() if k.startswith("wav_")})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+def test_toy_encode_does_not_depend_on_the_cpu_count(toy_model, tmp_path):
+    # The STFT, log-mel and quantizer split their frame rows over every idle
+    # CPU: an encode in a process pinned to one CPU must write the streams
+    # and --json of a default one.
+    model_path, _, _ = toy_model
+    (tmp_path / "default").mkdir()
+    (tmp_path / "one_cpu").mkdir()
+    default = golden.encode_outputs(model_path, tmp_path / "default")
+    code = (
+        "import json, os, golden\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        f"print(json.dumps(golden.encode_outputs({str(model_path)!r}, {str(tmp_path / 'one_cpu')!r})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(golden.HERE.parent / "src"), str(golden.HERE)])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=golden.HERE, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    one_cpu = json.loads(proc.stdout.splitlines()[-1])
+    assert golden.differing(default, one_cpu) == []
+    if not golden.platform_mismatch():
+        assert not golden.moved({k: v for k, v in default.items() if k.startswith("rvqs_")})

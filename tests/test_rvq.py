@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvqlab import rvq
+from rvqlab import _workers, rvq
+from rvqlab._workers import _MIN_SPLIT_FRAMES
 from rvqlab.errors import CorruptTokens, InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.frontend import FRAME_RATE, LatentSequence
 from rvqlab.rvq import (
@@ -13,7 +14,9 @@ from rvqlab.rvq import (
     _LLOYD_MAX_ITER,
     _LLOYD_REL_TOL,
     _NORM_EPS,
+    Codebook,
     RvqConfig,
+    RvqModel,
     TokenStream,
     _normalize_rows,
     _pairwise_row_sum,
@@ -363,6 +366,50 @@ class TestQuantize:
         a = quantize(model, lat, 4)
         b = quantize(model, lat, 4)
         assert np.array_equal(a.frames, b.frames)
+
+
+def _reference_quantize(model, frames, n_stages):
+    """The greedy loop with every product over all frames at once."""
+    tokens = np.empty((len(frames), n_stages), dtype=np.uint16)
+    residual = frames.copy()
+    for i, stage in enumerate(model.stages[:n_stages]):
+        idx = np.argmax(_normalize_rows(residual @ stage.in_proj.T) @ stage.entries.T, axis=1)
+        tokens[:, i] = idx
+        residual -= stage.entries[idx] @ stage.out_proj.T
+    return tokens
+
+
+@pytest.fixture(scope="module")
+def codec_sized_model():
+    """Random stages of the codec's shape, K=1024 and D=64: the projection
+    sums 64 terms, which BLAS kernels for different row counts may round
+    differently."""
+    rng = np.random.default_rng(41)
+    stages = []
+    for _ in range(8):
+        entries = rng.standard_normal((1024, 8))
+        entries /= np.linalg.norm(entries, axis=1, keepdims=True)
+        in_proj = np.linalg.qr(rng.standard_normal((64, 8)))[0].T.copy()
+        stages.append(Codebook(entries, in_proj, 0.3 * rng.standard_normal((64, 8))))
+    return RvqModel(RvqConfig(8, 1024, 8, 64), tuple(stages), np.zeros(8))
+
+
+class TestQuantizeRowChunks:
+    @pytest.mark.parametrize("n_frames", [29, _MIN_SPLIT_FRAMES - 1, _MIN_SPLIT_FRAMES,
+                                          _MIN_SPLIT_FRAMES + 1, _MIN_SPLIT_FRAMES + 2, 151, 751])
+    def test_any_split_equals_the_whole_products(self, codec_sized_model, n_frames, monkeypatch):
+        frames = _gaussian_latents(n_frames, 64, seed=n_frames)
+        expected = _reference_quantize(codec_sized_model, frames, 8)
+        projected = []  # the shape of each projection that is normalized
+        monkeypatch.setattr(rvq, "_normalize_rows", lambda x: projected.append(x.shape) or _normalize_rows(x))
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+            projected.clear()
+            tokens = quantize(codec_sized_model, LatentSequence(frames), 8)
+            assert tokens.frames.tobytes() == expected.tobytes(), cpus
+            # Tokens rarely show a projection's last bits, so check that each
+            # stage projects every frame in one product, whatever the split.
+            assert projected == [(n_frames, 8)] * 8
 
 
 class TestDequantize:

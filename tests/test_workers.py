@@ -6,11 +6,13 @@ import time
 import traceback
 import weakref
 
+import numpy as np
 import pytest
 
 import golden
-from rvqlab import _workers
+from rvqlab import _workers, codec, container
 from rvqlab.dsp import AudioBuffer
+from rvqlab.errors import InvalidInput
 from rvqlab.wavio import write_wav
 
 from signals import speech_like
@@ -170,6 +172,34 @@ def _one_chunk_each(on_helper):
     return chunk
 
 
+class TestMapFrames:
+    def test_below_the_floor_is_one_call_with_idle_helpers(self, set_cpus):
+        set_cpus(4)
+        n = _workers._MIN_SPLIT_FRAMES - 1
+        chunks = []
+        _workers.map_frames(lambda lo, hi: chunks.append((lo, hi, threading.current_thread())), n)
+        assert chunks == [(0, n, threading.current_thread())]
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3])
+    def test_no_chunk_holds_a_single_frame(self, monkeypatch, extra):
+        # However finely map_rows cuts, each chunk has two frames or more:
+        # a one-row product would take BLAS's matrix-vector path.
+        monkeypatch.setattr(_workers, "map_rows", lambda fn, n_rows: [fn(k, k + 1) for k in range(n_rows)])
+        n = _workers._MIN_SPLIT_FRAMES + extra
+        chunks = []
+        _workers.map_frames(lambda lo, hi: chunks.append((lo, hi)), n)
+        assert [row for lo, hi in chunks for row in range(lo, hi)] == list(range(n))
+        assert min(hi - lo for lo, hi in chunks) == 2
+
+    def test_at_the_floor_the_helpers_take_chunks(self, set_cpus):
+        set_cpus(2)
+        n = _workers._MIN_SPLIT_FRAMES
+        chunks = []
+        _workers.map_frames(lambda lo, hi: chunks.append((lo, hi)), n)
+        bounds = [2 * (n // 2 * k // 8) for k in range(9)]
+        assert sorted(chunks) == list(zip(bounds, bounds[1:]))
+
+
 class TestNesting:
     def test_rows_split_in_a_chunk_while_every_helper_is_busy_run_in_that_chunk(self, set_cpus, blocker):
         blocker(2)  # helper 0 of 2 blocks until the test ends
@@ -279,6 +309,18 @@ def toy_stream(toy_model, tmp_path):
     return model_path, stream
 
 
+def _wait_for_child(pid, what) -> None:
+    """Wait for a forked child to exit 0; kill it if it has not exited by the deadline."""
+    deadline = time.monotonic() + TIMEOUT
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child's {what} had not finished after {TIMEOUT} s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
 def _decode_in_a_child(model_path, stream, out_dir) -> None:
     """Fork; the child decodes stream into out_dir and exits, and the parent
     kills it if it has not exited by the deadline."""
@@ -293,14 +335,7 @@ def _decode_in_a_child(model_path, stream, out_dir) -> None:
             traceback.print_exc()
         finally:
             os._exit(code)
-    deadline = time.monotonic() + TIMEOUT
-    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail(f"the forked child's decode had not finished after {TIMEOUT} s")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(waited[1]) == 0
+    _wait_for_child(pid, "decode")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
@@ -325,3 +360,116 @@ class TestFork:
         set_cpus(3)
         _workers.map_rows(lambda lo, hi: None, 8)  # helper 1 starts, and is idle at the fork
         self._check_child_decode(toy_stream, tmp_path)
+
+
+def _blas_calls():
+    calls = _workers._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS found in this process")
+    return calls
+
+
+@pytest.fixture
+def toy_encode(toy_model):
+    """encode(samples) -> tokens of the toy model at full q, through codec.encode."""
+    model = container.load(toy_model[0])
+
+    def encode(samples):
+        return codec.encode(model, AudioBuffer(samples, 24000), golden.FULL_Q)[2].frames
+
+    return encode
+
+
+class TestBlasHold:
+    """codec.encode holds numpy's OpenBLAS to one thread, the calling one,
+    and the last hold to end restores the count the first one found."""
+
+    def test_holds_nest_and_restore_the_count(self):
+        get, _ = _blas_calls()
+        before = get()
+        with _workers.blas_on_caller():
+            assert get() == 1
+            with _workers.blas_on_caller():
+                assert get() == 1
+            assert get() == 1
+        assert get() == before and _workers._holds == 0
+
+    def test_encode_runs_in_the_hold_and_restores_the_count(self, set_cpus, toy_encode, monkeypatch):
+        get, _ = _blas_calls()
+        set_cpus(2)
+        before, seen = get(), []
+        quantize = codec.quantize
+        monkeypatch.setattr(codec, "quantize", lambda *args: seen.append(get()) or quantize(*args))
+        toy_encode(speech_like(2.0, 24000, 3))
+        assert seen == [1]
+        assert get() == before and _workers._holds == 0
+
+    @pytest.mark.parametrize("errors, raised", [("raise", FloatingPointError), ("ignore", InvalidInput)])
+    def test_an_encode_that_raises_restores_the_count(self, set_cpus, toy_encode, errors, raised):
+        # Samples near the float limit overflow the STFT: raised by numpy in
+        # a chunk, or by the spectrogram's finiteness check after the split.
+        get, _ = _blas_calls()
+        set_cpus(2)
+        before = get()
+        samples = np.full(48000, 1e308)
+        samples[::2] *= -1
+        with np.errstate(over=errors, invalid=errors), pytest.raises(raised) as info:
+            toy_encode(samples)
+        if raised is InvalidInput:
+            assert str(info.value) == "non-finite values in spectrogram"
+        assert get() == before and _workers._holds == 0
+
+    def test_two_threads_encoding_at_once_restore_the_count(self, set_cpus, toy_encode):
+        get, _ = _blas_calls()
+        set_cpus(3)
+        before = get()
+        samples = speech_like(2.0, 24000, 4)
+        expected = toy_encode(samples)
+        start = threading.Barrier(2, timeout=TIMEOUT)
+        results = []
+
+        def encode_a_few():
+            start.wait()
+            results.extend(toy_encode(samples) for _ in range(5))
+
+        threads = [threading.Thread(target=encode_a_few) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(TIMEOUT)
+            assert not thread.is_alive()
+        assert len(results) == 10 and all(np.array_equal(r, expected) for r in results)
+        assert get() == before and _workers._holds == 0
+
+    def test_encode_works_without_openblas(self, set_cpus, toy_encode, monkeypatch):
+        set_cpus(2)
+        samples = speech_like(2.0, 24000, 5)
+        expected = toy_encode(samples)
+        monkeypatch.setattr(_workers, "_blas_thread_calls", lambda: None)
+        assert np.array_equal(toy_encode(samples), expected)
+        assert _workers._holds == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_child_forked_in_the_hold_drops_it(self):
+        # No thread of the child ends the parent's hold for it: the child
+        # restores the count at once, and leaving the hold changes nothing.
+        get, _ = _blas_calls()
+        before = get()
+        read_end, write_end = os.pipe()
+        with _workers.blas_on_caller():
+            pid = os.fork()
+            if pid == 0:
+                seen = [get(), _workers._holds]
+        if pid == 0:  # the child never returns into the test run
+            try:
+                os.write(write_end, f"{seen} {[get(), _workers._holds]}".encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            _wait_for_child(pid, "report")
+            report = os.read(read_end, 1024).decode()
+        finally:
+            os.close(read_end)
+        assert report == f"{[before, 0]} {[before, 0]}"
+        assert get() == before and _workers._holds == 0
