@@ -21,6 +21,7 @@ from .datapipe import load_manifest, summarize_manifest
 from .errors import InvalidInput, RvqLabError
 from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .evalstats import (
+    _check_alpha,
     load_mushra_records,
     mushra_summary,
     render_report,
@@ -218,6 +219,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_mushra(args) -> None:
+    alpha = _check_alpha(args.alpha)  # before the file is read: it may hold no system to test
     records = load_mushra_records(args.scores)
     summaries = mushra_summary(records)
     by_system = {}
@@ -229,7 +231,7 @@ def _cmd_mushra(args) -> None:
         )
     reference_scores = by_system[args.reference]
     results = [
-        wilcoxon_ranksum(by_system[system], reference_scores, alpha=args.alpha, system=system)
+        wilcoxon_ranksum(by_system[system], reference_scores, alpha=alpha, system=system)
         for system in sorted(by_system)
         if system != args.reference
     ]

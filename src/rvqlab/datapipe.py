@@ -29,6 +29,7 @@ from .errors import (
     MissingFile,
     NotDivisible,
     SchemaError,
+    WavError,
     check_float,
     check_int,
     check_path,
@@ -133,12 +134,15 @@ def read_entry_audio(entry: ManifestEntry) -> AudioBuffer:
     Raises:
         MissingFile: the file is gone, as when it was removed after the
             manifest was loaded.
+        WavError: the file cannot be read (a directory, say) or is not a supported WAV.
         SchemaError: the WAV header's sample rate is not the entry's.
     """
     try:
         audio = read_wav(entry.path)
     except FileNotFoundError:
         raise MissingFile(entry.path) from None
+    except OSError as exc:
+        raise WavError(f"{entry.path}: cannot read: {exc.strerror or exc}") from None
     if audio.sample_rate != entry.sample_rate:
         raise SchemaError(
             f"{entry.path}: manifest sample_rate {entry.sample_rate} Hz, WAV header {audio.sample_rate} Hz"

@@ -42,12 +42,11 @@ _SYSTEM = "rvq"  # the system column of every evaluation row
 PESQ_TOOL_ENV = "RVQLAB_PESQ_TOOL"
 _MAX_FAILURE_RATE = 0.01  # share of files that may fail before a run does
 # Files read, encoded, analysed and scored together.  This bounds a run's
-# memory and the stretch in which the calling thread encodes while the
-# helpers wait, at any CPU count.  Each file in flight holds its audio
-# (about 0.2 MB per audio-second) and its reference analysis (about 2 MB
-# per audio-second), built once by the group's analysis split.  When a
-# group has fewer cells than CPUs, the cells' Griffin-Lim splits take the
-# idle helpers.
+# memory at any CPU count.  Each file in flight holds its audio (about
+# 0.2 MB per audio-second) and its reference analysis (about 2 MB per
+# audio-second), built once by the group's prepare split.  When a group has
+# fewer files or cells than CPUs, the encodes' frame splits and the cells'
+# Griffin-Lim splits take the idle helpers.
 _GROUP_FILES = 8
 
 
@@ -125,29 +124,21 @@ def _score_cell(container, audio, latents, tokens, q, reference, gl_iterations, 
 
 def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
     """Per entry, {(metric, q): value} over every q, or the text of the error
-    of its encode or of its first failing q."""
-    # The encodes run back to back on the calling thread, before any cell;
-    # each splits its own frame rows over the idle helpers.
-    encoded = []
-    for entry in entries:
-        try:
-            encoded.append(codec.encode(container, read_entry_audio(entry), q_list[0]))
-        except RvqLabError as exc:
-            encoded.append(f"{type(exc).__name__}: {exc}")
-    files = [coded for coded in encoded if not isinstance(coded, str)]
-    references = [None] * len(files)
+    of its read, encode or analysis, or of its first failing q."""
+    files = [None] * len(entries)
 
-    def analyse(lo, hi):  # the reference halves, of the audio aligned to its decodes
+    def prepare(lo, hi):  # read, encode and analyse; each encode splits its frames over idle helpers
         for k in range(lo, hi):
-            audio, _, tokens = files[k]
-            n = min(len(audio), tokens.n_frames * HOP)  # a decode has tokens.n_frames * HOP samples
-            ref = AudioBuffer(audio.samples[:n], audio.sample_rate)
-            references[k] = _loss_reference(ref), _stoi_reference(ref)
+            try:
+                audio, latents, tokens = codec.encode(container, read_entry_audio(entries[k]), q_list[0])
+                # The reference halves, of the audio cut to its decodes' tokens.n_frames * HOP samples.
+                ref = AudioBuffer(audio.samples[: tokens.n_frames * HOP], audio.sample_rate)
+                files[k] = audio, latents, tokens, (_loss_reference(ref), _stoi_reference(ref))
+            except RvqLabError as exc:
+                files[k] = f"{type(exc).__name__}: {exc}"
 
-    # Built beside each encode instead, the analyses would lengthen the
-    # stretch in which only the calling thread works.
-    _workers.map_rows(analyse, len(files))
-    cells = [(*coded, q, reference) for coded, reference in zip(files, references) for q in q_list]
+    _workers.map_rows(prepare, len(files))
+    cells = [(*coded[:3], q, coded[3]) for coded in files if not isinstance(coded, str) for q in q_list]
     scores = [None] * len(cells)
 
     def score(lo, hi):
@@ -160,7 +151,7 @@ def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
     _workers.map_rows(score, len(cells))
     scores = iter(scores)
     outcomes = []
-    for coded in encoded:
+    for coded in files:
         file_scores = [coded] if isinstance(coded, str) else [next(scores) for _ in q_list]
         errors = [s for s in file_scores if isinstance(s, str)]
         outcomes.append(errors[0] if errors else
@@ -186,17 +177,17 @@ def run_evaluation(
     recorded in the config.
 
     The files go in groups of _GROUP_FILES, so memory grows with neither
-    the test set nor the CPU count.  The calling thread reads and encodes
-    every file of a group.  Then one _workers.map_rows call builds each
-    encoded file's reference analysis, the reference half of the losses
-    and of STOI (about 2 MB per audio-second), once per file rather than
-    once per q.  Then a second map_rows call scores the group's (file, q)
-    cells against them, on the calling thread and the idle shared
-    helpers.  Results are gathered in file and q order, and a file that
-    fails is reported with the error of its encode or of its first failing
-    q, so the report does not depend on the CPU count.  A reference too
-    short for STOI raises in each cell after its decode and losses, as
-    stoi() would.
+    the test set nor the CPU count.  One _workers.map_rows call prepares a
+    group's files on the calling thread and the idle shared helpers: each
+    row reads a file, encodes it, and builds its reference analysis, the
+    reference half of the losses and of STOI (about 2 MB per audio-second),
+    once per file rather than once per q.  Concurrent encodes share the
+    counted BLAS hold.  Then a second map_rows call scores the group's
+    (file, q) cells against those analyses.  Results are gathered in file
+    and q order, and a file that fails is reported with the error of its
+    read, encode or analysis, or of its first failing q, so the report does
+    not depend on the CPU count.  A reference too short for STOI raises in
+    each cell after its decode and losses, as stoi() would.
     """
     try:
         q_list = sorted({check_int("q", q, 1, container.rvq.n_stages) for q in q_list}, reverse=True)
@@ -350,6 +341,14 @@ def _normal_ranksum_p(ranks: np.ndarray, n_a: int, n_b: int, w_obs: float) -> fl
     return float(min(1.0, p))
 
 
+def _check_alpha(alpha) -> float:
+    """The significance level as a float in the open interval (0, 1)."""
+    alpha = check_float("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput(f"alpha must be in the open interval (0, 1), got {alpha}")
+    return alpha
+
+
 def wilcoxon_ranksum(
     a, b, alpha: float = 0.05, method: str = "auto", system: str = ""
 ) -> SignificanceResult:
@@ -361,9 +360,7 @@ def wilcoxon_ranksum(
     larger groups use the tie-corrected normal approximation with
     continuity correction.
     """
-    alpha = check_float("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput(f"alpha must be in the open interval (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     a, b = check_array("a", a, 1), check_array("b", b, 1)
     if a.size < 1 or b.size < 1:
         raise InvalidInput("both groups need at least one observation")

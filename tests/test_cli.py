@@ -446,14 +446,18 @@ class TestMushra:
         assert out == ""
         assert err.startswith("error: InvalidInput:")
 
-    @pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan"])
-    def test_alpha_outside_open_unit_interval_exit_2(self, tmp_path, capsys, alpha):
+    @pytest.mark.parametrize("scores", [
+        "s1,st,reference,90\ns2,st,reference,95\ns1,st,codec,80\ns2,st,codec,60\n",
+        "s1,st,reference,90\ns2,st,reference,95\n",
+    ], ids=["with-codec", "reference-only"])
+    @pytest.mark.parametrize("alpha", ["2", "0", "1", "-1", "nan"])
+    def test_alpha_outside_open_unit_interval_exit_2(self, tmp_path, capsys, alpha, scores):
         path = tmp_path / "scores.csv"
-        path.write_text("s1,st,reference,90\ns2,st,reference,95\ns1,st,codec,80\ns2,st,codec,60\n")
+        path.write_text(scores)
         code, out, err = _run(capsys, ["mushra", str(path), "--alpha", alpha])
         assert code == 2
         assert out == ""
-        assert "alpha" in err
+        assert err.startswith("error: InvalidInput: alpha must be ")
 
 
 def test_main_builds_its_parser_once(toy_corpus, monkeypatch, capsys):

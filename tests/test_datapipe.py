@@ -21,6 +21,7 @@ from rvqlab.errors import (
     MissingFile,
     NotDivisible,
     SchemaError,
+    WavError,
 )
 from rvqlab.wavio import write_wav
 
@@ -193,6 +194,14 @@ class TestSampleBatch:
         manifest = load_manifest(_write_manifest(tmp_path))
         with pytest.raises(NotDivisible):
             sample_batch(manifest, BatchSpec(batch_size=70, seed=0))
+
+    def test_file_replaced_by_a_directory_wav_error(self, tmp_path):
+        manifest = load_manifest(_write_manifest(tmp_path))
+        for entry in manifest:
+            entry.path.unlink()
+            entry.path.mkdir()
+        with pytest.raises(WavError, match="cannot read: Is a directory"):
+            sample_batch(manifest, BatchSpec(batch_size=6, seed=0))
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(EmptyCategory):

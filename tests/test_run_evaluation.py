@@ -146,6 +146,26 @@ class TestConcurrentCells:
             assert len(in_flight) == 12
             assert max(in_flight) == 8  # a group of 8 files, then one of 4
 
+    def test_files_are_read_encoded_and_analysed_concurrently(self, toy_model, test_sets, monkeypatch):
+        # The first two encodes meet at a barrier: it breaks unless two files
+        # of the group are encoded at once.
+        _, model, _ = toy_model
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 2)
+        barrier, lock, calls = threading.Barrier(2, timeout=10), threading.Lock(), []
+        real = codec.encode
+
+        def encode(*args):
+            with lock:
+                calls.append(args)
+                first_two = len(calls) <= 2
+            if first_two:
+                barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(codec, "encode", encode)
+        report = run_evaluation(model, {"four": test_sets["seta"][:4]}, q_list=[1], gl_iterations=1)
+        assert not report.failures and len(calls) == 4
+
     def test_error_outside_the_contract_propagates_and_frees_the_helpers(self, toy_model, test_sets,
                                                                          monkeypatch):
         _, model, _ = toy_model
@@ -321,14 +341,20 @@ class TestRunEvaluation:
         assert len(report.failures) == 1
         assert "WavError" in report.failures[0][2]
 
-    def test_file_removed_after_loading_recorded_as_missing(self, toy_model, test_sets, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("as_directory, error", [(False, "MissingFile: missing audio file: "),
+                                                     (True, "WavError: {path}: cannot read: ")],
+                             ids=["removed", "directory"])
+    def test_file_gone_or_unreadable_after_loading_recorded(self, toy_model, test_sets, tmp_path, monkeypatch,
+                                                            as_directory, error):
         _, model, _ = toy_model
         import shutil
 
         shutil.copytree(test_sets["seta"][0].path.parent, tmp_path / "copy")
         manifest = load_manifest(tmp_path / "copy" / "manifest.jsonl")[:2]
         manifest[0].path.unlink()
+        if as_directory:
+            manifest[0].path.mkdir()
         monkeypatch.setattr(evalstats, "_MAX_FAILURE_RATE", 0.5)
         report = run_evaluation(model, {"gone": manifest}, q_list=[1], gl_iterations=1)
         assert [f[1] for f in report.failures] == [str(manifest[0].path)]
-        assert report.failures[0][2].startswith("MissingFile: ")
+        assert report.failures[0][2].startswith(error.format(path=manifest[0].path))
