@@ -5,11 +5,12 @@ thread there is one thread per CPU this process may run on; the count is
 read again at each split.  map_rows(fn, n_rows) calls fn(lo, hi) on
 consecutive row chunks, which the calling thread and each active helper
 that is idle now take in turn.  Under a full load it is the single call
-fn(0, n_rows).  Decode's Griffin-Lim splits its frame rows, and eval its
-(file, q) cells, whose Griffin-Lim splits again over whatever helpers are
-idle then.  Encode's STFT, log-mel and quantizer split their frame rows
-through map_frames, which runs inputs shorter than _MIN_SPLIT_FRAMES
-frames as one call.
+fn(0, n_rows).  Decode's Griffin-Lim splits its frame rows.  Eval splits
+each group of files, one row per file to read, encode and analyse, and
+then the group's (file, q) cells; those encodes and the cells' Griffin-Lim
+split again over whatever helpers are idle then.  Encode's STFT, log-mel
+and quantizer split their frame rows through map_frames, which runs
+inputs shorter than _MIN_SPLIT_FRAMES frames as one call.
 
 Each helper has one task slot, and a split puts a task only in the slot
 of an idle helper; the slot stays taken until that task has finished.  A

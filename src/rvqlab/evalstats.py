@@ -24,8 +24,7 @@ from .container import ModelContainer
 from .datapipe import read_entry_audio
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
-from .dsp import AudioBuffer
-from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM, HOP
+from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .metrics import (
     LOSS_FLOOR,
     LOSS_SCALES,
@@ -131,9 +130,7 @@ def _score_files(container, entries, q_list, gl_iterations, pesq_tool) -> list:
         for k in range(lo, hi):
             try:
                 audio, latents, tokens = codec.encode(container, read_entry_audio(entries[k]), q_list[0])
-                # The reference halves, of the audio cut to its decodes' tokens.n_frames * HOP samples.
-                ref = AudioBuffer(audio.samples[: tokens.n_frames * HOP], audio.sample_rate)
-                files[k] = audio, latents, tokens, (_loss_reference(ref), _stoi_reference(ref))
+                files[k] = audio, latents, tokens, (_loss_reference(audio), _stoi_reference(audio))
             except RvqLabError as exc:
                 files[k] = f"{type(exc).__name__}: {exc}"
 
@@ -179,10 +176,10 @@ def run_evaluation(
     The files go in groups of _GROUP_FILES, so memory grows with neither
     the test set nor the CPU count.  One _workers.map_rows call prepares a
     group's files on the calling thread and the idle shared helpers: each
-    row reads a file, encodes it, and builds its reference analysis, the
-    reference half of the losses and of STOI (about 2 MB per audio-second),
-    once per file rather than once per q.  Concurrent encodes share the
-    counted BLAS hold.  Then a second map_rows call scores the group's
+    row reads a file, encodes it, and builds from the encoded 24 kHz audio
+    its reference analysis, the reference half of the losses and of STOI
+    (about 2 MB per audio-second), once per file rather than once per q.
+    Concurrent encodes share the counted BLAS hold.  Then a second map_rows call scores the group's
     (file, q) cells against those analyses.  Results are gathered in file
     and q order, and a file that fails is reported with the error of its
     read, encode or analysis, or of its first failing q, so the report does

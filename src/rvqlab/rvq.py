@@ -133,45 +133,16 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, _NORM_EPS)
 
 
-def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum the m rows of an (m, N) array in numpy's pairwise summation order.
-
-    numpy sums a contiguous run of m values sequentially from 0 below 8,
-    with 8 interleaved accumulators up to 128, and by splitting at
-    half - half % 8 above that.  Adding whole rows in the same order gives,
-    column by column and bit for bit, np.sum(rows.T, axis=1).
-    """
-    m = rows.shape[0]
-    if m < 8:
-        total = np.zeros(rows.shape[1])
-        for row in rows:
-            total += row
-        return total
-    if m <= 128:
-        blocks = m - m % 8
-        acc = rows[:8]
-        if blocks > 8:
-            acc = acc + rows[8:16]
-            for i in range(16, blocks, 8):
-                acc += rows[i : i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for row in rows[blocks:]:
-            total += row
-        return total
-    half = m // 2
-    half -= half % 8
-    return _pairwise_row_sum(rows[:half]) + _pairwise_row_sum(rows[half:])
-
-
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of k centers from points.
 
-    Exactness contract: the squared distances d2 equal, to the bit,
-    np.sum((points - c) ** 2, axis=1), because the points are held as
-    (dim, N) columns whose squared differences are added in numpy's own
-    pairwise order; and each pick equals rng.choice(n, p=d2 / total), because
-    the cdf / searchsorted draw on one rng.random() is the one Generator.choice
-    performs.  The same seed therefore gives the same centers.
+    Exactness contract: the points are held as (dim, N) columns, and d2
+    adds each point's squared coordinate differences in coordinate order,
+    where np.sum adds them in another.  d2 reaches the model only through
+    the picks, and each pick is rng.choice(n, p=d2 / total): the cdf /
+    searchsorted draw on one rng.random() is the one Generator.choice
+    performs.  So a pick can differ from the textbook one only when
+    rng.random() lands within d2's last-bit rounding of a cdf step.
     """
     n, dim = points.shape
     cols = np.ascontiguousarray(points.T)
@@ -180,7 +151,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     def sq_dists(center):
         np.subtract(cols, center[:, None], out=diff)
         np.square(diff, out=diff)
-        return _pairwise_row_sum(diff)
+        return diff.sum(axis=0)  # row after row: in coordinate order
 
     centers = np.empty((k, dim))
     first = int(rng.integers(n))

@@ -9,8 +9,8 @@ import numpy as np
 
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
-from .errors import check_int
-from .frontend import _analysis_log_mel, _fit_log_mel, _project
+from .errors import InsufficientData, check_int
+from .frontend import HOP, _analysis_log_mel, _fit_log_mel, _project
 from .rvq import RvqConfig, train_rvq
 
 
@@ -32,7 +32,9 @@ def train_codec(
     balance, explained variance, and per-stage training distortions.
     Deterministic given the seed; the container metadata deliberately skips
     wall-clock fields so identical seeds produce identical bytes.  Every
-    setting is checked before any audio is read.
+    setting is checked before any audio is read, the frame count they fix
+    too: InsufficientData unless it is at least 10 * latent_dim and, capped
+    at max_rvq_frames, at least 10 * codebook_size.
 
     Each excerpt is counted, hashed and analysed as it is drawn, and its
     audio is dropped at once.  RVQ training holds only the frontend and the
@@ -49,6 +51,15 @@ def train_codec(
         seed=seed,
     )
     spec = BatchSpec(batch_size=batch_size, excerpt_samples=excerpt_samples, seed=seed)
+    # Every excerpt is excerpt_samples long, so the settings fix the frame count.
+    frames_total = n_batches * spec.batch_size * (spec.excerpt_samples // HOP)
+    drawn = (f"n_batches={n_batches} x batch_size={spec.batch_size} x "
+             f"excerpt_samples={spec.excerpt_samples} / {HOP} = {frames_total} frames")
+    if frames_total < 10 * config.latent_dim:
+        raise InsufficientData(f"latent_dim={config.latent_dim} needs {10 * config.latent_dim} frames; {drawn}")
+    if min(frames_total, max_rvq_frames) < 10 * config.codebook_size:
+        raise InsufficientData(f"codebook_size={config.codebook_size} needs {10 * config.codebook_size} "
+                               f"frames; {drawn}, max_rvq_frames={max_rvq_frames}")
     # One pass over the excerpts as they are drawn: count each category, hash
     # the samples in training order and keep only the log-mel frames.  No file
     # path enters the hash, so one corpus gives one .rvqm wherever it is stored.
@@ -63,7 +74,6 @@ def train_codec(
     frontend = _fit_log_mel(frame_sets, latent_dim, seed)
     latents = np.vstack([_project(frontend, f).frames for f in frame_sets])
     del excerpt, frame_sets  # the last excerpt drawn, and frames now projected
-    frames_total = latents.shape[0]
     if frames_total > max_rvq_frames:
         keep = np.random.default_rng(seed).choice(frames_total, size=max_rvq_frames, replace=False)
         latents = latents[np.sort(keep)]

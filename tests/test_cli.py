@@ -112,8 +112,9 @@ class TestTrain:
         out = tmp_path / "m.rvqm"
         code, stdout, err = _run(
             capsys,
+            # 360 excerpts of 29 frames are enough for K = 1024: the first read fails.
             ["train", "--manifest", str(manifest), "--out", str(out), "--batches", "1",
-             "--batch-size", "1"],
+             "--batch-size", "360"],
         )
         assert code == 2
         assert stdout == "" and not out.exists()
@@ -129,8 +130,9 @@ class TestTrain:
         out = tmp_path / "m.rvqm"
         code, stdout, err = _run(
             capsys,
+            # 360 excerpts of 29 frames are enough for K = 1024: the first read fails.
             ["train", "--manifest", str(manifest), "--out", str(out), "--batches", "1",
-             "--batch-size", "1"],
+             "--batch-size", "360"],
         )
         assert code == 2
         assert stdout == "" and not out.exists()

@@ -19,7 +19,6 @@ from rvqlab.rvq import (
     RvqModel,
     TokenStream,
     _normalize_rows,
-    _pairwise_row_sum,
     bitrate,
     dequantize,
     kmeans_unit,
@@ -302,18 +301,23 @@ class TestKmeansMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(
         dim=st.integers(min_value=1, max_value=200),
-        n=st.integers(min_value=1, max_value=40),
+        n=st.integers(min_value=2, max_value=40),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_pairwise_row_sum_equals_np_sum(self, dim, n, seed):
+    def test_seeding_matches_textbook_at_every_dim(self, dim, n, seed):
+        # Seeding adds d2 in coordinate order and np.sum does not; the picks
+        # must agree all the same.  Magnitudes over 16 decades make the sum
+        # depend on the addition order; zero and near-equal rows give zero and
+        # tiny distances.
         rng = np.random.default_rng(seed)
-        # Magnitudes over 16 decades make the sum depend on the addition order.
-        x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim))
-        x[rng.random(n) < 0.2] = 0.0
+        points = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim))
+        points[rng.random(n) < 0.2] = 0.0
         near = rng.random(n) < 0.2
-        x[near] = x[0] * (1.0 + 1e-15 * rng.standard_normal(dim))
-        got = _pairwise_row_sum(np.ascontiguousarray(x.T))
-        assert np.array_equal(got, np.sum(x, axis=1))
+        points[near] = points[0] * (1.0 + 1e-15 * rng.standard_normal(dim))
+        k = n // 2
+        got = rvq._kmeans_pp_init(points, k, np.random.default_rng(seed))
+        want = _reference_kmeans_pp_init(points, k, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestQuantize:

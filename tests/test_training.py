@@ -6,19 +6,19 @@ import pytest
 from rvqlab import container, datapipe, training
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
-from rvqlab.errors import InvalidConfig, InvalidInput
+from rvqlab.errors import InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.rvq import train_rvq
 from rvqlab.training import train_codec
 
 
-def _train_without_reading_audio(corpus, monkeypatch, setting, value, error):
+def _train_without_reading_audio(corpus, monkeypatch, setting, value, error, **others):
     manifest = load_manifest(corpus)
 
     def no_reads(path):
         raise AssertionError(f"read {path} before validating {setting}")
 
     monkeypatch.setattr(datapipe, "read_wav", no_reads)
-    settings = {"n_stages": 1, "codebook_size": 16, "latent_dim": 8, setting: value}
+    settings = {"n_stages": 1, "codebook_size": 16, "latent_dim": 8, **others, setting: value}
     with pytest.raises(error, match=setting):
         train_codec(manifest, **settings)
 
@@ -42,11 +42,19 @@ def test_max_rvq_frames_below_one_rejected_before_reading_audio(toy_corpus, monk
             ("seed", -1, InvalidConfig),
             ("batch_size", 0, InvalidConfig),
             ("excerpt_samples", 100, InvalidConfig),
+            ("max_rvq_frames", 159, InsufficientData),
+            ("codebook_size", 16384, InsufficientData),
         ]
     ],
 )
 def test_bad_setting_rejected_before_reading_audio(toy_corpus, monkeypatch, setting, value, error):
     _train_without_reading_audio(toy_corpus, monkeypatch, setting, value, error)
+
+
+def test_too_few_frames_for_latent_dim_rejected_before_reading_audio(toy_corpus, monkeypatch):
+    # 1 x 6 excerpts of 29 frames: 174 frames, enough for K=16 but not for D=80.
+    _train_without_reading_audio(toy_corpus, monkeypatch, "latent_dim", 80, InsufficientData,
+                                 n_batches=1, batch_size=6)
 
 
 def test_same_corpus_elsewhere_gives_same_container_bytes(toy_model, toy_corpus, tmp_path):
