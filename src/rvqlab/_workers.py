@@ -10,7 +10,10 @@ each group of files, one row per file to read, encode and analyse, and
 then the group's (file, q) cells; those encodes and the cells' Griffin-Lim
 split again over whatever helpers are idle then.  Encode's STFT, log-mel
 and quantizer split their frame rows through map_frames, which runs
-inputs shorter than _MIN_SPLIT_FRAMES frames as one call.
+inputs shorter than _MIN_SPLIT_FRAMES frames as one call.  Training splits
+each batch twice, one row per excerpt: datapipe.sample_batch reads the
+excerpts, and train_codec analyses them.  k-means splits each assignment
+pass over its points.
 
 Each helper has one task slot, and a split puts a task only in the slot
 of an idle helper; the slot stays taken until that task has finished.  A
@@ -22,10 +25,10 @@ Tasks run in a copy of the caller's context, so numpy's error state
 applies to them as to the caller.
 
 blas_on_caller() holds the OpenBLAS that numpy's matmul calls to one
-thread, the one that calls it, while encode runs: its own worker threads
-would otherwise spin on the CPUs the helpers need.  Holds are counted;
-the first sets the thread count to 1 and the last restores the count it
-found.  Without OpenBLAS the hold does nothing.
+thread, the one that calls it, while encode or a k-means split runs: its
+own worker threads would otherwise spin on the CPUs the helpers need.
+Holds are counted; the first sets the thread count to 1 and the last
+restores the count it found.  Without OpenBLAS the hold does nothing.
 
 A forked child has none of its parent's helper threads, so it starts
 with a fresh lock and no helpers, and its first split starts its own.

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import AudioBuffer, resample
+from . import _workers
+from .dsp import AudioBuffer, _resampled_length, resample
 from .errors import (
     EmptyCategory,
     EmptyInput,
@@ -28,6 +29,7 @@ from .errors import (
     InvalidInput,
     MissingFile,
     NotDivisible,
+    RvqLabError,
     SchemaError,
     WavError,
     check_float,
@@ -35,7 +37,7 @@ from .errors import (
     check_path,
 )
 from .frontend import HOP, SAMPLE_RATE
-from .wavio import read_wav
+from .wavio import _read_layout, _read_window, read_wav
 
 
 class QualityCategory(Enum):
@@ -128,6 +130,21 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def _read_entry(entry: ManifestEntry, read, *args):
+    """read(entry.path, *args), with read_entry_audio's errors and sample-rate check."""
+    try:
+        result = read(entry.path, *args)
+    except FileNotFoundError:
+        raise MissingFile(entry.path) from None
+    except OSError as exc:
+        raise WavError(f"{entry.path}: cannot read: {exc.strerror or exc}") from None
+    if result.sample_rate != entry.sample_rate:
+        raise SchemaError(
+            f"{entry.path}: manifest sample_rate {entry.sample_rate} Hz, WAV header {result.sample_rate} Hz"
+        )
+    return result
+
+
 def read_entry_audio(entry: ManifestEntry) -> AudioBuffer:
     """The audio of a manifest entry, at the rate of its file.
 
@@ -137,17 +154,7 @@ def read_entry_audio(entry: ManifestEntry) -> AudioBuffer:
         WavError: the file cannot be read (a directory, say) or is not a supported WAV.
         SchemaError: the WAV header's sample rate is not the entry's.
     """
-    try:
-        audio = read_wav(entry.path)
-    except FileNotFoundError:
-        raise MissingFile(entry.path) from None
-    except OSError as exc:
-        raise WavError(f"{entry.path}: cannot read: {exc.strerror or exc}") from None
-    if audio.sample_rate != entry.sample_rate:
-        raise SchemaError(
-            f"{entry.path}: manifest sample_rate {entry.sample_rate} Hz, WAV header {audio.sample_rate} Hz"
-        )
-    return audio
+    return _read_entry(entry, read_wav)
 
 
 def summarize_manifest(entries) -> dict:
@@ -167,20 +174,28 @@ def summarize_manifest(entries) -> dict:
     }
 
 
-def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
+def _draw_offset(n: int, length: int, rng: np.random.Generator) -> int:
+    """Start of a length-sample excerpt of n samples, drawn only when n > length."""
+    return int(rng.integers(0, n - length + 1)) if n > length else 0
+
+
+def _cut(audio: AudioBuffer, length: int, offset: int) -> AudioBuffer:
+    """The length samples of audio from offset, or a shorter audio reflect-padded to length."""
     n = len(audio)
     if n == 0:
         raise EmptyInput("cannot cut an excerpt from empty audio")
     if n == length:
         return audio
     if n > length:
-        offset = int(rng.integers(0, n - length + 1))
         # copy: a view would pin the whole source file in memory
         samples = audio.samples[offset : offset + length].copy()
         return AudioBuffer(samples, audio.sample_rate)
-    # Shorter sources are reflect-padded out to the excerpt length.
     padded = np.pad(audio.samples, (0, length - n), mode="reflect")
     return AudioBuffer(padded, audio.sample_rate)
+
+
+def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
+    return _cut(audio, length, _draw_offset(len(audio), length, rng))
 
 
 def sample_batch(
@@ -195,6 +210,12 @@ def sample_batch(
     n_categories excerpts; an empty manifest is an error, as is a batch size
     the category count does not divide.  With load_audio=False the excerpts
     carry empty buffers (provenance only), which is handy for balance audits.
+
+    The picked files' headers are read first, in pick order, and fix every
+    offset; then one _workers.map_rows split reads the excerpts, a 24 kHz
+    PCM16 file longer than the excerpt over its window only.  The samples
+    are those of whole-file reads, and a read that fails raises the error
+    of the first failing excerpt, at any CPU count.
     """
     batch_index = check_int("batch_index", batch_index, 0)
     if not isinstance(load_audio, (bool, np.bool_)):
@@ -226,14 +247,33 @@ def sample_batch(
         picks = rng_pick.choice(len(entries), size=per_category, replace=True, p=weights)
         chosen.extend(entries[int(p)] for p in picks)
 
-    batch = []
-    for entry in chosen:
-        if load_audio:
-            audio = read_entry_audio(entry)
-            if audio.sample_rate != SAMPLE_RATE:
-                audio = resample(audio, SAMPLE_RATE)
-            excerpt = _excerpt_from(audio, spec.excerpt_samples, rng_offset)
-        else:
-            excerpt = AudioBuffer(np.zeros(0), SAMPLE_RATE)
-        batch.append(Excerpt(excerpt, entry))
-    return batch
+    if not load_audio:
+        return [Excerpt(AudioBuffer(np.zeros(0), SAMPLE_RATE), entry) for entry in chosen]
+    # Each file's header fixes its length at 24 kHz, and with it whether and
+    # where rng_offset draws the excerpt's offset, as a whole-file read would.
+    length = spec.excerpt_samples
+    layouts = {entry: _read_entry(entry, _read_layout) for entry in dict.fromkeys(chosen)}
+    n_24k = {e: _resampled_length(h.n_samples, h.sample_rate, SAMPLE_RATE) for e, h in layouts.items()}
+    offsets = [_draw_offset(n_24k[entry], length, rng_offset) for entry in chosen]
+    excerpts = [None] * len(chosen)
+
+    def read(lo, hi):  # the excerpts lo:hi, or the error of each that fails
+        for k in range(lo, hi):
+            entry, offset, layout = chosen[k], offsets[k], layouts[chosen[k]]
+            try:
+                # A float32 file is read whole: a non-finite sample anywhere fails the read.
+                if layout.dtype == "<i2" and layout.sample_rate == SAMPLE_RATE and n_24k[entry] > length:
+                    excerpts[k] = _read_entry(entry, _read_window, offset, length)
+                    continue
+                audio = read_entry_audio(entry)
+                if audio.sample_rate != SAMPLE_RATE:
+                    audio = resample(audio, SAMPLE_RATE)
+                excerpts[k] = _cut(audio, length, offset)
+            except RvqLabError as exc:
+                excerpts[k] = exc
+
+    _workers.map_rows(read, len(chosen))
+    for excerpt in excerpts:  # the first failure in pick order, at any CPU count
+        if isinstance(excerpt, RvqLabError):
+            raise excerpt
+    return [Excerpt(audio, entry) for audio, entry in zip(excerpts, chosen)]

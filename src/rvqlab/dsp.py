@@ -474,6 +474,11 @@ def _kaiser_continuous(delta: np.ndarray, half_width: float) -> np.ndarray:
     return np.where(inside, i0(_RESAMPLE_BETA * np.sqrt(arg)) / i0(_RESAMPLE_BETA), 0.0)
 
 
+def _resampled_length(n: int, source_rate: int, target_rate: int) -> int:
+    """Length of n samples at source_rate resampled to target_rate: round(n * target/source)."""
+    return int(round(n * target_rate / source_rate))
+
+
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited resampling by Kaiser-windowed sinc interpolation.
 
@@ -502,7 +507,7 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == audio.sample_rate:
         return audio
     src = audio.samples
-    n_out = int(round(len(src) * target_rate / audio.sample_rate))
+    n_out = _resampled_length(len(src), audio.sample_rate, target_rate)
     if len(src) == 0 or n_out == 0:
         return AudioBuffer(np.zeros(0), target_rate)
 

@@ -173,7 +173,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def _best_columns(block: np.ndarray, centers_t: np.ndarray):
     """(argmax, max) of each row of block @ centers_t, ties to the lowest column.
 
-    The sims block lives only inside this call, so at most one is alive.
+    The sims block lives only inside this call, so each thread holds at most one.
     """
     sims = block @ centers_t
     local = np.argmax(sims, axis=1)
@@ -211,6 +211,8 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     other point's stored best is the exact maximum over the unmoved columns,
     so it takes its row of the moved columns only.  A lone row or column of
     a subset is repeated (_two_or_more), so no subset product goes to gemv.
+    Each row group is one _workers.map_rows split, with BLAS on each calling
+    thread (_workers.blas_on_caller), whose chunks take their own rows only.
 
     Raises:
         InvalidConfig: k is not a positive integer or seed not a nonnegative one.
@@ -234,10 +236,10 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
         raise InvalidInput("points are too large: their squared distances overflow")
     rng = np.random.default_rng(seed)
     centers = _normalize_rows(_kmeans_pp_init(points, k, rng))
-    # Cap the sims block at ~32 MB with equal chunks.  A 4096 x 1024 float64
-    # block is exactly 32 MiB, which glibc always serves with a fresh mmap
-    # (and page faults) per chunk; equal chunks just below the cap are reused
-    # from the heap after the first free.
+    # Cap each thread's sims block at ~32 MB: products of at most chunk rows.
+    # A 4096 x 1024 float64 block is exactly 32 MiB, which glibc always serves
+    # with a fresh mmap (and page faults) per product; blocks just below the
+    # cap are reused from the heap after the first free.
     n_chunks = -(-(n * k) // (1 << 22))
     chunk = -(-n // n_chunks)
     history = []
@@ -245,6 +247,17 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
     assign = np.zeros(n, dtype=np.int64)
     best_sim = np.empty(n)
     moved = np.ones(k, dtype=bool)
+
+    def take(lo, hi):  # the take rule on rows group[lo:hi], at most chunk rows per product
+        for start in range(lo, hi, chunk):
+            rows = _two_or_more(group[start : min(start + chunk, hi)], n)
+            local, sim = _best_columns(points[rows], cols_t)
+            cand = cols[local]
+            best = best_sim[rows]
+            taken = (sim > best) | ((sim == best) & (cand < assign[rows]))
+            assign[rows[taken]] = cand[taken]
+            best_sim[rows[taken]] = sim[taken]
+
     for _ in range(_LLOYD_MAX_ITER):
         centers_t = centers.T.copy()
         own_moved = moved[assign]
@@ -254,14 +267,8 @@ def kmeans_unit(points: np.ndarray, k: int, seed: int):
             group = np.flatnonzero(mask) if cols.size else cols
             cols = _two_or_more(cols, k)
             cols_t = centers_t[:, cols]
-            for start in range(0, group.size, chunk):
-                rows = _two_or_more(group[start : start + chunk], n)
-                local, sim = _best_columns(points[rows], cols_t)
-                cand = cols[local]
-                best = best_sim[rows]
-                take = (sim > best) | ((sim == best) & (cand < assign[rows]))
-                assign[rows[take]] = cand[take]
-                best_sim[rows[take]] = sim[take]
+            with _workers.blas_on_caller():
+                _workers.map_rows(take, group.size)
         dists = sq_norms + 1.0 - 2.0 * best_sim
         distortion = float(np.mean(dists))
         history.append(distortion)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 
+from . import _workers
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
 from .errors import InsufficientData, check_int
@@ -36,8 +37,10 @@ def train_codec(
     too: InsufficientData unless it is at least 10 * latent_dim and, capped
     at max_rvq_frames, at least 10 * codebook_size.
 
-    Each excerpt is counted, hashed and analysed as it is drawn, and its
-    audio is dropped at once.  RVQ training holds only the frontend and the
+    One _workers.map_rows split analyses each batch's excerpts; then the
+    calling thread counts and hashes them and keeps their frames in excerpt
+    order, so the bytes do not depend on the CPU count, and drops their
+    audio before the next batch.  RVQ training holds only the frontend and the
     at most max_rvq_frames latents it trains on (29 MiB at the defaults):
     no audio, no log-mel frames and not the full latent matrix.
     """
@@ -60,20 +63,29 @@ def train_codec(
     if min(frames_total, max_rvq_frames) < 10 * config.codebook_size:
         raise InsufficientData(f"codebook_size={config.codebook_size} needs {10 * config.codebook_size} "
                                f"frames; {drawn}, max_rvq_frames={max_rvq_frames}")
-    # One pass over the excerpts as they are drawn: count each category, hash
+    # One pass over the excerpts, a batch at a time: count each category, hash
     # the samples in training order and keep only the log-mel frames.  No file
     # path enters the hash, so one corpus gives one .rvqm wherever it is stored.
     balance = Counter()
     corpus = hashlib.sha256(repr((spec.batch_size, spec.excerpt_samples, spec.seed, n_batches)).encode())
     frame_sets = []
+
+    def analyse(lo, hi):  # the log-mel frames of the batch's excerpts lo:hi
+        for k in range(lo, hi):
+            frames[k] = _analysis_log_mel(batch[k].audio)
+
     for batch_index in range(n_batches):
-        for excerpt in sample_batch(manifest, spec, batch_index):
+        batch = sample_batch(manifest, spec, batch_index)
+        frames = [None] * len(batch)
+        _workers.map_rows(analyse, len(batch))
+        for excerpt, excerpt_frames in zip(batch, frames):
             balance[excerpt.entry.category.value] += 1
             corpus.update(np.ascontiguousarray(excerpt.audio.samples, dtype="<f8"))
-            frame_sets.append(_analysis_log_mel(excerpt.audio))
+            frame_sets.append(excerpt_frames)
+        del batch, excerpt  # before the next batch is read
     frontend = _fit_log_mel(frame_sets, latent_dim, seed)
     latents = np.vstack([_project(frontend, f).frames for f in frame_sets])
-    del excerpt, frame_sets  # the last excerpt drawn, and frames now projected
+    del frame_sets  # frames now projected
     if frames_total > max_rvq_frames:
         keep = np.random.default_rng(seed).choice(frames_total, size=max_rvq_frames, replace=False)
         latents = latents[np.sort(keep)]

@@ -1,10 +1,12 @@
 import json
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from rvqlab import _workers, datapipe
 from rvqlab.datapipe import (
     BatchSpec,
     QualityCategory,
@@ -13,17 +15,18 @@ from rvqlab.datapipe import (
     sample_batch,
     summarize_manifest,
 )
-from rvqlab.dsp import AudioBuffer
+from rvqlab.dsp import AudioBuffer, resample
 from rvqlab.errors import (
     EmptyCategory,
     EmptyInput,
     InvalidConfig,
+    InvalidInput,
     MissingFile,
     NotDivisible,
     SchemaError,
     WavError,
 )
-from rvqlab.wavio import write_wav
+from rvqlab.wavio import read_wav, write_wav
 
 from signals import speech_like
 
@@ -263,6 +266,110 @@ class TestSampleBatch:
         for excerpt in batch:
             assert excerpt.audio.sample_rate == 24000
             assert len(excerpt.audio) == 9280
+
+
+def _write_with_list_chunk(path, samples):
+    """A 24 kHz PCM16 WAV whose data chunk follows a LIST chunk of odd length."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 24000, 48000, 2, 16)
+    data = np.round(samples * 32767).astype("<i2").tobytes()
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"LIST" + struct.pack("<I", 3) + b"abc\0"  # three bytes and the pad byte
+    chunks += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
+def _one_category_manifest(tmp_path, files):
+    """files: (name, samples, sample_rate, encoding, duration) -> manifest path, all HQ1."""
+    lines = []
+    for name, x, sr, encoding, duration in files:
+        if encoding == "list":
+            _write_with_list_chunk(tmp_path / name, x)
+        else:
+            write_wav(tmp_path / name, AudioBuffer(x, sr), encoding=encoding)
+        lines.append(json.dumps({"path": name, "category": "HQ1", "duration": duration, "sample_rate": sr}))
+    path = tmp_path / "one.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _whole_file_batch(manifest, spec, batch_index):
+    """sample_batch's excerpts as each file read whole would give them."""
+    picks = [e.entry for e in sample_batch(manifest, spec, batch_index, load_audio=False)]
+    root = np.random.SeedSequence(entropy=spec.seed, spawn_key=(batch_index,))
+    rng_offset = np.random.default_rng(root.spawn(2)[1])
+    excerpts = []
+    for entry in picks:
+        audio = read_wav(entry.path)
+        if audio.sample_rate != 24000:
+            audio = resample(audio, 24000)
+        excerpts.append(_excerpt_from(audio, spec.excerpt_samples, rng_offset).samples)
+    return picks, excerpts
+
+
+class TestWindowedExcerpts:
+    def test_windowed_excerpts_equal_whole_file_excerpts(self, tmp_path, monkeypatch):
+        length = 3200
+        files = [
+            ("short.wav", speech_like(2000 / 24000, 24000, 1), 24000, "pcm16", 1.0),
+            ("equal.wav", speech_like(length / 24000, 24000, 2), 24000, "pcm16", 1.0),
+            ("long.wav", speech_like(0.5, 24000, 3), 24000, "pcm16", 1.0),
+            ("listed.wav", speech_like(0.4, 24000, 4), 24000, "list", 1.0),
+            ("float.wav", speech_like(0.5, 24000, 5), 24000, "float32", 1.0),
+            ("slow.wav", speech_like(0.5, 16000, 6), 16000, "pcm16", 1.0),
+        ]
+        manifest = load_manifest(_one_category_manifest(tmp_path, files))
+        spec = BatchSpec(batch_size=12, excerpt_samples=length, seed=3)
+        whole, window = [], []
+        monkeypatch.setattr(datapipe, "read_wav", lambda path: whole.append(path.name) or read_wav(path))
+        read_window = datapipe._read_window
+        monkeypatch.setattr(datapipe, "_read_window",
+                            lambda path, *span: window.append(path.name) or read_window(path, *span))
+        for batch_index in range(4):
+            picks, expected = _whole_file_batch(manifest, spec, batch_index)
+            for cpus in (1, 4):
+                monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+                batch = sample_batch(manifest, spec, batch_index)
+                assert [e.entry for e in batch] == picks
+                for excerpt, samples in zip(batch, expected):
+                    assert excerpt.audio.sample_rate == 24000
+                    assert excerpt.audio.samples.tobytes() == samples.tobytes()
+        assert set(window) == {"long.wav", "listed.wav"}
+        assert set(whole) == {"short.wav", "equal.wav", "float.wav", "slow.wav"}
+
+    @staticmethod
+    def _bad_batch_manifest(tmp_path):
+        files = [(f"good{i}.wav", speech_like(0.5, 24000, 10 + i), 24000, "pcm16", 1.0) for i in range(4)]
+        files += [("nan.wav", speech_like(0.5, 24000, 7), 24000, "float32", 1.0),
+                  ("empty.wav", np.zeros(0), 24000, "pcm16", 1.0)]
+        manifest = load_manifest(_one_category_manifest(tmp_path, files))
+        with open(tmp_path / "nan.wav", "r+b") as fh:  # write_wav writes 44 header bytes
+            fh.seek(44 + 4 * 100)
+            fh.write(np.float32(np.nan).tobytes())
+        return manifest
+
+    def test_a_failing_batch_raises_its_first_failure_at_any_cpu_count(self, tmp_path, monkeypatch):
+        manifest = self._bad_batch_manifest(tmp_path)
+        errors = {"nan.wav": (InvalidInput, "non-finite values in audio"),
+                  "empty.wav": (EmptyInput, "cannot cut an excerpt from empty audio")}
+        spec = BatchSpec(batch_size=12, excerpt_samples=3200, seed=1)
+        firsts = set()
+        for batch_index in range(12):
+            names = [e.entry.path.name for e in sample_batch(manifest, spec, batch_index, load_audio=False)]
+            bad = [name for name in names if name in errors]
+            if len(set(bad)) < 2:
+                continue
+            firsts.add(bad[0])
+            for cpus in (1, 4):
+                monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+                with pytest.raises((InvalidInput, EmptyInput)) as caught:
+                    sample_batch(manifest, spec, batch_index)
+                assert (type(caught.value), str(caught.value)) == errors[bad[0]], cpus
+        assert firsts == set(errors)  # each bad file comes first in some batch
+
+    def test_one_bad_file_raises_what_reading_it_raises(self, tmp_path):
+        manifest = [e for e in self._bad_batch_manifest(tmp_path) if e.path.name != "empty.wav"]
+        with pytest.raises(InvalidInput, match="^non-finite values in audio$"):
+            sample_batch(manifest, BatchSpec(batch_size=12, excerpt_samples=3200, seed=1))
 
 
 def _seeded_excerpt(audio, length, seed):

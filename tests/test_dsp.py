@@ -19,6 +19,7 @@ from rvqlab.dsp import (
     _overlap_add,
     _phase_gradient_phase,
     _project_magnitude,
+    _resampled_length,
     griffin_lim,
     istft,
     log_mel,
@@ -746,6 +747,13 @@ class TestResample:
         buf = AudioBuffer(np.zeros(16000), 16000)
         assert len(resample(buf, 24000)) == 24000
         assert len(resample(AudioBuffer(np.zeros(9280), 24000), 10000)) == round(9280 * 10000 / 24000)
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    def test_resampled_length_is_the_output_length(self, rate):
+        rng = np.random.default_rng(rate)
+        for n in [0, 1, *rng.integers(2, 3 * rate, size=4)]:
+            audio = AudioBuffer(rng.uniform(-1.0, 1.0, n), rate)
+            assert _resampled_length(n, rate, 24000) == len(resample(audio, 24000)), n
 
     def test_sine_peak_preserved(self):
         buf = _sine(440.0, 1.0, 16000)

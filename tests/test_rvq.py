@@ -416,6 +416,31 @@ class TestQuantizeRowChunks:
             assert projected == [(n_frames, 8)] * 8
 
 
+class TestKmeansAtAnyCpuCount:
+    @pytest.mark.parametrize(
+        "points, k, one_row_group",
+        [
+            (_unit_points(3000, 2, seed=31), 64, False),
+            (_unit_points(5000, 8, seed=32), 1024, False),  # N * K > 2^22: two products per group
+            (_unit_points(1200, 64, seed=33), 48, False),
+            (_unit_points(30, 2, seed=9), 5, True),  # an iteration whose group is one row
+        ],
+        ids=["dim2", "dim8-multi-chunk", "dim64", "one-row-group"],
+    )
+    def test_same_results_at_one_to_four_cpus(self, monkeypatch, points, k, one_row_group):
+        want = _reference_kmeans_unit(points, k, 9)
+        sizes = []
+        map_rows = _workers.map_rows
+        monkeypatch.setattr(_workers, "map_rows", lambda fn, n: sizes.append(n) or map_rows(fn, n))
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+            got = kmeans_unit(points, k, 9)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.tobytes() == w.tobytes(), cpus
+            assert got[2] == want[2], cpus
+        assert 1 in sizes or not one_row_group
+
+
 class TestDequantize:
     def test_roundtrip_error_equals_recorded_residual(self, small_model):
         model, _ = small_model

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from rvqlab import container, datapipe, training
+from rvqlab import _workers, container, datapipe, training
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InsufficientData, InvalidConfig, InvalidInput
@@ -88,3 +88,14 @@ def test_rvq_training_holds_no_excerpt_audio(toy_corpus, monkeypatch):
     assert summary["frames_total"] == 4 * 12 * excerpt_samples // 320 > 300
     assert seen == {"excerpts": 0, "buffers": 0, "rows": summary["rvq_frames"]}
     assert summary["rvq_frames"] == 300
+
+
+def test_trained_bytes_do_not_depend_on_the_cpu_count(toy_model, toy_corpus, monkeypatch):
+    from conftest import train_toy_model
+
+    _, model, summary = toy_model
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: cpus)
+        trained, trained_summary = train_toy_model(toy_corpus)
+        assert container.to_bytes(trained) == container.to_bytes(model), cpus
+        assert trained_summary == summary, cpus

@@ -5,7 +5,7 @@ import pytest
 
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import WavError
-from rvqlab.wavio import read_wav, write_wav
+from rvqlab.wavio import _read_window, read_wav, write_wav
 
 from signals import speech_like
 
@@ -96,3 +96,14 @@ def test_pcm16_clips_overrange(tmp_path):
     back = read_wav(path)
     assert back.samples[0] == pytest.approx(32767 / 32768, abs=1e-4)
     assert back.samples[1] == pytest.approx(-32767 / 32768, abs=1e-4)
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_window_equals_the_slice_of_the_whole_file(tmp_path, encoding):
+    path = tmp_path / "w.wav"
+    write_wav(path, AudioBuffer(speech_like(0.1, 24000, 3), 24000), encoding=encoding)
+    whole = read_wav(path).samples
+    for start, count in [(0, 5), (17, 300), (len(whole) - 9, 9), (len(whole), 0)]:
+        assert _read_window(path, start, count).samples.tobytes() == whole[start : start + count].tobytes()
+    with pytest.raises(WavError, match="outside"):
+        _read_window(path, len(whole) - 9, 10)
