@@ -10,10 +10,10 @@ each group of files, one row per file to read, encode and analyse, and
 then the group's (file, q) cells; those encodes and the cells' Griffin-Lim
 split again over whatever helpers are idle then.  Encode's STFT, log-mel
 and quantizer split their frame rows through map_frames, which runs
-inputs shorter than _MIN_SPLIT_FRAMES frames as one call.  Training splits
-each batch twice, one row per excerpt: datapipe.sample_batch reads the
-excerpts, and train_codec analyses them.  k-means splits each assignment
-pass over its points.
+inputs shorter than _MIN_SPLIT_FRAMES frames as one call.  Training reads
+and analyses its excerpts on the calling thread: one excerpt is less work
+than a helper's wake-up.  k-means splits each assignment pass over its
+points.
 
 Each helper has one task slot, and a split puts a task only in the slot
 of an idle helper; the slot stays taken until that task has finished.  A

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _workers
 from .dsp import AudioBuffer, _resampled_length, resample
 from .errors import (
     EmptyCategory,
@@ -29,7 +28,6 @@ from .errors import (
     InvalidInput,
     MissingFile,
     NotDivisible,
-    RvqLabError,
     SchemaError,
     WavError,
     check_float,
@@ -194,10 +192,6 @@ def _cut(audio: AudioBuffer, length: int, offset: int) -> AudioBuffer:
     return AudioBuffer(padded, audio.sample_rate)
 
 
-def _excerpt_from(audio: AudioBuffer, length: int, rng: np.random.Generator):
-    return _cut(audio, length, _draw_offset(len(audio), length, rng))
-
-
 def sample_batch(
     manifest,
     spec: BatchSpec,
@@ -212,10 +206,10 @@ def sample_batch(
     carry empty buffers (provenance only), which is handy for balance audits.
 
     The picked files' headers are read first, in pick order, and fix every
-    offset; then one _workers.map_rows split reads the excerpts, a 24 kHz
-    PCM16 file longer than the excerpt over its window only.  The samples
-    are those of whole-file reads, and a read that fails raises the error
-    of the first failing excerpt, at any CPU count.
+    offset; then the calling thread reads the excerpts in pick order, a
+    24 kHz PCM16 file longer than the excerpt over its window only.  The
+    samples are those of whole-file reads, and a read that fails raises
+    the error of the first failing excerpt.
     """
     batch_index = check_int("batch_index", batch_index, 0)
     if not isinstance(load_audio, (bool, np.bool_)):
@@ -255,25 +249,16 @@ def sample_batch(
     layouts = {entry: _read_entry(entry, _read_layout) for entry in dict.fromkeys(chosen)}
     n_24k = {e: _resampled_length(h.n_samples, h.sample_rate, SAMPLE_RATE) for e, h in layouts.items()}
     offsets = [_draw_offset(n_24k[entry], length, rng_offset) for entry in chosen]
-    excerpts = [None] * len(chosen)
-
-    def read(lo, hi):  # the excerpts lo:hi, or the error of each that fails
-        for k in range(lo, hi):
-            entry, offset, layout = chosen[k], offsets[k], layouts[chosen[k]]
-            try:
-                # A float32 file is read whole: a non-finite sample anywhere fails the read.
-                if layout.dtype == "<i2" and layout.sample_rate == SAMPLE_RATE and n_24k[entry] > length:
-                    excerpts[k] = _read_entry(entry, _read_window, offset, length)
-                    continue
-                audio = read_entry_audio(entry)
-                if audio.sample_rate != SAMPLE_RATE:
-                    audio = resample(audio, SAMPLE_RATE)
-                excerpts[k] = _cut(audio, length, offset)
-            except RvqLabError as exc:
-                excerpts[k] = exc
-
-    _workers.map_rows(read, len(chosen))
-    for excerpt in excerpts:  # the first failure in pick order, at any CPU count
-        if isinstance(excerpt, RvqLabError):
-            raise excerpt
-    return [Excerpt(audio, entry) for audio, entry in zip(excerpts, chosen)]
+    excerpts = []
+    for entry, offset in zip(chosen, offsets):  # a failing read raises at once, in pick order
+        layout = layouts[entry]
+        # A float32 file is read whole: a non-finite sample anywhere fails the read.
+        if layout.dtype == "<i2" and layout.sample_rate == SAMPLE_RATE and n_24k[entry] > length:
+            audio = _read_entry(entry, _read_window, offset, length)
+        else:
+            audio = read_entry_audio(entry)
+            if audio.sample_rate != SAMPLE_RATE:
+                audio = resample(audio, SAMPLE_RATE)
+            audio = _cut(audio, length, offset)
+        excerpts.append(Excerpt(audio, entry))
+    return excerpts

@@ -7,7 +7,6 @@ from collections import Counter
 
 import numpy as np
 
-from . import _workers
 from .container import ModelContainer
 from .datapipe import BatchSpec, sample_batch, summarize_manifest
 from .errors import InsufficientData, check_int
@@ -37,12 +36,11 @@ def train_codec(
     too: InsufficientData unless it is at least 10 * latent_dim and, capped
     at max_rvq_frames, at least 10 * codebook_size.
 
-    One _workers.map_rows split analyses each batch's excerpts; then the
-    calling thread counts and hashes them and keeps their frames in excerpt
-    order, so the bytes do not depend on the CPU count, and drops their
-    audio before the next batch.  RVQ training holds only the frontend and the
-    at most max_rvq_frames latents it trains on (29 MiB at the defaults):
-    no audio, no log-mel frames and not the full latent matrix.
+    Each excerpt is counted, hashed and analysed on the calling thread, in
+    batch order, and each batch's audio is dropped before the next batch is
+    read.  RVQ training holds only the frontend and the at most
+    max_rvq_frames latents it trains on (29 MiB at the defaults): no audio,
+    no log-mel frames and not the full latent matrix.
     """
     n_batches = check_int("n_batches", n_batches, 1)
     max_rvq_frames = check_int("max_rvq_frames", max_rvq_frames, 1)
@@ -69,19 +67,12 @@ def train_codec(
     balance = Counter()
     corpus = hashlib.sha256(repr((spec.batch_size, spec.excerpt_samples, spec.seed, n_batches)).encode())
     frame_sets = []
-
-    def analyse(lo, hi):  # the log-mel frames of the batch's excerpts lo:hi
-        for k in range(lo, hi):
-            frames[k] = _analysis_log_mel(batch[k].audio)
-
     for batch_index in range(n_batches):
         batch = sample_batch(manifest, spec, batch_index)
-        frames = [None] * len(batch)
-        _workers.map_rows(analyse, len(batch))
-        for excerpt, excerpt_frames in zip(batch, frames):
+        for excerpt in batch:
             balance[excerpt.entry.category.value] += 1
             corpus.update(np.ascontiguousarray(excerpt.audio.samples, dtype="<f8"))
-            frame_sets.append(excerpt_frames)
+            frame_sets.append(_analysis_log_mel(excerpt.audio))
         del batch, excerpt  # before the next batch is read
     frontend = _fit_log_mel(frame_sets, latent_dim, seed)
     latents = np.vstack([_project(frontend, f).frames for f in frame_sets])

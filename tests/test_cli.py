@@ -143,10 +143,13 @@ class TestTrain:
         class _ArrayMemoryError(MemoryError):
             pass
 
-        def no_memory(audio, length, rng):
+        cuts = []
+
+        def no_memory(audio, length, offset):  # each 2 s file is shorter than the excerpt
+            cuts.append(length)
             raise _ArrayMemoryError(f"Unable to allocate 2.33 TiB for an array with shape ({length},)")
 
-        monkeypatch.setattr(datapipe, "_excerpt_from", no_memory)
+        monkeypatch.setattr(datapipe, "_cut", no_memory)
         out = tmp_path / "m.rvqm"
         code, stdout, err = _run(
             capsys,
@@ -156,6 +159,7 @@ class TestTrain:
         assert code == 2
         assert stdout == "" and not out.exists()
         assert err.startswith("error: MemoryError: Unable to allocate 2.33 TiB")
+        assert cuts == [320000000000]
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,8 @@ from rvqlab import _workers, datapipe
 from rvqlab.datapipe import (
     BatchSpec,
     QualityCategory,
-    _excerpt_from,
+    _cut,
+    _draw_offset,
     load_manifest,
     sample_batch,
     summarize_manifest,
@@ -297,12 +298,12 @@ def _whole_file_batch(manifest, spec, batch_index):
     picks = [e.entry for e in sample_batch(manifest, spec, batch_index, load_audio=False)]
     root = np.random.SeedSequence(entropy=spec.seed, spawn_key=(batch_index,))
     rng_offset = np.random.default_rng(root.spawn(2)[1])
-    excerpts = []
+    length, excerpts = spec.excerpt_samples, []
     for entry in picks:
         audio = read_wav(entry.path)
         if audio.sample_rate != 24000:
             audio = resample(audio, 24000)
-        excerpts.append(_excerpt_from(audio, spec.excerpt_samples, rng_offset).samples)
+        excerpts.append(_cut(audio, length, _draw_offset(len(audio), length, rng_offset)).samples)
     return picks, excerpts
 
 
@@ -373,7 +374,7 @@ class TestWindowedExcerpts:
 
 
 def _seeded_excerpt(audio, length, seed):
-    return _excerpt_from(audio, length, np.random.default_rng(seed))
+    return _cut(audio, length, _draw_offset(len(audio), length, np.random.default_rng(seed)))
 
 
 class TestExtractExcerpt:

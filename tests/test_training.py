@@ -1,10 +1,11 @@
 import gc
 import shutil
+import sys
 
 import pytest
 
 from rvqlab import _workers, container, datapipe, training
-from rvqlab.datapipe import load_manifest
+from rvqlab.datapipe import BatchSpec, load_manifest, sample_batch
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import InsufficientData, InvalidConfig, InvalidInput
 from rvqlab.rvq import train_rvq
@@ -99,3 +100,22 @@ def test_trained_bytes_do_not_depend_on_the_cpu_count(toy_model, toy_corpus, mon
         trained, trained_summary = train_toy_model(toy_corpus)
         assert container.to_bytes(trained) == container.to_bytes(model), cpus
         assert trained_summary == summary, cpus
+
+
+def test_the_excerpt_pass_runs_on_the_calling_thread(toy_corpus, monkeypatch):
+    # One excerpt's read or analysis costs less than handing it to a helper,
+    # so reading and analysing excerpts make no split; k-means alone splits.
+    from conftest import train_toy_model
+
+    callers = []
+    map_rows = _workers.map_rows
+
+    def spy(fn, n_rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        map_rows(fn, n_rows)
+
+    monkeypatch.setattr(_workers, "map_rows", spy)
+    batch = sample_batch(load_manifest(toy_corpus), BatchSpec(batch_size=12, seed=5))
+    assert len(batch) == 12 and callers == []
+    train_toy_model(toy_corpus)
+    assert callers and set(callers) == {"kmeans_unit"}
