@@ -6,12 +6,16 @@ unreadable or directory paths) or MemoryError (settings too large for the
 machine, such as a huge excerpt or batch size).  Every subcommand honors
 --json for a machine-readable variant carrying the same numbers as the
 text output.
+
+The defaults belong to the library: train_codec holds the training
+settings' defaults, and eval's stage grid comes from the model it loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -37,6 +41,8 @@ _GL_HELP = (
     f"Fast Griffin-Lim iterations per decode, started from a phase-gradient phase "
     f"(momentum {GL_MOMENTUM}; default %(default)s)"
 )
+# train's setting flags store under these names, and only when given.
+_TRAIN_SETTINGS = frozenset(inspect.signature(train_codec).parameters) - {"manifest"}
 
 
 @functools.cache
@@ -49,62 +55,67 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a dataset manifest")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("manifest")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("train", help="train frontend + RVQ from a manifest")
+    # A setting left off the command line is absent from args: train_codec's default holds.
+    p = sub.add_parser("train", help="train frontend + RVQ from a manifest",
+                       argument_default=argparse.SUPPRESS)
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output model path (.rvqm)")
-    p.add_argument("-Q", "--stages", type=int, default=32)
-    p.add_argument("-K", "--codebook-size", type=int, default=1024)
-    p.add_argument("-D", "--latent-dim", type=int, default=64)
-    p.add_argument("--code-dim", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=72)
-    p.add_argument("--excerpt-samples", type=int, default=9280)
-    p.add_argument("--max-rvq-frames", type=int, default=60000)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("-Q", "--stages", type=int, dest="n_stages", metavar="STAGES")
+    p.add_argument("-K", "--codebook-size", type=int)
+    p.add_argument("-D", "--latent-dim", type=int)
+    p.add_argument("--code-dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--batches", type=int, dest="n_batches", metavar="BATCHES")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--excerpt-samples", type=int)
+    p.add_argument("--max-rvq-frames", type=int)
 
     p = sub.add_parser("encode", help="encode a WAV file to an .rvqs stream")
+    p.set_defaults(run=_cmd_encode)
     p.add_argument("--model", required=True)
     p.add_argument("wav_in")
     p.add_argument("-q", "--stages", type=int, required=True)
     p.add_argument("out")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("decode", help="decode an .rvqs stream to a WAV file")
+    p.set_defaults(run=_cmd_decode)
     p.add_argument("--model", required=True)
     p.add_argument("stream_in")
     p.add_argument("-q", "--stages", type=int, default=None,
                    help="decode only the first q stages (prefix decode)")
     p.add_argument("wav_out")
     p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS, help=_GL_HELP)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("eval", help="objective metrics over test manifests")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--test", action="append", required=True, metavar="NAME=MANIFEST",
                    help="named test manifest; repeatable")
-    p.add_argument("--q-list", default="32,16,8,4,2,1")
+    p.add_argument("--q-list",
+                   help="comma-separated stage counts (default: the model's Q and each power of two below it)")
     p.add_argument("--gl-iterations", type=int, default=GL_ITERATIONS, help=_GL_HELP)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("mushra", help="summarize MUSHRA scores and test vs the reference")
+    p.set_defaults(run=_cmd_mushra)
     p.add_argument("scores", help="CSV with subject,stimulus,system,score")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reference", default="reference",
                    help="system label of the hidden reference")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
-    p.add_argument("--json", action="store_true")
 
+    for p in sub.choices.values():  # an explicit default: train's parser suppresses absent flags
+        p.add_argument("--json", action="store_true", default=False)
     return parser
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -120,25 +131,14 @@ def _cmd_validate(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    manifest = load_manifest(args.manifest)
-    model, summary = train_codec(
-        manifest,
-        n_stages=args.stages,
-        codebook_size=args.codebook_size,
-        latent_dim=args.latent_dim,
-        code_dim=args.code_dim,
-        seed=args.seed,
-        n_batches=args.batches,
-        batch_size=args.batch_size,
-        excerpt_samples=args.excerpt_samples,
-        max_rvq_frames=args.max_rvq_frames,
-    )
+    settings = {k: v for k, v in vars(args).items() if k in _TRAIN_SETTINGS}
+    model, summary = train_codec(load_manifest(args.manifest), **settings)
     container.save(model, args.out)
     lines = [f"wrote {args.out}"]
     lines.append("balance: " + ", ".join(f"{k}={v}" for k, v in summary["balance"].items()))
     lines.append(
         f"frames: {summary['frames_total']} total, {summary['rvq_frames']} for RVQ; "
-        f"top-{args.latent_dim} explained variance {summary['explained_variance_top_d']:.4f}"
+        f"top-{model.rvq.config.latent_dim} explained variance {summary['explained_variance_top_d']:.4f}"
     )
     lines.append("stage MSE: " + ", ".join(f"{v:.5g}" for v in summary["stage_mse"]))
     _emit(args, {"out": args.out, **summary}, "\n".join(lines))
@@ -196,10 +196,14 @@ def _cmd_eval(args) -> None:
         if name in manifests:
             raise InvalidInput(f"--test names the test set {name!r} more than once")
         manifests[name] = load_manifest(path)
-    try:
-        q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
-    except ValueError:
-        raise InvalidInput(f"--q-list expects comma-separated integers, got {args.q_list!r}") from None
+    if args.q_list is None:  # Q and each power of two below it
+        n_stages = model.rvq.config.n_stages
+        q_list = [n_stages, *(1 << i for i in range((n_stages - 1).bit_length()))]
+    else:
+        try:
+            q_list = [int(q) for q in args.q_list.split(",") if q.strip()]
+        except ValueError:
+            raise InvalidInput(f"--q-list expects comma-separated integers, got {args.q_list!r}") from None
     report = run_evaluation(model, manifests, q_list, gl_iterations=args.gl_iterations)
     text = render_report(report, fmt=args.format)
     if args.out:
@@ -243,31 +247,15 @@ def _cmd_mushra(args) -> None:
     _emit(args, payload, text)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "train": _cmd_train,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "eval": _cmd_eval,
-    "mushra": _cmd_mushra,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
-    except RvqLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: MissingFile: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # numpy raises a private subclass
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        args.run(args)
+    except (RvqLabError, OSError, MemoryError) as exc:
+        name = ("MissingFile" if isinstance(exc, FileNotFoundError)
+                else "MemoryError" if isinstance(exc, MemoryError)  # numpy raises a private subclass
+                else type(exc).__name__)
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -12,15 +12,19 @@ import numpy as np
 from . import _workers
 from .container import ModelContainer
 from .dsp import AudioBuffer, resample
-from .frontend import SAMPLE_RATE, decode_latent, encode_latent
+from .errors import SampleRateMismatch
+from .frontend import MIN_SOURCE_RATE, SAMPLE_RATE, decode_latent, encode_latent
 from .rvq import TokenStream, dequantize, quantize
 
 
 def encode(model: ModelContainer, audio: AudioBuffer, n_stages: int):
     """(24 kHz audio, latents, tokens); resamples only when the audio is at another rate.
+    Audio below MIN_SOURCE_RATE raises SampleRateMismatch before any resampling.
 
     BLAS runs on the calling thread alone meanwhile (_workers.blas_on_caller),
     and the frame splits use the other CPUs."""
+    if audio.sample_rate < MIN_SOURCE_RATE:
+        raise SampleRateMismatch(f"audio at {audio.sample_rate} Hz, below the {MIN_SOURCE_RATE} Hz floor")
     with _workers.blas_on_caller():
         if audio.sample_rate != SAMPLE_RATE:
             audio = resample(audio, SAMPLE_RATE)

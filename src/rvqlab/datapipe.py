@@ -34,7 +34,7 @@ from .errors import (
     check_int,
     check_path,
 )
-from .frontend import HOP, SAMPLE_RATE
+from .frontend import HOP, MIN_SOURCE_RATE, SAMPLE_RATE
 from .wavio import _read_layout, _read_window, read_wav
 
 
@@ -116,7 +116,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         duration = check_float(f"{path}:{lineno}: duration", duration, SchemaError)
         if duration <= 0:
             raise SchemaError(f"{path}:{lineno}: duration must be positive, got {duration}")
-        sample_rate = check_int(f"{path}:{lineno}: sample_rate", sample_rate, 1, error=SchemaError)
+        sample_rate = check_int(f"{path}:{lineno}: sample_rate", sample_rate, MIN_SOURCE_RATE, error=SchemaError)
         audio_path = Path(raw_path)
         if not audio_path.is_absolute():
             audio_path = path.parent / audio_path

@@ -50,6 +50,7 @@ from .errors import (
 )
 
 SAMPLE_RATE = 24000
+MIN_SOURCE_RATE = 8000  # narrowband telephone rate; lower input rates are refused, not upsampled
 FRAME_RATE = 75
 FFT_SIZE = 1024
 HOP = SAMPLE_RATE // FRAME_RATE  # 320 samples: hop * 75 == sample_rate exactly

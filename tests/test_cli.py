@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import rvqlab
-from rvqlab import bitstream, codec, container, datapipe
+from rvqlab import bitstream, cli, codec, container, datapipe
 from rvqlab.cli import main
+from rvqlab.container import ModelContainer
 from rvqlab.datapipe import load_manifest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.evalstats import run_evaluation
-from rvqlab.frontend import GL_INIT, GL_MOMENTUM
+from rvqlab.frontend import GL_INIT, GL_MOMENTUM, MIN_SOURCE_RATE, N_MELS, FrontendModel
 from rvqlab.metrics import mel_loss, stft_loss, stoi
-from rvqlab.rvq import TokenStream
+from rvqlab.rvq import Codebook, RvqConfig, RvqModel, TokenStream
 from rvqlab.wavio import read_wav, write_wav
 
 from conftest import make_corpus
@@ -57,7 +58,8 @@ class TestValidate:
         assert "12 files" in out_text
 
 
-    @pytest.mark.parametrize("field,value", [("path", 5), ("duration", "nan"), ("sample_rate", 0)])
+    @pytest.mark.parametrize("field,value", [("path", 5), ("duration", "nan"), ("sample_rate", 0),
+                                             ("sample_rate", 7999)])
     def test_hostile_field_exit_2(self, tmp_path, capsys, field, value):
         write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
         record = {"path": "a.wav", "category": "HQ1", "duration": 1.0, "sample_rate": 24000}
@@ -83,6 +85,22 @@ class TestTrain:
         assert (tmp_path / "a.rvqm").read_bytes() == (tmp_path / "b.rvqm").read_bytes()
         assert "stage MSE" in out_a
         assert "balance" in out_a
+
+    def test_passes_train_codec_only_the_settings_given(self, toy_corpus, tmp_path, monkeypatch, capsys):
+        seen = []
+        real = cli.train_codec
+
+        def spy(manifest, **settings):
+            seen.append(settings)
+            return real(manifest, **settings)
+
+        monkeypatch.setattr(cli, "train_codec", spy)
+        code, out, _ = _run(capsys, ["train", "--manifest", str(toy_corpus), "--out", str(tmp_path / "m.rvqm"),
+                                     "-K", "16", "--batches", "2"])
+        assert code == 0
+        assert seen == [{"codebook_size": 16, "n_batches": 2}]
+        # D comes from the trained model, here train_codec's default.
+        assert "top-64 explained variance" in out
 
     def test_missing_manifest(self, tmp_path, capsys):
         code, _, err = _run(
@@ -287,6 +305,33 @@ class TestEncodeDecode:
         assert "--q-list" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", [1, 7999])
+    def test_source_rate_below_the_floor_exit_2_before_resampling(
+        self, toy_model, tmp_path, monkeypatch, capsys, rate
+    ):
+        model_path, _, _ = toy_model
+        wav = tmp_path / "low.wav"
+        write_wav(wav, AudioBuffer(np.full(5, 0.1), rate))
+        resamples = []
+        monkeypatch.setattr(codec, "resample", lambda *args: resamples.append(args))
+        out = tmp_path / "x.rvqs"
+        code, stdout, err = _run(capsys, ["encode", "--model", str(model_path), str(wav), "-q", "1", str(out)])
+        assert code == 2
+        assert stdout == "" and not out.exists() and resamples == []
+        assert err == f"error: SampleRateMismatch: audio at {rate} Hz, below the {MIN_SOURCE_RATE} Hz floor\n"
+
+    def test_source_rate_at_the_floor_encodes(self, toy_model, tmp_path, monkeypatch, capsys):
+        model_path, _, _ = toy_model
+        wav = tmp_path / "narrow.wav"
+        write_wav(wav, AudioBuffer(speech_like(0.5, MIN_SOURCE_RATE, 5), MIN_SOURCE_RATE))
+        resamples = []
+        real = codec.resample
+        monkeypatch.setattr(codec, "resample", lambda audio, rate: resamples.append(rate) or real(audio, rate))
+        out = tmp_path / "x.rvqs"
+        code, _, _ = _run(capsys, ["encode", "--model", str(model_path), str(wav), "-q", "1", str(out)])
+        assert code == 0 and resamples == [24000]
+        assert bitstream.unpack(out.read_bytes()).n_stages == 1
+
     @pytest.mark.parametrize("sample_rate, frame_rate", [(16000, 50), (16000, 75), (24000, 50)])
     def test_stream_rates_must_match_model(
         self, toy_model, one_second_wav, tmp_path, capsys, sample_rate, frame_rate
@@ -358,6 +403,33 @@ class TestEval:
         mel_row = payload["rows"]["seta|mel|rvq"]
         assert f"{mel_row['4']:.6g}" in text
 
+
+    def test_default_grid_is_the_models_q_and_each_power_of_two_below(self, toy_model, toy_corpus, capsys):
+        model_path, _, _ = toy_model
+        args = ["eval", "--model", str(model_path), "--test", f"toy={toy_corpus}", "--gl-iterations", "1"]
+        code, default_json, _ = _run(capsys, args + ["--json"])
+        assert code == 0
+        assert json.loads(default_json)["q_list"] == [4, 2, 1]
+        assert default_json == _run(capsys, args + ["--q-list", "4,2,1", "--json"])[1]
+        assert _run(capsys, args)[1] == _run(capsys, args + ["--q-list", "4,2,1"])[1]
+
+    @pytest.mark.parametrize("n_stages, grid", [(1, [1]), (5, [5, 4, 2, 1]), (32, [32, 16, 8, 4, 2, 1])])
+    def test_default_grid_of_any_stage_count(self, one_second_wav, tmp_path, capsys, n_stages, grid):
+        # A hand-built D = 2, K = 2 model with n_stages one-entry-pair stages.
+        basis = np.zeros((2, N_MELS))
+        basis[0, 0] = basis[1, 1] = 1.0
+        frontend = FrontendModel(np.zeros(N_MELS), basis, np.full(N_MELS, 1.0 / N_MELS), 3)
+        stage = Codebook(np.array([[1.0], [-1.0]]), np.array([[1.0, 0.0]]), np.array([[0.5], [0.0]]))
+        config = RvqConfig(n_stages=n_stages, codebook_size=2, code_dim=1, latent_dim=2, seed=3)
+        rvq = RvqModel(config, (stage,) * n_stages, training_stats=np.full(n_stages, 0.25))
+        container.save(ModelContainer(frontend, rvq, {}), tmp_path / "m.rvqm")
+        manifest = tmp_path / "one.jsonl"
+        manifest.write_text(json.dumps({"path": str(one_second_wav), "category": "HQ1", "duration": 1.0,
+                                        "sample_rate": 24000}))
+        code, out, err = _run(capsys, ["eval", "--model", str(tmp_path / "m.rvqm"), "--test", f"one={manifest}",
+                                       "--gl-iterations", "1", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["q_list"] == grid
 
     def test_test_without_name_exit_2(self, toy_model, toy_corpus, capsys):
         model_path, _, _ = toy_model

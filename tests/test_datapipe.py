@@ -27,6 +27,7 @@ from rvqlab.errors import (
     SchemaError,
     WavError,
 )
+from rvqlab.frontend import MIN_SOURCE_RATE
 from rvqlab.wavio import read_wav, write_wav
 
 from signals import speech_like
@@ -91,6 +92,7 @@ class TestLoadManifest:
          ("duration", "nan", "duration"),
          ("duration", "inf", "duration"),
          ("sample_rate", 0, "sample_rate"),
+         ("sample_rate", MIN_SOURCE_RATE - 1, "sample_rate must be an integer >= 8000, got 7999"),
          # int() and float() read these three as 1
          ("sample_rate", 1.5, "whole number, got 1.5"),
          ("sample_rate", True, "not booleans"),

@@ -226,6 +226,21 @@ class TestMelInversion:
         head = _decoded_magnitudes(model64, LatentSequence(latents.frames[:10])).frames
         assert whole[:10].tobytes() == head[:10].tobytes()
 
+    @pytest.mark.parametrize("model_name", ["model64", "model80"])
+    def test_frame_slices_decode_to_the_whole_decodes_rows(self, model_name, request):
+        # Blocked decode rests on this: the magnitudes of latent frames [a, b),
+        # decoded alone, are rows [a, b) of the whole decode, then a repeat of
+        # row b - 1.  Rank 64 and full rank 80.
+        model = request.getfixturevalue(model_name)
+        latents = encode_latent(model, AudioBuffer(speech_like(10.0, 24000, 61), 24000))
+        assert latents.n_frames == 750
+        whole = _decoded_magnitudes(model, latents).frames
+        for a, b in [(0, 100), (100, 101), (101, 400), (400, 750), (5, 7), (749, 750)]:
+            part = _decoded_magnitudes(model, LatentSequence(latents.frames[a:b])).frames
+            assert part.shape == (b - a + 1, whole.shape[1])
+            assert part[:-1].tobytes() == whole[a:b].tobytes(), (a, b)
+            assert part[-1].tobytes() == part[-2].tobytes(), (a, b)
+
 
 class TestWarmStartedGriffinLim:
     """The shipped decode against 20 fast iterations from zero phase, the

@@ -25,7 +25,7 @@ from rvqlab.datapipe import QualityCategory, load_manifest
 from rvqlab.dsp import AudioBuffer
 from rvqlab.errors import RvqLabError
 from rvqlab.evalstats import MushraRecord, load_mushra_records
-from rvqlab.frontend import N_MELS, FrontendModel
+from rvqlab.frontend import MIN_SOURCE_RATE, N_MELS, FrontendModel
 from rvqlab.rvq import Codebook, RvqConfig, RvqModel
 from rvqlab.wavio import read_wav, write_wav
 
@@ -228,12 +228,13 @@ def test_load_manifest_raises_only_typed_errors(workdir, lines):
     entries = _typed_errors_only(load_manifest, path) or []
     for entry in entries:
         assert entry.path.is_file() and math.isfinite(entry.duration) and entry.duration > 0
-        assert entry.sample_rate > 0
+        assert entry.sample_rate >= MIN_SOURCE_RATE
 
 
 @settings(max_examples=500)
 @given(records=st.lists(
-    st.tuples(st.sampled_from(list(QualityCategory)), st.floats(1e-6, 1e6), st.integers(1, 2**40)), max_size=5,
+    st.tuples(st.sampled_from(list(QualityCategory)), st.floats(1e-6, 1e6), st.integers(MIN_SOURCE_RATE, 2**40)),
+    max_size=5,
 ))
 def test_manifest_roundtrip(workdir, records):
     path = workdir / "roundtrip.jsonl"
