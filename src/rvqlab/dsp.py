@@ -6,7 +6,8 @@ Griffin-Lim phase reconstruction from zero phase or a given start phase
 (such as the magnitudes' own phase-gradient phase), and a polyphase
 windowed-sinc resampler (bandlimited interpolation after J. O. Smith,
 "Digital Audio Resampling") whose kernel table holds one row per exact
-rational phase and whose working memory is linear in the output length.
+rational phase and whose working memory is linear in the input and output
+lengths.
 All functions are pure: identical inputs give identical outputs.
 
 The resampler uses the polyphase decomposition (Crochiere & Rabiner,
@@ -252,20 +253,19 @@ def _mel_csr(sample_rate: int, fft_size: int, n_mels: int) -> scipy.sparse.csr_a
     return scipy.sparse.csr_array(_mel_filterbank(sample_rate, fft_size, n_mels))
 
 
-def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
-    """ln(max(bank @ magnitude, floor)) per frame; shape (T, n_mels), where
+LOG_FLOOR = 1e-5  # of every log-mel band, the codec's and the metrics' alike
+
+
+def log_mel(spec: Spectrogram, n_mels: int) -> np.ndarray:
+    """ln(max(bank @ magnitude, LOG_FLOOR)) per frame; shape (T, n_mels), where
     bank is mel_filterbank(spec.sample_rate, spec.config.fft_size, n_mels).
     Each band sums its nonzero bins in ascending order (see _mel_csr), in
     row chunks on the calling thread and the idle helpers
     (rvqlab._workers.map_frames).
 
     Raises:
-        InvalidConfig: floor not finite and positive, or n_mels rejected by
-            mel_filterbank.
+        InvalidConfig: n_mels rejected by mel_filterbank.
     """
-    floor = check_float("floor", floor, InvalidConfig)
-    if floor <= 0:
-        raise InvalidConfig(f"floor must be positive, got {floor}")
     args = (spec.sample_rate, spec.config.fft_size, n_mels)
     mel_filterbank(*args)  # checks n_mels against the spectrogram's resolution
     bank = _mel_csr(*args)
@@ -276,7 +276,7 @@ def log_mel(spec: Spectrogram, n_mels: int, floor: float) -> np.ndarray:
         if np.iscomplexobj(mag):
             mag = np.abs(mag)
         bands = (bank @ mag.T).T  # (hi - lo, n_mels)
-        np.log(np.maximum(bands, floor, out=out[lo:hi]), out=out[lo:hi])
+        np.log(np.maximum(bands, LOG_FLOOR, out=out[lo:hi]), out=out[lo:hi])
 
     _workers.map_frames(analyse, spec.n_frames)
     return out
@@ -501,7 +501,7 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     overhead than they save, so they accumulate all outputs at once from
     gathered kernel rows and samples.  Either way each output sums its 64
     products kernel[r, j] * sample in ascending j, starting from zero, so
-    the two paths return the same bits.  Working memory is O(n_out).
+    the two paths return the same bits.  Working memory is O(len + n_out).
     """
     target_rate = check_int("target_rate", target_rate, 1)
     if target_rate == audio.sample_rate:
@@ -524,15 +524,15 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     # Tap j of output n reads padded[n*down // up + j], where
     # padded[k] = src[k - half + 1]; the zeros stand in for taps that fall
-    # outside the source, and pad its length to a multiple of down.
+    # outside the source.  The strided path also pads the length to a
+    # multiple of down, which adds fewer than len(src) / 1024 zeros there.
+    strided = n_out >= _STRIDED_MIN_OUTPUTS_PER_PHASE * n_rows
     tail = max((n_out - 1) * down // up + _RESAMPLE_TAPS - (half - 1) - len(src), 0)
-    tail += -(half - 1 + len(src) + tail) % down
+    if strided:
+        tail += -(half - 1 + len(src) + tail) % down
     padded = np.pad(src, (half - 1, tail))
-    if n_out < _STRIDED_MIN_OUTPUTS_PER_PHASE * n_rows:
-        out = _accumulate_gathered(padded, kernel, n_out, up, down)
-    else:
-        out = _accumulate_strided(padded, kernel, n_out, up, down)
-    return AudioBuffer(out, target_rate)
+    accumulate = _accumulate_strided if strided else _accumulate_gathered
+    return AudioBuffer(accumulate(padded, kernel, n_out, up, down), target_rate)
 
 
 def _accumulate_strided(padded, kernel, n_out, up, down) -> np.ndarray:

@@ -22,11 +22,11 @@ from scipy.stats import t as student_t
 from . import _workers, codec
 from .container import ModelContainer
 from .datapipe import read_entry_audio
+from .dsp import LOG_FLOOR
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
 from .errors import check_array, check_float, check_int, check_path
 from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .metrics import (
-    LOSS_FLOOR,
     LOSS_SCALES,
     _loss_reference,
     _losses_against,
@@ -233,7 +233,7 @@ def run_evaluation(
         "gl_iterations": gl_iterations,
         "gl_momentum": GL_MOMENTUM,
         "gl_init": GL_INIT,
-        "metric": {"scales": [list(s) for s in LOSS_SCALES], "floor": LOSS_FLOOR},
+        "metric": {"scales": [list(s) for s in LOSS_SCALES], "floor": LOG_FLOOR},
         "pesq_tool": pesq_tool or "",
     }
     return MetricReport(rows=rows, q_list=tuple(q_list), config=config, failures=tuple(failures))

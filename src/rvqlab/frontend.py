@@ -29,6 +29,7 @@ import scipy.sparse
 from scipy.linalg import solveh_banded
 
 from .dsp import (
+    LOG_FLOOR,
     AudioBuffer,
     Spectrogram,
     StftConfig,
@@ -58,7 +59,6 @@ N_MELS = 80
 # The mel bank always spans the full band; .rvqm stores these edges and
 # rejects any others.
 F_MIN, F_MAX = 0.0, SAMPLE_RATE / 2
-LOG_FLOOR = 1e-5
 STFT_CONFIG = StftConfig(FFT_SIZE, HOP)
 MAX_SEED = (1 << 63) - 1  # .rvqm stores seeds as int64
 GL_ITERATIONS = 12  # Griffin-Lim iterations of a decode that does not set its own
@@ -126,7 +126,7 @@ def _analysis_log_mel(audio: AudioBuffer) -> np.ndarray:
         pad = HOP - remainder
         samples = np.pad(samples, (0, pad), mode="reflect")
     spec = stft(AudioBuffer(samples, SAMPLE_RATE), STFT_CONFIG)
-    return log_mel(spec, N_MELS, LOG_FLOOR)[:-1]  # T = len/hop
+    return log_mel(spec, N_MELS)[:-1]  # T = len/hop
 
 
 def _principal_basis(matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ wideband PESQ tool.
 The analysis is fixed, so scores compare across runs and models: both
 losses use the four (fft_size, hop, n_mels) scales of LOSS_SCALES,
 (256, 64, 40), (512, 128, 80), (1024, 256, 160) and (2048, 512, 320), with
-magnitudes divided by the Hann window gain, and the log-mel floor
-LOSS_FLOOR = 1e-5; STOI uses the _STOI_* constants.
+magnitudes divided by the Hann window gain, and the codec's log-mel floor
+dsp.LOG_FLOOR = 1e-5; STOI uses the _STOI_* constants.
 
 The losses and STOI each run in two private halves.  The reference half
 (_loss_reference, _stoi_reference) analyses the aligned reference: its
@@ -63,9 +63,8 @@ class MetricValue:
         object.__setattr__(self, "value", check_float(f"metric {self.name}", self.value))
 
 
-# (fft_size, hop, n_mels) of each loss scale, and the log-mel floor.
+# (fft_size, hop, n_mels) of each loss scale.
 LOSS_SCALES = ((256, 64, 40), (512, 128, 80), (1024, 256, 160), (2048, 512, 320))
-LOSS_FLOOR = 1e-5
 
 
 def _aligned_pair(ref: AudioBuffer, test: AudioBuffer):
@@ -104,7 +103,7 @@ def _loss_reference(ref: AudioBuffer, with_mel: bool = True) -> _LossReference:
     scales = []
     for fft_size, hop, n_mels in LOSS_SCALES:
         a = _gain_normalized_magnitude(ref, StftConfig(fft_size, hop))
-        scales.append((a.frames, log_mel(a, n_mels, LOSS_FLOOR) if with_mel else None))
+        scales.append((a.frames, log_mel(a, n_mels) if with_mel else None))
     return _LossReference(len(ref), ref.sample_rate, tuple(scales))
 
 
@@ -130,15 +129,8 @@ def _losses_against(reference: _LossReference, test: AudioBuffer):
         b = _gain_normalized_magnitude(test, StftConfig(fft_size, hop))
         lin += float(np.mean(np.abs(a - b.frames)))
         if a_mel is not None:
-            mel += float(np.mean(np.abs(a_mel - log_mel(b, n_mels, LOSS_FLOOR))))
+            mel += float(np.mean(np.abs(a_mel - log_mel(b, n_mels))))
     return mel, lin
-
-
-def _spectral_losses(ref: AudioBuffer, test: AudioBuffer, with_mel: bool = True):
-    """(mel, stft) losses from one magnitude pass, each summed in LOSS_SCALES
-    order.  Without with_mel the mel loss is 0.0 and no filterbank is built."""
-    ref, test = _aligned_pair(ref, test)
-    return _losses_against(_loss_reference(ref, with_mel), test)
 
 
 def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
@@ -148,12 +140,14 @@ def mel_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
         InvalidConfig: from 27204 Hz up a loss-scale filterbank has an empty
             row; resample such signals first.
     """
-    return MetricValue("mel", _spectral_losses(ref, test)[0], higher_is_better=False)
+    ref, test = _aligned_pair(ref, test)
+    return MetricValue("mel", _losses_against(_loss_reference(ref), test)[0], higher_is_better=False)
 
 
 def stft_loss(ref: AudioBuffer, test: AudioBuffer) -> MetricValue:
     """Sum over scales of the mean L1 distance between linear magnitudes."""
-    lin = _spectral_losses(ref, test, with_mel=False)[1]
+    ref, test = _aligned_pair(ref, test)
+    lin = _losses_against(_loss_reference(ref, with_mel=False), test)[1]
     return MetricValue("stft", lin, higher_is_better=False)
 
 

@@ -102,19 +102,13 @@ class TokenStream:
         if k & (k - 1):
             raise InvalidInput(f"codebook_size must be a power of two, got {k}")
         object.__setattr__(self, "codebook_size", k)
-        frames = self.frames
-        # Integer and bool matrices hold whole numbers already: they are
-        # range-checked as they are, without a float copy.
-        if not (isinstance(frames, np.ndarray) and frames.dtype.kind in "biu" and frames.ndim == 2):
-            frames = check_array("token frames", frames, 2)
-            if not np.array_equal(frames, np.trunc(frames)):
-                raise InvalidInput("token frames must hold integer values")
+        frames = check_array("token frames", self.frames, 2)
+        if not np.array_equal(frames, np.trunc(frames)):
+            raise InvalidInput("token frames must hold integer values")
         if frames.shape[1] < 1:
             raise InvalidInput(f"token frames must be T x q with q >= 1, got shape {frames.shape}")
         if frames.size and (frames.min() < 0 or frames.max() >= self.codebook_size):
-            raise CorruptTokens(
-                f"token index out of range [0, {self.codebook_size})"
-            )
+            raise CorruptTokens(f"token index out of range [0, {self.codebook_size})")
         frames = frames.astype(np.uint16)
         frames.flags.writeable = False  # the range checks above hold for good
         object.__setattr__(self, "frames", frames)

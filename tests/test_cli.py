@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,25 @@ class TestEncodeDecode:
         code, _, _ = _run(capsys, ["encode", "--model", str(model_path), str(wav), "-q", "1", str(out)])
         assert code == 0 and resamples == [24000]
         assert bitstream.unpack(out.read_bytes()).n_stages == 1
+
+    def test_a_4_kb_wav_at_a_large_rate_encodes_in_a_few_mib(self, toy_model, tmp_path, capsys):
+        # down = 48000001 reduced against 24 kHz: a pad to a multiple of it
+        # would hold 367 MiB for the one output sample.
+        model_path, _, _ = toy_model
+        rate = 48_000_001
+        wav = tmp_path / "fast.wav"
+        write_wav(wav, AudioBuffer(speech_like(2000 / rate, rate, 5), rate), encoding="pcm16")
+        assert wav.stat().st_size < 4096
+        out = tmp_path / "x.rvqs"
+        tracemalloc.start()
+        try:
+            code, _, err = _run(capsys, ["encode", "--model", str(model_path), str(wav), "-q", "1", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert bitstream.unpack(out.read_bytes()).n_frames == 1
+        assert peak < 4 << 20, peak
 
     @pytest.mark.parametrize("sample_rate, frame_rate", [(16000, 50), (16000, 75), (24000, 50)])
     def test_stream_rates_must_match_model(

@@ -89,7 +89,7 @@ CONTRACT = {
     "dsp.stft": {"audio": (OBJECT, E("audio")), "config": (OBJECT, E("stft_config"))},
     "dsp.istft": {"spec": (OBJECT, E("spec"))},
     "dsp.mel_filterbank": {"sample_rate": (VALUE, 24000), "fft_size": (VALUE, 256), "n_mels": (VALUE, 20)},
-    "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "n_mels": (VALUE, 20), "floor": (VALUE, 1e-5)},
+    "dsp.log_mel": {"spec": (OBJECT, E("magnitude")), "n_mels": (VALUE, 20)},
     "dsp.griffin_lim": {"magnitude": (OBJECT, E("magnitude")), "iterations": (VALUE, 1),
                         "callback": (OBJECT, None), "momentum": (VALUE, 0.5),
                         "init_phase": (VALUE, E("init_phase"))},

@@ -4,7 +4,7 @@ import stat
 import numpy as np
 import pytest
 
-from rvqlab.dsp import AudioBuffer
+from rvqlab.dsp import LOG_FLOOR, AudioBuffer
 from rvqlab.errors import (
     ExternalToolError,
     InsufficientDuration,
@@ -13,7 +13,6 @@ from rvqlab.errors import (
     SampleRateMismatch,
 )
 from rvqlab.metrics import (
-    LOSS_FLOOR,
     LOSS_SCALES,
     _loss_reference,
     _losses_against,
@@ -73,8 +72,8 @@ class TestMelLoss:
                 fb = mel_filterbank(sr, fft_size, n_mels)
                 a = np.abs(stft(ref, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
                 b = np.abs(stft(test, StftConfig(fft_size, hop)).frames) / (fft_size / 2)
-                la = np.log(np.maximum(_band_sums(fb, a), LOSS_FLOOR))
-                lb = np.log(np.maximum(_band_sums(fb, b), LOSS_FLOOR))
+                la = np.log(np.maximum(_band_sums(fb, a), LOG_FLOOR))
+                lb = np.log(np.maximum(_band_sums(fb, b), LOG_FLOOR))
                 expected += float(np.mean(np.abs(la - lb)))
             got = mel_loss(ref, test).value
             assert got == expected, sr
@@ -212,6 +211,18 @@ class TestReferenceHalves:
             assert mel == mel_loss(_buf(ref), test).value
             assert lin == stft_loss(_buf(ref), test).value
             assert _stoi_against(stoi_half, test).value == stoi(_buf(ref), test).value
+
+
+def test_the_codec_and_the_losses_floor_silence_at_one_log_mel_floor():
+    from rvqlab import dsp, frontend
+
+    assert frontend.LOG_FLOOR is dsp.LOG_FLOOR
+    silence = _buf(np.zeros(4800))
+    assert np.all(frontend._analysis_log_mel(silence) == np.log(dsp.LOG_FLOOR))
+    scales = _loss_reference(silence).scales
+    assert len(scales) == len(LOSS_SCALES)
+    for _, log_mels in scales:
+        assert log_mels.size and np.all(log_mels == np.log(dsp.LOG_FLOOR))
 
 
 class TestPesqAdapter:

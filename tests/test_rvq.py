@@ -492,6 +492,44 @@ class TestDequantize:
             tokens.frames[0, 0] = model.config.codebook_size
 
 
+def _token_kinds(values, kinds=("uint16", "int64", "bool", "float64", "list")):
+    """values as each named input kind: a numpy dtype, or nested Python lists."""
+    return {kind: values if kind == "list" else np.array(values, dtype=kind) for kind in kinds}
+
+
+class TestTokenStreamInputKinds:
+    """Every input kind takes the one validation path: the same frames, and
+    the same error for the same bad value."""
+
+    @pytest.mark.parametrize(
+        "values, kinds",
+        [
+            ([[0, 1, 1], [1, 0, 1]], ("uint16", "int64", "bool", "float64", "list")),
+            ([[0, 1023], [512, 7], [1, 0]], ("uint16", "int64", "float64", "list")),
+        ],
+        ids=["zeros-and-ones", "full-range"],
+    )
+    def test_same_values_give_the_same_frames(self, values, kinds):
+        frames = [TokenStream(v, 1024).frames for v in _token_kinds(values, kinds).values()]
+        for f in frames:
+            assert f.dtype == np.uint16 and f.flags.c_contiguous and not f.flags.writeable
+            assert f.tobytes() == np.array(values, dtype=np.uint16).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, kinds",
+        [(-1, ("int64", "float64", "list")), (16, ("uint16", "int64", "float64", "list")),
+         (1.5, ("float64", "list"))],
+        ids=["negative", "codebook-size", "fraction"],
+    )
+    def test_a_bad_value_raises_the_same_error_for_every_kind(self, bad, kinds):
+        raised = set()
+        for kind, values in _token_kinds([[0, 1], [bad, 2]], kinds).items():
+            with pytest.raises((CorruptTokens, InvalidInput)) as info:
+                TokenStream(values, 16)
+            raised.add((info.type, str(info.value)))
+        assert len(raised) == 1, raised
+
+
 class TestTypedErrors:
     @pytest.mark.parametrize(
         "call, error",
