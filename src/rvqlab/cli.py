@@ -7,6 +7,7 @@ machine, such as a huge excerpt or batch size).  Every subcommand honors
 --json for a machine-readable variant carrying the same numbers as the
 text output.
 
+Each handler passes its flags to library calls and formats the result.
 The defaults belong to the library: train_codec holds the training
 settings' defaults, and eval's stage grid comes from the model it loads.
 """
@@ -24,14 +25,7 @@ from . import bitstream, codec, container
 from .datapipe import load_manifest, summarize_manifest
 from .errors import InvalidInput, RvqLabError
 from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
-from .evalstats import (
-    _check_alpha,
-    load_mushra_records,
-    mushra_summary,
-    render_report,
-    run_evaluation,
-    wilcoxon_ranksum,
-)
+from .evalstats import load_mushra_records, mushra_summary, render_report, run_evaluation
 from .rvq import bitrate
 from .training import train_codec
 from .wavio import read_wav, write_wav
@@ -223,28 +217,12 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_mushra(args) -> None:
-    alpha = _check_alpha(args.alpha)  # before the file is read: it may hold no system to test
-    records = load_mushra_records(args.scores)
-    summaries = mushra_summary(records)
-    by_system = {}
-    for record in records:
-        by_system.setdefault(record.system, []).append(record.score)
-    if args.reference not in by_system:
-        raise InvalidInput(
-            f"reference system {args.reference!r} not present in {sorted(by_system)}"
-        )
-    reference_scores = by_system[args.reference]
-    results = [
-        wilcoxon_ranksum(by_system[system], reference_scores, alpha=alpha, system=system)
-        for system in sorted(by_system)
-        if system != args.reference
-    ]
-    text = render_report((summaries, results), fmt=args.format)
+    summaries, tests = mushra_summary(load_mushra_records(args.scores), args.reference, args.alpha)
     payload = {
         "summaries": [asdict(s) for s in summaries],
-        "significance": [asdict(r) for r in results],
+        "significance": [asdict(r) for r in tests],
     }
-    _emit(args, payload, text)
+    _emit(args, payload, render_report((summaries, tests), fmt=args.format))
 
 
 def main(argv=None) -> int:

@@ -74,20 +74,29 @@ class Excerpt:
     entry: ManifestEntry
 
 
+def _text_lines(path, what: str, error) -> list[tuple[int, str]]:
+    """The stripped (line number, line) pairs of the UTF-8 text at path that
+    are neither blank nor # comments, past any byte-order mark.  MissingFile
+    when nothing is at path, else error for a failed read or non-UTF-8 text."""
+    try:
+        with open(check_path(path), encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise MissingFile(path) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: cannot read {what}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what}: {exc}") from exc
+    lines = ((lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1))
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse and validate a JSONL manifest; entries must point at real files."""
-    path = Path(check_path(path))
-    if not path.exists():
-        raise MissingFile(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: cannot read manifest: {exc}") from exc
+    lines = _text_lines(path, "manifest", SchemaError)
+    path = Path(path)
     entries = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         try:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:  # too deep, or an int of > 4300 digits

@@ -71,10 +71,10 @@ class SchemaError(RvqLabError):
 
 
 class MissingFile(RvqLabError):
-    """A file referenced by a manifest does not exist."""
+    """A file to be read does not exist."""
 
     def __init__(self, path):
-        super().__init__(f"missing audio file: {path}")
+        super().__init__(f"missing file: {path}")
         self.path = path
 
 

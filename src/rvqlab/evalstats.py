@@ -21,10 +21,10 @@ from scipy.stats import t as student_t
 
 from . import _workers, codec
 from .container import ModelContainer
-from .datapipe import read_entry_audio
+from .datapipe import _text_lines, read_entry_audio
 from .dsp import LOG_FLOOR
 from .errors import EvaluationFailed, InsufficientData, InvalidInput, RvqLabError
-from .errors import check_array, check_float, check_int, check_path
+from .errors import check_array, check_float, check_int
 from .frontend import GL_INIT, GL_ITERATIONS, GL_MOMENTUM
 from .metrics import (
     LOSS_SCALES,
@@ -248,15 +248,7 @@ def load_mushra_records(path) -> list[MushraRecord]:
     records = []
     seen = set()
     first = True  # the header may only be the first non-blank, non-comment line
-    with open(check_path(path), encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"{path}: score file is not UTF-8 text: {exc}") from exc
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _text_lines(path, "score file", InvalidInput):
         parts = [p.strip() for p in line.split(",")]
         is_header = first and parts[:3] == ["subject", "stimulus", "system"]
         first = False
@@ -276,12 +268,16 @@ def load_mushra_records(path) -> list[MushraRecord]:
     return records
 
 
-def mushra_summary(records) -> list[MushraSummary]:
-    """Per-system mean with a two-sided 95% t-distribution interval."""
+def mushra_summary(records, reference, alpha) -> tuple[list[MushraSummary], list[SignificanceResult]]:
+    """(summaries, tests): in system order, each system's mean with a
+    two-sided 95% t-distribution interval, and the rank-sum test at level
+    alpha of each system but the reference against it.  alpha is checked
+    first, so a bad value is an error whatever systems the records hold."""
+    alpha = _check_alpha(alpha)
     by_system = {}
     for record in records:
         by_system.setdefault(record.system, []).append(record.score)
-    out = []
+    summaries = []
     for system in sorted(by_system):
         scores = np.asarray(by_system[system], dtype=np.float64)
         n = len(scores)
@@ -290,8 +286,12 @@ def mushra_summary(records) -> list[MushraSummary]:
         mean = float(scores.mean())
         sd = float(scores.std(ddof=1))
         half = float(student_t.ppf(0.975, n - 1) * sd / math.sqrt(n))
-        out.append(MushraSummary(system, mean, mean - half, mean + half, n))
-    return out
+        summaries.append(MushraSummary(system, mean, mean - half, mean + half, n))
+    if not isinstance(reference, str) or reference not in by_system:
+        raise InvalidInput(f"reference system {reference!r} not present in {sorted(by_system)}")
+    tests = [wilcoxon_ranksum(by_system[s], by_system[reference], alpha=alpha, system=s)
+             for s in sorted(by_system) if s != reference]
+    return summaries, tests
 
 
 # --- Wilcoxon rank-sum --------------------------------------------------------
@@ -303,14 +303,14 @@ def _exact_ranksum_p(ranks2: np.ndarray, n_a: int, w2_obs: int) -> float:
     ranks2 are mid-ranks doubled to integers.  Dynamic program over items:
     count[k][s] = number of size-k subsets with doubled-rank sum s.
     """
-    total_sum = int(ranks2.sum())
-    counts = np.zeros((n_a + 1, total_sum + 1))
+    top = int(np.sort(ranks2)[-n_a:].sum())  # no size-n_a subset sums higher
+    counts = np.zeros((n_a + 1, top + 1))
     counts[0, 0] = 1.0
     # k runs descending so each item is counted in at most one subset slot.
     for r in ranks2:
         r = int(r)
         for k in range(n_a, 0, -1):
-            counts[k, r:] += counts[k - 1, : total_sum + 1 - r]
+            counts[k, r:] += counts[k - 1, : top + 1 - r]
     dist = counts[n_a]
     n_subsets = dist.sum()
     lower = dist[: w2_obs + 1].sum() / n_subsets
@@ -323,7 +323,7 @@ def _normal_ranksum_p(ranks: np.ndarray, n_a: int, n_b: int, w_obs: float) -> fl
     n = n_a + n_b
     expectation = n_a * (n + 1) / 2.0
     _, tie_counts = np.unique(ranks, return_counts=True)
-    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1)) if n > 1 else 0.0
+    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if variance <= 0:
         return 1.0

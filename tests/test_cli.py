@@ -557,6 +557,83 @@ class TestMushra:
         assert out == ""
         assert err.startswith("error: InvalidInput: alpha must be ")
 
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "2"]], ids=["default-alpha", "alpha-2"])
+    def test_missing_scores_reported_before_alpha(self, tmp_path, capsys, alpha):
+        path = tmp_path / "none.csv"
+        assert _run(capsys, ["mushra", str(path), *alpha]) == (2, "", f"error: MissingFile: missing file: {path}\n")
+
+
+class TestMushraBytes:
+    """rvqlab mushra's output, byte for byte, on one five-system score file.
+    anchor's 6 scores take the exact rank-sum path, the 12-score systems the
+    normal approximation."""
+
+    SCORES = {
+        "reference": [100, 98, 100, 95, 99, 100, 97, 100, 96, 100, 99, 98],
+        "codec_q8": [97, 99, 92, 100, 94, 96, 98, 91, 100, 95, 97, 93],
+        "codec_q2": [71, 64, 80, 77, 69, 73, 80, 66, 75, 70, 62, 78],
+        "codec_q1": [45, 52, 38, 60, 41, 49, 55, 43, 47, 58, 36, 50],
+        "anchor": [20, 25, 18, 30, 22, 27],
+    }
+    MARKDOWN = (
+        "| system    | mean    | ci_low  | ci_high | n  | p_vs_reference | significant | method        |\n"
+        "|-----------|---------|---------|---------|----|----------------|-------------|---------------|\n"
+        "| anchor    | 23.6667 | 18.9423 | 28.3911 | 6  | 0.000107735    | yes         | exact         |\n"
+        "| codec_q1  | 47.8333 | 42.9806 | 52.686  | 12 | 3.3548e-05     | yes         | normal-approx |\n"
+        "| codec_q2  | 72.0833 | 68.1905 | 75.9761 | 12 | 3.34148e-05    | yes         | normal-approx |\n"
+        "| codec_q8  | 96      | 94.0652 | 97.9348 | 12 | 0.0373869      | yes         | normal-approx |\n"
+        "| reference | 98.5    | 97.3995 | 99.6005 | 12 | —              | —           | —             |\n"
+    )
+    CSV = (
+        "system,mean,ci_low,ci_high,n,p_vs_reference,significant,method\n"
+        "anchor,23.6667,18.9423,28.3911,6,0.000107735,yes,exact\n"
+        "codec_q1,47.8333,42.9806,52.686,12,3.3548e-05,yes,normal-approx\n"
+        "codec_q2,72.0833,68.1905,75.9761,12,3.34148e-05,yes,normal-approx\n"
+        "codec_q8,96,94.0652,97.9348,12,0.0373869,yes,normal-approx\n"
+        "reference,98.5,97.3995,99.6005,12,—,—,—\n"
+    )
+    P_VALUES = {"anchor": ("exact", 0.00010773540185304891), "codec_q1": ("normal-approx", 3.354801910093741e-05),
+                "codec_q2": ("normal-approx", 3.341484949759277e-05),
+                "codec_q8": ("normal-approx", 0.03738693837724383)}
+    SUMMARIES = [
+        {"ci_high": 28.391070045819806, "ci_low": 18.94226328751353, "mean": 23.666666666666668, "n": 6,
+         "system": "anchor"},
+        {"ci_high": 52.686049477455136, "ci_low": 42.980617189211536, "mean": 47.833333333333336, "n": 12,
+         "system": "codec_q1"},
+        {"ci_high": 75.97612673240027, "ci_low": 68.19053993426638, "mean": 72.08333333333333, "n": 12,
+         "system": "codec_q2"},
+        {"ci_high": 97.93477396464668, "ci_low": 94.06522603535332, "mean": 96.0, "n": 12, "system": "codec_q8"},
+        {"ci_high": 99.60049258004582, "ci_low": 97.39950741995418, "mean": 98.5, "n": 12, "system": "reference"},
+    ]
+
+    @pytest.fixture
+    def scores(self, tmp_path):
+        lines = ["subject,stimulus,system,score"]
+        for system, values in self.SCORES.items():
+            lines += [f"s{i // 2 + 1},st{i % 2 + 1},{system},{v}" for i, v in enumerate(values)]
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("flags, expected", [([], MARKDOWN), (["--format", "csv"], CSV)], ids=["markdown", "csv"])
+    def test_table_bytes(self, capsys, scores, flags, expected):
+        assert _run(capsys, ["mushra", scores, *flags]) == (0, expected, "")
+
+    @pytest.mark.parametrize("flags, alpha", [([], 0.05), (["--alpha", "0.01"], 0.01)], ids=["default", "alpha-0.01"])
+    def test_json_bytes(self, capsys, scores, flags, alpha):
+        significance = [{"alpha": alpha, "method": method, "p_value": p, "significant": p < alpha, "system": system}
+                        for system, (method, p) in self.P_VALUES.items()]
+        expected = json.dumps({"significance": significance, "summaries": self.SUMMARIES}, sort_keys=True) + "\n"
+        assert _run(capsys, ["mushra", scores, "--json", *flags]) == (0, expected, "")
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--reference", "nope"], "error: InvalidInput: reference system 'nope' not present in "
+                                  "['anchor', 'codec_q1', 'codec_q2', 'codec_q8', 'reference']\n"),
+        (["--alpha", "2"], "error: InvalidInput: alpha must be in the open interval (0, 1), got 2.0\n"),
+    ], ids=["absent-reference", "alpha-2"])
+    def test_error_bytes(self, capsys, scores, flags, err):
+        assert _run(capsys, ["mushra", scores, *flags]) == (2, "", err)
+
 
 def test_main_builds_its_parser_once(toy_corpus, monkeypatch, capsys):
     parsers = []

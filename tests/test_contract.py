@@ -113,7 +113,8 @@ CONTRACT = {
     "evalstats.run_evaluation": {"container": (OBJECT, E("model")), "test_manifests": (OBJECT, E("manifests")),
                                  "q_list": (VALUE, [1]), "gl_iterations": (VALUE, 1)},
     "evalstats.load_mushra_records": {"path": (PATH, E("scores_path"))},
-    "evalstats.mushra_summary": {"records": (OBJECT, E("records"))},
+    "evalstats.mushra_summary": {"records": (OBJECT, E("records")), "reference": (VALUE, "reference"),
+                                 "alpha": (VALUE, 0.05)},
     "evalstats.wilcoxon_ranksum": {"a": (VALUE, [1.0, 2.0]), "b": (VALUE, [3.0, 4.0]), "alpha": (VALUE, 0.05),
                                    "method": (VALUE, "auto"), "system": (VALUE, "codec")},
     "evalstats.render_report": {"report": (OBJECT, E("report")), "fmt": (VALUE, "csv")},
@@ -188,7 +189,9 @@ def env(tmp_path_factory):
     write_wav(valid / "clip.wav", audio)
     model = _tiny_container()
     container.save(model, valid / "model.rvqm")
-    (valid / "scores.csv").write_text("subject,stimulus,system,score\ns1,a,codec,60\ns2,a,codec,70\n")
+    (valid / "scores.csv").write_text(
+        "subject,stimulus,system,score\ns1,a,reference,90\ns2,a,reference,95\ns1,a,codec,60\ns2,a,codec,70\n"
+    )
     (valid / "manifest.jsonl").write_text(
         '{"path": "clip.wav", "category": "HQ1", "duration": 0.5, "sample_rate": 24000}\n'
     )

@@ -135,8 +135,19 @@ class TestLoadManifest:
     def test_non_utf8_manifest_schema_error(self, tmp_path):
         path = tmp_path / "binary.jsonl"
         path.write_bytes(b"\xff\xfe\x00not text\n")
-        with pytest.raises(SchemaError, match="cannot read manifest"):
+        with pytest.raises(SchemaError, match="cannot read manifest: not UTF-8 text"):
             load_manifest(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(100), 24000))
+        text = json.dumps({"path": "a.wav", "category": "HQ1", "duration": 1.0, "sample_rate": 24000}) + "\n"
+        (tmp_path / "plain.jsonl").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.jsonl").write_text(text, encoding="utf-8-sig")
+        assert load_manifest(tmp_path / "bom.jsonl") == load_manifest(tmp_path / "plain.jsonl")
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(MissingFile, match="missing file: .*none.jsonl"):
+            load_manifest(tmp_path / "none.jsonl")
 
     def test_line_not_json_schema_error(self, tmp_path):
         path = tmp_path / "broken.jsonl"

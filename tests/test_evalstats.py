@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from rvqlab import evalstats
-from rvqlab.errors import InsufficientData, InvalidInput
+from rvqlab.errors import InsufficientData, InvalidInput, MissingFile
 from rvqlab.evalstats import (
     MetricReport,
     MushraRecord,
@@ -20,7 +21,8 @@ from rvqlab.evalstats import (
 class TestMushraSummary:
     def test_zero_variance(self):
         records = [MushraRecord("s1", "x", "ref", 100.0), MushraRecord("s2", "x", "ref", 100.0)]
-        (summary,) = mushra_summary(records)
+        (summary,), tests = mushra_summary(records, "ref", 0.05)
+        assert tests == []
         assert summary.mean == 100.0
         assert summary.ci_low == summary.ci_high == 100.0
 
@@ -28,7 +30,7 @@ class TestMushraSummary:
         # {80, 90, 100}: mean 90, s = 10, n = 3, t(0.975, 2) = 4.303 ->
         # half-width 4.303 * 10 / sqrt(3) = 24.84.
         records = [MushraRecord(f"s{i}", "x", "sys", v) for i, v in enumerate((80.0, 90.0, 100.0))]
-        (summary,) = mushra_summary(records)
+        (summary,), _ = mushra_summary(records, "sys", 0.05)
         assert summary.mean == pytest.approx(90.0)
         assert summary.mean - summary.ci_low == pytest.approx(24.84, abs=0.01)
         assert summary.ci_high - summary.mean == pytest.approx(24.84, abs=0.01)
@@ -40,13 +42,36 @@ class TestMushraSummary:
             for j in range(3)
             for system in ("a", "b")
         ]
-        summaries = mushra_summary(records)
+        summaries, _ = mushra_summary(records, "a", 0.05)
         assert [s.system for s in summaries] == ["a", "b"]
         assert all(s.n == 12 for s in summaries)
 
     def test_single_score_rejected(self):
         with pytest.raises(InsufficientData):
-            mushra_summary([MushraRecord("s", "x", "only", 50.0)])
+            mushra_summary([MushraRecord("s", "x", "only", 50.0)], "only", 0.05)
+
+    def test_tests_in_system_order_without_the_reference(self):
+        scores = {"c": [40.0, 55.0, 50.0], "ref": [90.0, 95.0, 100.0], "a": [70.0, 80.0, 90.0],
+                  "b": [60.0, 95.0, 65.0]}
+        records = [MushraRecord(f"s{i}", "x", system, v) for system, values in scores.items()
+                   for i, v in enumerate(values)]
+        summaries, tests = mushra_summary(records, "ref", 0.05)
+        assert [s.system for s in summaries] == ["a", "b", "c", "ref"]
+        assert tests == [wilcoxon_ranksum(scores[s], scores["ref"], alpha=0.05, system=s) for s in "abc"]
+
+    def test_absent_reference_rejected_after_insufficient_data(self):
+        records = [MushraRecord("s1", "x", "a", 50.0), MushraRecord("s2", "x", "a", 60.0)]
+        with pytest.raises(InsufficientData):
+            mushra_summary([*records, MushraRecord("s1", "x", "b", 70.0)], "ref", 0.05)
+        with pytest.raises(InvalidInput, match=r"reference system 'ref' not present in \['a'\]"):
+            mushra_summary(records, "ref", 0.05)
+
+    @pytest.mark.parametrize("records", [[], [MushraRecord("s1", "x", "ref", 90.0),
+                                             MushraRecord("s2", "x", "ref", 95.0)]],
+                             ids=["no-records", "reference-only"])
+    def test_alpha_checked_whatever_the_records_hold(self, records):
+        with pytest.raises(InvalidInput, match="alpha must be"):
+            mushra_summary(records, "ref", 2)
 
     def test_score_range_validated(self):
         with pytest.raises(InvalidInput):
@@ -168,6 +193,40 @@ class TestWilcoxon:
         assert result.p_value == pytest.approx(swapped.p_value, abs=1e-12)
         assert max(table_rows) <= 6
 
+    def test_exact_table_spans_only_reachable_sums(self):
+        # 10 against 800: every doubled-rank sum of 10 items is below 16200,
+        # so the table needs 11 x 16200 cells, not 11 x n(n + 1).
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 101, 10).astype(float), rng.integers(0, 101, 800).astype(float)
+        tracemalloc.start()
+        try:
+            result = wilcoxon_ranksum(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.method == "exact"
+        assert peak < 8 * 2**20
+
+    def test_exact_p_is_the_rounded_ratio_of_subset_counts(self):
+        # While C(n, n_a) < 2**53 every count in the table is an exact
+        # float, so p is the correctly rounded ratio of integer counts, here
+        # counted with Python integers.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            a = rng.integers(0, 30, int(rng.integers(1, 11))).astype(float)
+            b = rng.integers(0, 30, int(rng.integers(10, 40))).astype(float)
+            ranks2 = [round(2 * r) for r in rankdata(np.concatenate([a, b]))]
+            counts = [{0: 1}] + [{} for _ in a]  # counts[k][s]: size-k subsets summing to s
+            for r in ranks2:
+                for k in range(len(a), 0, -1):
+                    for s, c in counts[k - 1].items():
+                        counts[k][s + r] = counts[k].get(s + r, 0) + c
+            w2 = sum(ranks2[: len(a)])
+            total = sum(counts[-1].values())
+            tail = min(sum(c for s, c in counts[-1].items() if s <= w2),
+                       sum(c for s, c in counts[-1].items() if s >= w2))
+            assert wilcoxon_ranksum(a, b).p_value == min(1.0, 2 * tail / total)
+
     def test_empty_group_rejected(self):
         with pytest.raises(InvalidInput):
             wilcoxon_ranksum([], [1.0])
@@ -235,6 +294,14 @@ class TestMushraFile:
         path.write_bytes(b"\xff\xfe\x00")
         with pytest.raises(InvalidInput, match="not UTF-8"):
             load_mushra_records(path)
+
+    def test_directory_is_invalid_input(self, tmp_path):
+        with pytest.raises(InvalidInput, match="cannot read score file"):
+            load_mushra_records(tmp_path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile, match="missing file: .*none.csv"):
+            load_mushra_records(tmp_path / "none.csv")
 
 
 class TestRenderReport:

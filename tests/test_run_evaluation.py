@@ -341,7 +341,7 @@ class TestRunEvaluation:
         assert len(report.failures) == 1
         assert "WavError" in report.failures[0][2]
 
-    @pytest.mark.parametrize("as_directory, error", [(False, "MissingFile: missing audio file: "),
+    @pytest.mark.parametrize("as_directory, error", [(False, "MissingFile: missing file: "),
                                                      (True, "WavError: {path}: cannot read: ")],
                              ids=["removed", "directory"])
     def test_file_gone_or_unreadable_after_loading_recorded(self, toy_model, test_sets, tmp_path, monkeypatch,
